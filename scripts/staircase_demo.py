@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from crosscut import GridParams, reconstruct, vertical_section
-from crosscut.cli import _set_to_image
 from crosscut.ingest import RawMarginal, quantize
+from crosscut.netpbm import set_to_image
 from crosscut.svgplot import render_curves, step_points
 
 
@@ -42,7 +42,7 @@ def main() -> int:
         )
         last = (e, fq)
     e, fq = last
-    (outdir / "staircase.pgm").write_text(_set_to_image(e))
+    (outdir / "staircase.pgm").write_text(set_to_image(e))
     v = vertical_section(e)
     svg = render_curves(
         [("target f", step_points(fq)), ("achieved v", step_points(v))],

@@ -18,10 +18,8 @@ import argparse
 import json
 import sys
 
-from .dyadic import Dyadic
 from .feasibility import FeasibilityReport, check_gale_ryser, check_hlp
 from .gridset import (
-    DyadicSet,
     GridParams,
     InfeasibleInput,
     QuantizationError,
@@ -39,8 +37,8 @@ from .matrices import (
     ryser_construct,
     swap_construct,
 )
-from .netpbm import read_netpbm, write_pbm, write_pgm
-from .report import render_text, residual, summary_dict, trace_lines
+from .netpbm import set_from_image, set_to_image, write_pbm
+from .report import render_text, summary_dict, trace_lines
 from .stepfn import l1_distance, rearrange
 from .svgplot import distribution_points, render_curves, step_points
 
@@ -65,68 +63,6 @@ def _print_quant(name: str, rep: QuantizationReport) -> None:
         f"quantized {name}: l1 error {_fmt(rep.l1_error)}, "
         f"sup error {_fmt(rep.sup_error)}"
     )
-
-
-def _pixel_from_fill(w: int, cap: int) -> int:
-    # round(255 * w / cap), half away from zero is irrelevant for w >= 0
-    return (510 * w + cap) // (2 * cap)
-
-
-def _fill_from_pixel(p: int, cap: int) -> int:
-    return (2 * p * cap + 255) // 510
-
-
-def _set_to_image(e: DyadicSet) -> str:
-    cap = e.params.sub_per_cell
-    side = e.params.side
-    comment = f"K={e.params.subres}"
-    # image rows run top-down; band 0 sits at the bottom of the square
-    if e.params.subres == 0:
-        bits = [
-            [e.fill[side - 1 - r][c] for c in range(side)] for r in range(side)
-        ]
-        return write_pbm(bits, comments=[comment])
-    pixels = [
-        [_pixel_from_fill(e.fill[side - 1 - r][c], cap) for c in range(side)]
-        for r in range(side)
-    ]
-    return write_pgm(pixels, comments=[comment])
-
-
-def _set_from_image(text: str, override_subres=None) -> DyadicSet:
-    magic, width, height, maxval, rows, comments = read_netpbm(text)
-    if width != height or width & (width - 1) or width < 2:
-        raise ValueError("image must be square with a power-of-two side >= 2")
-    depth = width.bit_length() - 1
-    subres = None
-    for c in comments:
-        if c.startswith("K="):
-            subres = int(c[2:])
-    if override_subres is not None:
-        subres = override_subres
-    if magic == "P1":
-        if subres is None:
-            subres = 0
-        params = GridParams(depth, subres)
-        cap = params.sub_per_cell
-        fill = tuple(
-            tuple(cap * rows[height - 1 - i][j] for j in range(width))
-            for i in range(height)
-        )
-        return DyadicSet(params, fill)
-    if subres is None:
-        raise ValueError(
-            "PGM lacks a 'K=' comment; pass -K to supply the sub-resolution"
-        )
-    params = GridParams(depth, subres)
-    cap = params.sub_per_cell
-    if maxval != 255:
-        raise ValueError("expected an 8-bit PGM with maxval 255")
-    fill = tuple(
-        tuple(_fill_from_pixel(rows[height - 1 - i][j], cap) for j in range(width))
-        for i in range(height)
-    )
-    return DyadicSet(params, fill)
 
 
 def _quantized_pair(f_path: str, g_path: str, params: GridParams):
@@ -189,7 +125,7 @@ def _cmd_realize_set(args) -> int:
         _print_report(exc.report, "t")
         return 1
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(_set_to_image(e))
+        fh.write(set_to_image(e))
     sys.stdout.write(render_text(summary))
     print(f"wrote {args.output}")
     if args.trace:
@@ -221,15 +157,10 @@ def _cmd_realize_set(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.set_file, "r", encoding="utf-8") as fh:
-        e = _set_from_image(fh.read(), args.subres)
+        e = set_from_image(fh.read(), args.subres)
     params = e.params
     print(f"grid: depth {params.depth}, subres {params.subres}")
-    rawf = load_marginal(args.f_file)
-    rawg = load_marginal(args.g_file)
-    fq, frep = quantize(rawf, params)
-    gq, grep = quantize(rawg, params)
-    _print_quant("f", frep)
-    _print_quant("g", grep)
+    fq, gq = _quantized_pair(args.f_file, args.g_file, params)
     v = vertical_section(e)
     h = horizontal_section(e)
     self_check = check_hlp(v, h)

@@ -32,11 +32,14 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num != 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
         if num == 0:
             exp = 0
+        elif exp and not num & 1:
+            tz = (num & -num).bit_length() - 1  # trailing zero bits
+            if tz > exp:
+                tz = exp
+            num >>= tz
+            exp -= tz
         self.num = num
         self.exp = exp
 

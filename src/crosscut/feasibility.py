@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from itertools import zip_longest
+from typing import Optional, Sequence, Union
 
 from .dyadic import Dyadic, ONE, ZERO
 from .stepfn import StepFunction, distribution, rearrange
@@ -102,6 +103,25 @@ def conjugate(p: Partition) -> Partition:
     )
 
 
+def prefix_excess(
+    lhs: Sequence[int], rhs: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
+    """First prefix length m where the sum of lhs's first m entries exceeds
+    rhs's, as (m, lhs sum, rhs sum); None when rhs dominates throughout.
+
+    The shorter sequence is padded with zeros.  Callers pass both
+    sequences sorted nonincreasing, which makes this the majorization test.
+    """
+    a = b = m = 0
+    for x, y in zip_longest(lhs, rhs, fillvalue=0):
+        m += 1
+        a += x
+        b += y
+        if a > b:
+            return m, a, b
+    return None
+
+
 def check_gale_ryser(p: Partition, q: Partition) -> FeasibilityReport:
     """Gale-Ryser test: do p and q bound a 0/1 matrix's row/column sums?
 
@@ -109,21 +129,15 @@ def check_gale_ryser(p: Partition, q: Partition) -> FeasibilityReport:
     matching prefix sum of the conjugate of p.  The witness is the first
     prefix length where the dominance fails.
     """
+    totals = (p.total, q.total)
     if p.total != q.total:
-        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=(p.total, q.total))
-    ph = conjugate(p).parts
-    qs = q.parts
-    lhs = rhs = 0
-    for m in range(1, max(len(ph), len(qs)) + 1):
-        lhs += qs[m - 1] if m <= len(qs) else 0
-        rhs += ph[m - 1] if m <= len(ph) else 0
-        if lhs > rhs:
-            return FeasibilityReport(
-                Verdict.INFEASIBLE_MAJORIZATION,
-                witness=Witness(m, lhs, rhs),
-                totals=(p.total, q.total),
-            )
-    return FeasibilityReport(Verdict.FEASIBLE, totals=(p.total, q.total))
+        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=totals)
+    excess = prefix_excess(q.parts, conjugate(p).parts)
+    if excess is not None:
+        return FeasibilityReport(
+            Verdict.INFEASIBLE_MAJORIZATION, witness=Witness(*excess), totals=totals
+        )
+    return FeasibilityReport(Verdict.FEASIBLE, totals=totals)
 
 
 class _CumulativePrimitive:
@@ -188,6 +202,22 @@ def _prefix_violation(left_src: StepFunction, right_src: StepFunction):
     return None
 
 
+def _hlp_report(
+    f: StepFunction, g: StepFunction, left: StepFunction, right: StepFunction
+) -> FeasibilityReport:
+    """Compare the integrals of f and g, then the rearrangement primitive
+    of left against the distribution primitive of right."""
+    nf, ng = f.integral(), g.integral()
+    if nf != ng:
+        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=(nf, ng))
+    w = _prefix_violation(left, right)
+    if w is not None:
+        return FeasibilityReport(
+            Verdict.INFEASIBLE_MAJORIZATION, witness=w, totals=(nf, ng)
+        )
+    return FeasibilityReport(Verdict.FEASIBLE, totals=(nf, ng))
+
+
 def check_hlp(f: StepFunction, g: StepFunction) -> FeasibilityReport:
     """Continuous realizability test for (f, g) as (vertical, horizontal)
     cross sections of a subset of the unit square.
@@ -196,15 +226,7 @@ def check_hlp(f: StepFunction, g: StepFunction) -> FeasibilityReport:
     never exceeds the prefix integral of lambda_g.  Exact: both primitives
     are piecewise linear and are compared at every slope change.
     """
-    nf, ng = f.integral(), g.integral()
-    if nf != ng:
-        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=(nf, ng))
-    w = _prefix_violation(f, g)
-    if w is not None:
-        return FeasibilityReport(
-            Verdict.INFEASIBLE_MAJORIZATION, witness=w, totals=(nf, ng)
-        )
-    return FeasibilityReport(Verdict.FEASIBLE, totals=(nf, ng))
+    return _hlp_report(f, g, f, g)
 
 
 def check_hlp_symmetric(f: StepFunction, g: StepFunction) -> FeasibilityReport:
@@ -215,12 +237,4 @@ def check_hlp_symmetric(f: StepFunction, g: StepFunction) -> FeasibilityReport:
     realizing set to swap the two cross sections); keeping both directions
     makes that a testable property rather than an assumption.
     """
-    nf, ng = f.integral(), g.integral()
-    if nf != ng:
-        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=(nf, ng))
-    w = _prefix_violation(g, f)
-    if w is not None:
-        return FeasibilityReport(
-            Verdict.INFEASIBLE_MAJORIZATION, witness=w, totals=(nf, ng)
-        )
-    return FeasibilityReport(Verdict.FEASIBLE, totals=(nf, ng))
+    return _hlp_report(f, g, g, f)

@@ -27,6 +27,11 @@ error sequence.
 Everything here reduces to integer arithmetic: with D the common scale of
 f's values and the sub-unit grid, sections, margins and prefix sums are
 integers, so all comparisons are exact.
+
+One engine, _Work, runs the search and the swaps and builds the trace
+records; ReplayState is the same engine with a step that replays a
+recorded swap and re-derives its invariants, which report.audit_trace
+drives.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dyadic import Dyadic
-from .feasibility import FeasibilityReport, check_hlp
-from .report import GenerationRecord, SwapRecord, TraceSummary
+from .dyadic import ZERO, Dyadic
+from .feasibility import FeasibilityReport, check_hlp, prefix_excess
+from .matrices import realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -54,6 +59,51 @@ class InfeasibleInput(ValueError):
     def __init__(self, report: FeasibilityReport):
         super().__init__(f"marginals not realizable: {report.verdict.value}")
         self.report = report
+
+
+class InvariantViolation(RuntimeError):
+    """A standing hypothesis of the swap construction does not hold."""
+
+
+@dataclass(frozen=True)
+class SwapRecord:
+    """One executed swap: generation, band row, donor and receiver column
+    classes (1-indexed), the exact L1 improvement and symmetric difference."""
+
+    gen: int
+    band: int
+    donor: int
+    receiver: int
+    l1_drop: Dyadic
+    sym_diff: Dyadic
+
+
+@dataclass(frozen=True)
+class GenerationRecord:
+    gen: int
+    swap_count: int
+    residual_l1: Dyadic
+    sym_diff: Dyadic  # measure of (set before generation) XOR (set after)
+
+
+@dataclass(frozen=True)
+class TraceSummary:
+    generations: tuple[GenerationRecord, ...]
+    swaps: tuple[SwapRecord, ...]
+    initial_residual: Dyadic
+    final_residual: Dyadic
+    feasibility: FeasibilityReport
+
+    def __post_init__(self):
+        last = self.initial_residual
+        churn = ZERO
+        for g in self.generations:
+            if g.residual_l1 > last:
+                raise ValueError(f"residual increased at generation {g.gen}")
+            last = g.residual_l1
+            churn = churn + g.sym_diff
+        if churn > self.initial_residual:
+            raise ValueError("total set change exceeds the initial residual")
 
 
 @dataclass(frozen=True)
@@ -189,6 +239,22 @@ def horizontal_section(e: DyadicSet) -> StepFunction:
     return StepFunction.from_grid(vals, p.depth)
 
 
+def _exchange(fill: list[list[int]], move: SwapMove) -> int:
+    """Exchange the two squares of the move in place, columnwise; returns
+    the number of cell sub-units that change hands, sum |donor - receiver|."""
+    span = len(fill) >> move.gen
+    r0 = (move.band - 1) * span
+    j0 = (move.donor - 1) * span
+    k0 = (move.receiver - 1) * span
+    moved = 0
+    for row in fill[r0 : r0 + span]:
+        for c in range(span):
+            a, b = row[j0 + c], row[k0 + c]
+            moved += abs(a - b)
+            row[j0 + c], row[k0 + c] = b, a
+    return moved
+
+
 def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
     """Exchange the fills of the two generation-n squares, columnwise."""
     p = e.params
@@ -196,14 +262,8 @@ def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
         raise MoveOutOfRange(
             f"generation {move.gen} exceeds grid depth {p.depth}"
         )
-    span = p.side >> move.gen
-    r0 = (move.band - 1) * span
-    j0 = (move.donor - 1) * span
-    k0 = (move.receiver - 1) * span
     grid = [list(row) for row in e.fill]
-    for r in range(r0, r0 + span):
-        for c in range(span):
-            grid[r][j0 + c], grid[r][k0 + c] = grid[r][k0 + c], grid[r][j0 + c]
+    _exchange(grid, move)
     return DyadicSet(p, tuple(tuple(row) for row in grid))
 
 
@@ -228,16 +288,11 @@ class _Work:
             if v < Dyadic(0):
                 raise QuantizationError("target values must be nonnegative")
             self.fu.extend([v.num << (self.D - v.exp)] * self.subs)
-        pre = [0]
-        for u in sorted(self.fu, reverse=True):
-            pre.append(pre[-1] + u)
-        self.f_pre = pre
+        self.f_desc = sorted(self.fu, reverse=True)
         self.fill = [list(row) for row in fill]
         self.vu = [0] * self.V
         for j in range(self.side):
             self._recount_col(j)
-        self.last_l1_drop: Optional[Dyadic] = None
-        self.last_sym_diff: Optional[Dyadic] = None
 
     # -- state maintenance -------------------------------------------------
 
@@ -270,15 +325,9 @@ class _Work:
     def row_unit_sums(self) -> list[int]:
         return [sum(row) for row in self.fill]
 
-    def majorized(self, vu=None) -> bool:
+    def majorized(self) -> bool:
         """Prefix integral of sorted f never exceeds that of sorted v."""
-        run = 0
-        pre = self.f_pre
-        for m, u in enumerate(sorted(self.vu if vu is None else vu, reverse=True)):
-            run += u
-            if run < pre[m + 1]:
-                return False
-        return True
+        return prefix_excess(self.f_desc, sorted(self.vu, reverse=True)) is None
 
     def rows_are_translated_hypograph_slices(self) -> bool:
         """Each band is a permutation of (full cells, at most one partial,
@@ -314,24 +363,22 @@ class _Work:
                     strict = True
         return strict
 
-    def _vu_after(self, gen: int, band: int, j: int, k: int) -> list[int]:
-        span = self.side >> gen
-        r0, j0, k0 = (band - 1) * span, (j - 1) * span, (k - 1) * span
-        vnew = self.vu[:]
-        shift = self.D - self.N
+    def _recount_classes(self, move: SwapMove) -> None:
+        span = self.side >> move.gen
         for c in range(span):
-            for col, other in ((j0 + c, k0 + c), (k0 + c, j0 + c)):
-                base = col * self.subs
-                vals = [
-                    self.fill[r][other] if r0 <= r < r0 + span else self.fill[r][col]
-                    for r in range(self.side)
-                ]
-                for m in range(self.subs):
-                    vnew[base + m] = sum(1 for w in vals if w > m) << shift
-        return vnew
+            self._recount_col((move.donor - 1) * span + c)
+            self._recount_col((move.receiver - 1) * span + c)
 
-    def _dominance_after(self, gen: int, band: int, j: int, k: int) -> bool:
-        return self.majorized(self._vu_after(gen, band, j, k))
+    def _dominance_after(self, move: SwapMove) -> bool:
+        """Prefix dominance of the section the move leaves; the move is
+        applied and then undone."""
+        saved = self.vu[:]
+        _exchange(self.fill, move)
+        self._recount_classes(move)
+        ok = self.majorized()
+        _exchange(self.fill, move)
+        self.vu = saved
+        return ok
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -340,7 +387,7 @@ class _Work:
             self._donor_ok(move.gen, move.donor)
             and self._receiver_ok(move.gen, move.receiver)
             and self._proper_subset(move.gen, move.band, move.donor, move.receiver)
-            and self._dominance_after(move.gen, move.band, move.donor, move.receiver)
+            and self._dominance_after(move)
         )
 
     def find_first(self, gen: int) -> Optional[SwapMove]:
@@ -357,31 +404,46 @@ class _Work:
                 for k in range(1, top + 1):
                     if k == j or k not in receivers:
                         continue
-                    if self._proper_subset(gen, band, j, k) and self._dominance_after(
-                        gen, band, j, k
-                    ):
-                        return SwapMove(gen, band, j, k)
+                    if self._proper_subset(gen, band, j, k):
+                        move = SwapMove(gen, band, j, k)
+                        if self._dominance_after(move):
+                            return move
         return None
 
-    def apply(self, move: SwapMove) -> None:
-        span = self.side >> move.gen
-        r0 = (move.band - 1) * span
-        j0 = (move.donor - 1) * span
-        k0 = (move.receiver - 1) * span
+    def apply(self, move: SwapMove) -> SwapRecord:
         before = self.residual_units()
-        moved = 0
-        for r in range(r0, r0 + span):
-            row = self.fill[r]
-            for c in range(span):
-                a, b = row[j0 + c], row[k0 + c]
-                moved += abs(a - b)
-                row[j0 + c], row[k0 + c] = b, a
-        for c in range(span):
-            self._recount_col(j0 + c)
-            self._recount_col(k0 + c)
+        moved = _exchange(self.fill, move)
+        self._recount_classes(move)
         after = self.residual_units()
-        self.last_l1_drop = Dyadic(before - after, self.D + self.N + self.K)
-        self.last_sym_diff = Dyadic(2 * moved, 2 * self.N + self.K)
+        return SwapRecord(
+            move.gen,
+            move.band,
+            move.donor,
+            move.receiver,
+            Dyadic(before - after, self.D + self.N + self.K),
+            Dyadic(2 * moved, 2 * self.N + self.K),
+        )
+
+    def run_generation(
+        self, gen: int, on_swap: Optional[Callable[[SwapRecord], None]] = None
+    ) -> GenerationRecord:
+        """Apply first-found swaps of one generation until none remains,
+        passing each executed swap to on_swap."""
+        start = self.snapshot_fill()
+        count = 0
+        while True:
+            move = self.find_first(gen)
+            if move is None:
+                return self.generation_record(gen, count, start)
+            rec = self.apply(move)
+            if on_swap is not None:
+                on_swap(rec)
+            count += 1
+
+    def generation_record(self, gen: int, count: int, start_fill) -> GenerationRecord:
+        return GenerationRecord(
+            gen, count, self.residual_dyadic(), self.sym_diff_dyadic(start_fill)
+        )
 
     def to_set(self) -> DyadicSet:
         return DyadicSet(self.params, tuple(tuple(row) for row in self.fill))
@@ -392,10 +454,12 @@ def is_swappable(e: DyadicSet, f: StepFunction, move: SwapMove) -> bool:
 
     Returns False for generations beyond the grid depth.  The caller is
     responsible for the standing hypothesis that f's rearrangement
-    primitive is dominated by the section's; it is asserted in debug runs.
+    primitive is dominated by the section's; InvariantViolation is raised
+    when it fails.
     """
     work = _Work(e.params, e.fill, f)
-    assert work.majorized(), "prefix dominance hypothesis violated for this set"
+    if not work.majorized():
+        raise InvariantViolation("prefix dominance hypothesis violated for this set")
     return work.swappable(move)
 
 
@@ -409,11 +473,8 @@ def optimize_generation(e: DyadicSet, f: StepFunction, gen: int) -> DyadicSet:
     if not 1 <= gen <= e.params.depth:
         raise ValueError(f"generation must lie in 1..{e.params.depth}")
     work = _Work(e.params, e.fill, f)
-    while True:
-        move = work.find_first(gen)
-        if move is None:
-            return work.to_set()
-        work.apply(move)
+    work.run_generation(gen)
+    return work.to_set()
 
 
 def reconstruct(
@@ -434,38 +495,22 @@ def reconstruct(
     rep = check_hlp(f, g)
     if not rep.feasible:
         raise InfeasibleInput(rep)
-    e0 = initial_set(g, params)
-    work = _Work(params, e0.fill, f)
-    assert work.majorized(), "feasible start must dominate the target"
+    work = _Work(params, initial_set(g, params).fill, f)
+    if not work.majorized():
+        raise InvariantViolation("feasible start must dominate the target")
     initial_res = work.residual_dyadic()
     records: list[SwapRecord] = []
+
+    def record(rec: SwapRecord) -> None:
+        records.append(rec)
+        if on_swap is not None:
+            on_swap(rec)
+
     gens: list[GenerationRecord] = []
     for gen in range(1, params.depth + 1):
-        fill_before = work.snapshot_fill()
-        count = 0
-        while True:
-            move = work.find_first(gen)
-            if move is None:
-                break
-            work.apply(move)
-            rec = SwapRecord(
-                gen,
-                move.band,
-                move.donor,
-                move.receiver,
-                work.last_l1_drop,
-                work.last_sym_diff,
-            )
-            records.append(rec)
-            if on_swap is not None:
-                on_swap(rec)
-            count += 1
-        assert work.rows_are_translated_hypograph_slices()
-        gens.append(
-            GenerationRecord(
-                gen, count, work.residual_dyadic(), work.sym_diff_dyadic(fill_before)
-            )
-        )
+        gens.append(work.run_generation(gen, record))
+        if not work.rows_are_translated_hypograph_slices():
+            raise InvariantViolation(f"generation {gen} left a band with two partial cells")
     summary = TraceSummary(
         generations=tuple(gens),
         swaps=tuple(records),
@@ -476,104 +521,72 @@ def reconstruct(
     return work.to_set(), summary
 
 
-class ReplayState:
-    """Re-derives every per-swap invariant while replaying a trace."""
+class ReplayState(_Work):
+    """The swap engine with a replay step that re-derives every per-swap
+    invariant of a recorded move."""
 
-    def __init__(self, f: StepFunction, g: StepFunction, params: GridParams):
-        e0 = initial_set(g, params)
-        self.work = _Work(params, e0.fill, f)
+    def verify_and_apply(
+        self, move: SwapMove
+    ) -> tuple[Optional[SwapRecord], Optional[str]]:
+        """Apply one recorded swap; return the replayed record and the
+        first violated invariant."""
+        if move.gen > self.N:
+            return None, "generation exceeds grid depth"
+        rows_before = self.row_unit_sums()
+        vu_before = self.vu[:]
+        fill_before = self.snapshot_fill()
 
-    @property
-    def last_l1_drop(self):
-        return self.work.last_l1_drop
-
-    @property
-    def last_sym_diff(self):
-        return self.work.last_sym_diff
-
-    def snapshot_fill(self):
-        return self.work.snapshot_fill()
-
-    def residual_dyadic(self):
-        return self.work.residual_dyadic()
-
-    def sym_diff_dyadic(self, other_fill):
-        return self.work.sym_diff_dyadic(other_fill)
-
-    def initially_majorized(self) -> bool:
-        return self.work.majorized()
-
-    def verify_and_apply(self, move: SwapMove) -> Optional[str]:
-        """Apply one recorded swap; return the first violated invariant."""
-        w = self.work
-        if move.gen > w.N:
-            return "generation exceeds grid depth"
-        span = w.side >> move.gen
-        r0 = (move.band - 1) * span
-        j0 = (move.donor - 1) * span
-        k0 = (move.receiver - 1) * span
-
-        rows_before = w.row_unit_sums()
-        vu_before = w.vu[:]
-        fill_before = w.snapshot_fill()
-        res_before = w.residual_dyadic()
-
-        w.apply(move)
+        rec = self.apply(move)
 
         # row sections and measure are untouched by a horizontal exchange
-        if w.row_unit_sums() != rows_before:
-            return "horizontal section changed"
+        if self.row_unit_sums() != rows_before:
+            return rec, "horizontal section changed"
 
         # one-sided set differences match the column integrals of the
         # vertical-section change (all on the same exact scale)
         lost = gained = 0
-        for r in range(w.side):
-            for c in range(w.side):
-                d = fill_before[r][c] - w.fill[r][c]
-                if d > 0:
-                    lost += d
+        for row_before, row in zip(fill_before, self.fill):
+            for a, b in zip(row_before, row):
+                if a > b:
+                    lost += a - b
                 else:
-                    gained -= d
-        donor_cols = range(j0 * w.subs, (j0 + span) * w.subs)
-        recv_cols = range(k0 * w.subs, (k0 + span) * w.subs)
-        drop_d = sum(vu_before[x] - w.vu[x] for x in donor_cols)
-        rise_k = sum(w.vu[x] - vu_before[x] for x in recv_cols)
+                    gained += b - a
+        donor_cols = self._class_range(move.gen, move.donor)
+        recv_cols = self._class_range(move.gen, move.receiver)
+        drop_d = sum(vu_before[x] - self.vu[x] for x in donor_cols)
+        rise_k = sum(self.vu[x] - vu_before[x] for x in recv_cols)
         # lost cell units are areas 2**-(2N+K); section sums are in units
         # 2**-(D+N+K): lost * 2**(D-N) must equal the section-change sum
-        if lost << (w.D - w.N) != drop_d:
-            return "set loss does not match donor-column section drop"
-        if gained << (w.D - w.N) != rise_k:
-            return "set gain does not match receiver-column section rise"
+        if lost << (self.D - self.N) != drop_d:
+            return rec, "set loss does not match donor-column section drop"
+        if gained << (self.D - self.N) != rise_k:
+            return rec, "set gain does not match receiver-column section rise"
 
         # the L1 error drops by exactly the symmetric difference
-        sym = w.sym_diff_dyadic(fill_before)
-        if sym != w.last_sym_diff:
-            return "symmetric difference bookkeeping mismatch"
+        sym = Dyadic(lost + gained, 2 * self.N + self.K)
+        if sym != rec.sym_diff:
+            return rec, "symmetric difference bookkeeping mismatch"
         if sym.num == 0:
-            return "swap moved no mass"
-        if w.residual_dyadic() != res_before - sym:
-            return "L1 error did not drop by the symmetric difference"
+            return rec, "swap moved no mass"
+        if rec.l1_drop != sym:
+            return rec, "L1 error did not drop by the symmetric difference"
 
         # per column class: donor stays above f, receiver below, rest equal
         for cls in range(1, (1 << move.gen) + 1):
-            rng = w._class_range(move.gen, cls)
+            rng = self._class_range(move.gen, cls)
             if cls == move.donor:
-                if not all(w.fu[x] <= w.vu[x] <= vu_before[x] for x in rng):
-                    return "donor column left the f .. v_before corridor"
+                if not all(self.fu[x] <= self.vu[x] <= vu_before[x] for x in rng):
+                    return rec, "donor column left the f .. v_before corridor"
             elif cls == move.receiver:
-                if not all(w.fu[x] >= w.vu[x] >= vu_before[x] for x in rng):
-                    return "receiver column left the v_before .. f corridor"
-            elif any(w.vu[x] != vu_before[x] for x in rng):
-                return "untouched column changed"
+                if not all(self.fu[x] >= self.vu[x] >= vu_before[x] for x in rng):
+                    return rec, "receiver column left the v_before .. f corridor"
+            elif any(self.vu[x] != vu_before[x] for x in rng):
+                return rec, "untouched column changed"
 
         # prefix dominance preserved
-        if not w.majorized():
-            return "prefix dominance lost after swap"
-        return None
-
-
-def replay_state(f: StepFunction, g: StepFunction, params: GridParams) -> ReplayState:
-    return ReplayState(f, g, params)
+        if not self.majorized():
+            return rec, "prefix dominance lost after swap"
+        return rec, None
 
 
 def discrete_exact_set(
@@ -585,8 +598,6 @@ def discrete_exact_set(
     Returns None when a value is off the coarse grid or the margins are
     not realizable.
     """
-    from .matrices import realize_exact_margins
-
     try:
         fvals = _plateau_values(f, params.depth)
         gvals = _plateau_values(g, params.depth)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .feasibility import FeasibilityReport, Partition, check_gale_ryser
+from .feasibility import FeasibilityReport, Partition, check_gale_ryser, prefix_excess
 
 BRUTE_FORCE_CELL_LIMIT = 20
 
@@ -163,18 +163,6 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
     return None
 
 
-def _prefix_dominates(sorted_desc: list[int], target_desc: tuple[int, ...]) -> bool:
-    """Every prefix sum of the sorted current column sums is at least the
-    matching prefix sum of the (sorted) target."""
-    run_c = run_q = 0
-    for m in range(max(len(sorted_desc), len(target_desc))):
-        run_c += sorted_desc[m] if m < len(sorted_desc) else 0
-        run_q += target_desc[m] if m < len(target_desc) else 0
-        if run_c < run_q:
-            return False
-    return True
-
-
 def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     """Build the matrix by single-entry moves from the left-aligned start.
 
@@ -207,7 +195,7 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
                     cand[cj] -= 1
                     cand[ck] += 1
                     cand.sort(reverse=True)
-                    if _prefix_dominates(cand, q.parts):
+                    if prefix_excess(q.parts, cand) is None:
                         return r, cj, ck
         return None
 

@@ -1,4 +1,5 @@
-"""Plain-text netpbm reading and writing (PBM P1 and PGM P2).
+"""Plain-text netpbm reading and writing (PBM P1 and PGM P2), and the
+image form of a DyadicSet.
 
 Text variants are used on purpose: outputs are byte-stable and diffable
 in tests.  Comments written directly after the magic number survive a
@@ -6,6 +7,8 @@ round trip, which lets image files carry their own grid metadata.
 """
 
 from __future__ import annotations
+
+from .gridset import DyadicSet, GridParams
 
 
 def write_pbm(bits, comments=()) -> str:
@@ -77,3 +80,70 @@ def read_netpbm(text: str):
         raise ValueError("sample outside 0..maxval")
     rows = [values[i * width : (i + 1) * width] for i in range(height)]
     return magic, width, height, maxval, rows, comments
+
+
+def pixel_from_fill(w: int, cap: int) -> int:
+    """8-bit gray level of a cell holding w of cap sub-units."""
+    # round(255 * w / cap), half away from zero is irrelevant for w >= 0
+    return (510 * w + cap) // (2 * cap)
+
+
+def fill_from_pixel(p: int, cap: int) -> int:
+    """Nearest cell fill for gray level p; inverts pixel_from_fill for cap <= 128."""
+    return (2 * p * cap + 255) // 510
+
+
+def set_to_image(e: DyadicSet) -> str:
+    """PBM of a K=0 set, else PGM of gray levels, with a 'K=<k>' comment."""
+    cap = e.params.sub_per_cell
+    side = e.params.side
+    comment = f"K={e.params.subres}"
+    # image rows run top-down; band 0 sits at the bottom of the square
+    if e.params.subres == 0:
+        bits = [
+            [e.fill[side - 1 - r][c] for c in range(side)] for r in range(side)
+        ]
+        return write_pbm(bits, comments=[comment])
+    pixels = [
+        [pixel_from_fill(e.fill[side - 1 - r][c], cap) for c in range(side)]
+        for r in range(side)
+    ]
+    return write_pgm(pixels, comments=[comment])
+
+
+def set_from_image(text: str, override_subres=None) -> DyadicSet:
+    """Set read back from set_to_image output; override_subres replaces
+    the K comment, which a PGM without one needs."""
+    magic, width, height, maxval, rows, comments = read_netpbm(text)
+    if width != height or width & (width - 1) or width < 2:
+        raise ValueError("image must be square with a power-of-two side >= 2")
+    depth = width.bit_length() - 1
+    subres = None
+    for c in comments:
+        if c.startswith("K="):
+            subres = int(c[2:])
+    if override_subres is not None:
+        subres = override_subres
+    if magic == "P1":
+        if subres is None:
+            subres = 0
+        params = GridParams(depth, subres)
+        cap = params.sub_per_cell
+        fill = tuple(
+            tuple(cap * rows[height - 1 - i][j] for j in range(width))
+            for i in range(height)
+        )
+        return DyadicSet(params, fill)
+    if subres is None:
+        raise ValueError(
+            "PGM lacks a 'K=' comment; pass -K to supply the sub-resolution"
+        )
+    params = GridParams(depth, subres)
+    cap = params.sub_per_cell
+    if maxval != 255:
+        raise ValueError("expected an 8-bit PGM with maxval 255")
+    fill = tuple(
+        tuple(fill_from_pixel(rows[height - 1 - i][j], cap) for j in range(width))
+        for i in range(height)
+    )
+    return DyadicSet(params, fill)

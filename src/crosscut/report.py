@@ -15,53 +15,20 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .dyadic import Dyadic, ZERO
-from .feasibility import FeasibilityReport
-from .stepfn import StepFunction, l1_distance
+from .gridset import (
+    GenerationRecord,
+    GridParams,
+    ReplayState,
+    SwapMove,
+    SwapRecord,
+    TraceSummary,
+    initial_set,
+)
+from .stepfn import StepFunction
 
 
 class MalformedTrace(ValueError):
     """Trace cannot be replayed: bad syntax, indices, or ordering."""
-
-
-@dataclass(frozen=True)
-class SwapRecord:
-    """One executed swap: generation, band row, donor and receiver column
-    classes (1-indexed), the exact L1 improvement and symmetric difference."""
-
-    gen: int
-    band: int
-    donor: int
-    receiver: int
-    l1_drop: Dyadic
-    sym_diff: Dyadic
-
-
-@dataclass(frozen=True)
-class GenerationRecord:
-    gen: int
-    swap_count: int
-    residual_l1: Dyadic
-    sym_diff: Dyadic  # measure of (set before generation) XOR (set after)
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    generations: tuple[GenerationRecord, ...]
-    swaps: tuple[SwapRecord, ...]
-    initial_residual: Dyadic
-    final_residual: Dyadic
-    feasibility: FeasibilityReport
-
-    def __post_init__(self):
-        last = self.initial_residual
-        churn = ZERO
-        for g in self.generations:
-            if g.residual_l1 > last:
-                raise ValueError(f"residual increased at generation {g.gen}")
-            last = g.residual_l1
-            churn = churn + g.sym_diff
-        if churn > self.initial_residual:
-            raise ValueError("total set change exceeds the initial residual")
 
 
 @dataclass(frozen=True)
@@ -72,14 +39,6 @@ class AuditResult:
 
     def __bool__(self):
         return self.ok
-
-
-def residual(e, f: StepFunction) -> Dyadic:
-    """Exact L1 distance between the target f and the set's vertical
-    cross section."""
-    from .gridset import vertical_section
-
-    return l1_distance(vertical_section(e), f)
 
 
 def trace_lines(summary: TraceSummary) -> str:
@@ -177,7 +136,7 @@ def audit_trace(
     trace: Union[TraceSummary, Sequence[SwapRecord]],
     f: StepFunction,
     g: StepFunction,
-    params,
+    params: GridParams,
 ) -> AuditResult:
     """Replay a trace from the initial hypograph set and verify every swap.
 
@@ -195,8 +154,6 @@ def audit_trace(
     residuals, boundary symmetric differences, the telescoping bound) are
     re-derived as well.  Returns the first violation, if any.
     """
-    from . import gridset
-
     summary: Optional[TraceSummary] = None
     if isinstance(trace, TraceSummary):
         summary = trace
@@ -205,25 +162,18 @@ def audit_trace(
         records = tuple(trace)
 
     try:
-        state = gridset.replay_state(f, g, params)
+        state = ReplayState(params, initial_set(g, params).fill, f)
     except Exception as exc:
         raise MalformedTrace(f"cannot rebuild initial state: {exc}") from exc
 
     initial_residual = state.residual_dyadic()
-    if not state.initially_majorized():
+    if not state.majorized():
         return AuditResult(False, "initial prefix dominance fails", None)
 
-    gen_counts: dict[int, int] = {}
-    gen_stats: dict[int, tuple] = {}
+    gen_stats: dict[int, GenerationRecord] = {}
     open_gen: Optional[int] = None
+    count = 0
     gen_start_fill = state.snapshot_fill()
-
-    def close_generation(gen: int, fill_before) -> None:
-        gen_stats[gen] = (
-            gen_counts.get(gen, 0),
-            state.residual_dyadic(),
-            state.sym_diff_dyadic(fill_before),
-        )
 
     for idx, rec in enumerate(records):
         if open_gen is not None and rec.gen < open_gen:
@@ -231,49 +181,46 @@ def audit_trace(
         if rec.gen > params.depth:
             raise MalformedTrace(f"record {idx}: generation beyond grid depth")
         if open_gen is not None and rec.gen != open_gen:
-            close_generation(open_gen, gen_start_fill)
+            gen_stats[open_gen] = state.generation_record(open_gen, count, gen_start_fill)
             gen_start_fill = state.snapshot_fill()
+            count = 0
         open_gen = rec.gen
         try:
-            move = gridset.SwapMove(rec.gen, rec.band, rec.donor, rec.receiver)
+            move = SwapMove(rec.gen, rec.band, rec.donor, rec.receiver)
         except ValueError as exc:
             raise MalformedTrace(f"record {idx}: {exc}") from exc
 
-        problem = state.verify_and_apply(move)
+        replayed, problem = state.verify_and_apply(move)
         if problem is not None:
             return AuditResult(False, problem, idx)
-        if rec.sym_diff != state.last_sym_diff:
+        if rec.sym_diff != replayed.sym_diff:
             return AuditResult(
                 False,
                 f"recorded symmetric difference {rec.sym_diff} != "
-                f"replayed {state.last_sym_diff}",
+                f"replayed {replayed.sym_diff}",
                 idx,
             )
-        if rec.l1_drop != state.last_l1_drop:
+        if rec.l1_drop != replayed.l1_drop:
             return AuditResult(
                 False,
-                f"recorded L1 drop {rec.l1_drop} != replayed {state.last_l1_drop}",
+                f"recorded L1 drop {rec.l1_drop} != replayed {replayed.l1_drop}",
                 idx,
             )
-        gen_counts[rec.gen] = gen_counts.get(rec.gen, 0) + 1
+        count += 1
 
     if open_gen is not None:
-        close_generation(open_gen, gen_start_fill)
+        gen_stats[open_gen] = state.generation_record(open_gen, count, gen_start_fill)
 
     if summary is not None:
         sym_total = ZERO
         last_res = initial_residual
         for g_rec in summary.generations:
-            stats = gen_stats.get(g_rec.gen)
-            if stats is None:
-                count, res, sym = 0, last_res, ZERO
-            else:
-                count, res, sym = stats
-            if g_rec.swap_count != count:
+            stats = gen_stats.get(g_rec.gen, GenerationRecord(g_rec.gen, 0, last_res, ZERO))
+            if g_rec.swap_count != stats.swap_count:
                 return AuditResult(
                     False, f"generation {g_rec.gen}: swap count mismatch", None
                 )
-            if g_rec.residual_l1 != res:
+            if g_rec.residual_l1 != stats.residual_l1:
                 return AuditResult(
                     False, f"generation {g_rec.gen}: residual mismatch", None
                 )
@@ -281,7 +228,7 @@ def audit_trace(
                 return AuditResult(
                     False, f"generation {g_rec.gen}: residual increased", None
                 )
-            if g_rec.sym_diff != sym:
+            if g_rec.sym_diff != stats.sym_diff:
                 return AuditResult(
                     False,
                     f"generation {g_rec.gen}: symmetric-difference mismatch",

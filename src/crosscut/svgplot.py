@@ -7,6 +7,8 @@ staircases with vertical connectors; axes carry numeric tick labels.
 
 from __future__ import annotations
 
+from .stepfn import distribution_steps
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 _W, _H = 480.0, 360.0
@@ -28,8 +30,6 @@ def step_points(fn) -> list[tuple[float, float]]:
 
 def distribution_points(fn) -> list[tuple[float, float]]:
     """Polyline vertices tracing the distribution function of fn."""
-    from .stepfn import distribution_steps
-
     steps = distribution_steps(fn)
     if not steps:
         return [(0.0, 0.0), (1.0, 0.0)]

@@ -1,6 +1,10 @@
 """Grid sets: hypograph start, sections, swaps, and the optimizer."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +37,7 @@ from crosscut import (
     swap,
     vertical_section,
 )
+import crosscut
 from crosscut.dyadic import Dyadic
 
 D = Dyadic
@@ -242,6 +247,26 @@ def test_swappable_matches_oracle_on_random_sets(seed):
         return
     move = SwapMove(gen, band, donor, receiver)
     assert is_swappable(e, f, move) == oracle_swappable(e, f, move)
+
+
+def test_dominance_hypothesis_raises_under_python_O():
+    # a full left column against f = 1 fails prefix dominance; the check
+    # must survive -O, which strips assert statements
+    code = (
+        "from crosscut import *\n"
+        "e = DyadicSet(GridParams(1, 0), ((1, 0), (1, 0)))\n"
+        "try:\n"
+        "    is_swappable(e, StepFunction.constant(1), SwapMove(1, 1, 1, 2))\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(pathlib.Path(crosscut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import rand_dyadic_set
 from crosscut import GridParams, horizontal_section, swap, vertical_section
-from crosscut.cli import _set_from_image, _set_to_image
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import DyadicSet, SwapMove
+from crosscut.netpbm import pixel_from_fill, set_from_image, set_to_image
 
 
 def test_round_trip_is_identity_for_small_subres():
@@ -16,14 +16,14 @@ def test_round_trip_is_identity_for_small_subres():
     for _ in range(60):
         params = GridParams(rng.randint(1, 4), rng.randint(0, 7))
         e = rand_dyadic_set(rng, params)
-        back = _set_from_image(_set_to_image(e))
+        back = set_from_image(set_to_image(e))
         assert back == e
 
 
 def test_bottom_band_lands_on_the_last_image_row():
     params = GridParams(2, 0)
     fill = ((1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
-    text = _set_to_image(DyadicSet(params, fill))
+    text = set_to_image(DyadicSet(params, fill))
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("P", "#"))]
     body = rows[1:]  # first remaining line is the dimensions
     assert body[-1] == "1 1 1 1"
@@ -33,24 +33,24 @@ def test_bottom_band_lands_on_the_last_image_row():
 def test_k_comment_restores_subresolution():
     params = GridParams(2, 3)
     e = DyadicSet(params, tuple(tuple(3 for _ in range(4)) for _ in range(4)))
-    text = _set_to_image(e)
+    text = set_to_image(e)
     assert "# K=3" in text
-    assert _set_from_image(text).params == params
+    assert set_from_image(text).params == params
     # override wins over the comment
-    assert _set_from_image(text, override_subres=3).params == params
+    assert set_from_image(text, override_subres=3).params == params
 
 
 def test_rejects_non_square_and_odd_sizes():
     with pytest.raises(ValueError):
-        _set_from_image("P1\n2 4\n0 0\n0 0\n0 0\n0 0\n")
+        set_from_image("P1\n2 4\n0 0\n0 0\n0 0\n0 0\n")
     with pytest.raises(ValueError):
-        _set_from_image("P1\n3 3\n0 0 0\n0 0 0\n0 0 0\n")
+        set_from_image("P1\n3 3\n0 0 0\n0 0 0\n0 0 0\n")
 
 
 def test_image_write_is_deterministic():
     rng = random.Random(9)
     e = rand_dyadic_set(rng, GridParams(3, 2))
-    assert _set_to_image(e) == _set_to_image(e)
+    assert set_to_image(e) == set_to_image(e)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +84,7 @@ def test_swap_is_an_involution_and_preserves_rows():
 
 
 def test_pixel_quantization_rounds_to_nearest():
-    from crosscut.cli import _pixel_from_fill
-
-    assert _pixel_from_fill(0, 8) == 0
-    assert _pixel_from_fill(8, 8) == 255
-    assert _pixel_from_fill(1, 8) == 32  # 255/8 = 31.875 rounds up
-    assert _pixel_from_fill(4, 8) == 128  # 127.5 rounds half up
+    assert pixel_from_fill(0, 8) == 0
+    assert pixel_from_fill(8, 8) == 255
+    assert pixel_from_fill(1, 8) == 32  # 255/8 = 31.875 rounds up
+    assert pixel_from_fill(4, 8) == 128  # 127.5 rounds half up

@@ -2,7 +2,13 @@
 
 import pytest
 
-from crosscut.netpbm import read_netpbm, write_pbm, write_pgm
+from crosscut.netpbm import (
+    fill_from_pixel,
+    pixel_from_fill,
+    read_netpbm,
+    write_pbm,
+    write_pgm,
+)
 
 
 def test_pbm_round_trip():
@@ -40,9 +46,7 @@ def test_write_is_deterministic():
 
 
 def test_pixel_mapping_is_lossless_up_to_k7():
-    from crosscut.cli import _fill_from_pixel, _pixel_from_fill
-
     for k in range(8):
         cap = 1 << k
         for w in range(cap + 1):
-            assert _fill_from_pixel(_pixel_from_fill(w, cap), cap) == w
+            assert fill_from_pixel(pixel_from_fill(w, cap), cap) == w

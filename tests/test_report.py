@@ -17,7 +17,6 @@ from crosscut import (
     parse_trace,
     reconstruct,
     render_text,
-    residual,
     summary_dict,
     trace_lines,
     vertical_section,
@@ -47,7 +46,7 @@ def run_fixture():
 def test_residual_zero_on_exact_realization():
     one = StepFunction.constant(1)
     e = initial_set(one, GridParams(2, 1))
-    assert residual(e, one) == D(0)
+    assert l1_distance(vertical_section(e), one) == D(0)
 
 
 def test_residual_of_hypograph_is_distance_to_distribution():
@@ -67,8 +66,7 @@ def test_residual_of_hypograph_is_distance_to_distribution():
         x = Fraction(m, sub)
         fx = next(v for lo, hi, v in triples if lo <= x < hi)
         expected += abs(fx - oracle_distribution(triples, x)) * Fraction(1, sub)
-    assert residual(e0, f).to_fraction() == expected
-    assert residual(e0, f) == l1_distance(vertical_section(e0), f)
+    assert l1_distance(vertical_section(e0), f).to_fraction() == expected
     assert expected > 0
 
 
