@@ -14,6 +14,9 @@ from crosscut import (
     check_hlp,
     check_hlp_symmetric,
     conjugate,
+    primitive_dist,
+    primitive_rearr,
+    rearrange,
 )
 from crosscut.dyadic import Dyadic
 
@@ -32,6 +35,13 @@ def test_conjugate_examples():
     assert conjugate(Partition((3, 2))).parts == (2, 2, 1)
     assert conjugate(Partition(())).parts == ()
     assert conjugate(Partition((4, 1))).parts == (2, 1, 1, 1)
+
+
+@given(partitions)
+def test_conjugate_matches_its_definition(p):
+    top = p.parts[0] if p.parts else 0
+    literal = tuple(sum(1 for part in p.parts if part >= i) for i in range(1, top + 1))
+    assert conjugate(p).parts == literal
 
 
 @given(partitions)
@@ -135,6 +145,48 @@ def test_verdict_symmetry_on_random_equal_norm_pairs():
         else:
             seen_infeasible += 1
     assert seen_feasible and seen_infeasible  # the corpus exercises both
+
+
+def reference_hlp_report(f, g, left, right):
+    """(verdict, witness, totals) as strings, by evaluating both primitives
+    at every breakpoint of left* and every value of right."""
+    nf, ng = f.integral(), g.integral()
+    totals = (str(nf), str(ng))
+    if nf != ng:
+        return "infeasible_norm", None, totals
+    for t in sorted(set(rearrange(left).breakpoints) | set(right.values)):
+        a, b = primitive_rearr(left, t), primitive_dist(right, t)
+        if a > b:
+            return "infeasible_majorization", (str(t), str(a), str(b)), totals
+    return "feasible", None, totals
+
+
+def report_strings(rep):
+    w = rep.witness
+    return (
+        rep.verdict.value,
+        None if w is None else (str(w.point), str(w.lhs), str(w.rhs)),
+        tuple(str(x) for x in rep.totals),
+    )
+
+
+def test_hlp_reports_match_the_breakpoint_reference():
+    rng = random.Random(2024)
+    pairs = [rand_equal_norm_pair(rng, rng.randint(1, 4), rng.randint(0, 4)) for _ in range(320)]
+    # scaling one side breaks the norm, scaling both keeps it but moves the levels
+    for f, g in pairs[:60]:
+        for cf, cg in ((D(2), D(2)), (D(1, 1), D(1, 1)), (D(3), D(1)), (D(1), D(1, 2))):
+            pairs.append((
+                StepFunction(f.breakpoints, tuple(v * cf for v in f.values)),
+                StepFunction(g.breakpoints, tuple(v * cg for v in g.values)),
+            ))
+    verdicts = set()
+    for f, g in pairs:
+        got = report_strings(check_hlp(f, g))
+        assert got == reference_hlp_report(f, g, f, g)
+        assert report_strings(check_hlp_symmetric(f, g)) == reference_hlp_report(f, g, g, f)
+        verdicts.add(got[0])
+    assert verdicts == {"feasible", "infeasible_norm", "infeasible_majorization"}
 
 
 # ---------------------------------------------------------------------------

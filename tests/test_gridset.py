@@ -102,6 +102,19 @@ def test_sections_of_initial_set_are_g_and_its_distribution():
     assert v.integral() == g.integral() == e.measure()
 
 
+def test_vertical_section_counts_each_sub_column():
+    rng = random.Random(31)
+    for _ in range(60):
+        params = GridParams(rng.randint(1, 4), rng.randint(0, 4))
+        e = rand_dyadic_set(rng, params)
+        vals = [
+            D(sum(1 for row in e.fill if row[j] > m), params.depth)
+            for j in range(params.side)
+            for m in range(params.sub_per_cell)
+        ]
+        assert vertical_section(e) == StepFunction.from_grid(vals, params.depth + params.subres)
+
+
 def test_sections_of_empty_and_full():
     p = GridParams(2, 1)
     empty = initial_set(StepFunction.constant(0), p)

@@ -1,5 +1,6 @@
 """Module layering: the package's internal imports form an acyclic graph,
-and every internal import sits at module level."""
+every internal import sits at module level, and no module imports a name
+it does not use."""
 
 import ast
 import pathlib
@@ -54,3 +55,23 @@ def test_internal_import_graph_is_acyclic():
 def test_internal_imports_are_module_level():
     inner = [(src, dst) for src, dst, top in internal_imports() if not top]
     assert inner == []
+
+
+def test_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem == "__init__":  # re-exports the public API
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(
+            f"{path.stem}.py:{line} {name}" for name, line in imported.items() if name not in used
+        )
+    assert unused == []

@@ -168,6 +168,15 @@ def test_distribution_steps_cover_the_value_range():
     assert distribution_steps(StepFunction.constant(0)) == ()
 
 
+def test_distribution_steps_match_the_distribution_per_level():
+    rng = random.Random(77)
+    for _ in range(200):
+        f = rand_stepfn(rng, max_pieces=rng.randint(1, 12), max_value_units=rng.choice((1, 8, 64)))
+        levels = sorted(set(f.values) | {D(0)})
+        expected = tuple((lo, hi, distribution(f, lo)) for lo, hi in zip(levels, levels[1:]))
+        assert distribution_steps(f) == expected
+
+
 # ---------------------------------------------------------------------------
 # properties
 
