@@ -37,7 +37,7 @@ from .matrices import (
     ryser_construct,
     swap_construct,
 )
-from .netpbm import set_from_image, set_to_image, write_pbm
+from .netpbm import MAX_IMAGE_SUBRES, set_from_image, set_to_image, write_pbm
 from .report import render_text, summary_dict, trace_lines
 from .stepfn import l1_distance, rearrange
 from .svgplot import distribution_points, render_curves, step_points
@@ -118,6 +118,8 @@ def _cmd_realize_matrix(args) -> int:
 
 def _cmd_realize_set(args) -> int:
     params = GridParams(args.depth, args.subres)
+    if params.subres > MAX_IMAGE_SUBRES:
+        raise ValueError(f"set images hold K <= {MAX_IMAGE_SUBRES}; got K={params.subres}")
     fq, gq = _quantized_pair(args.f_file, args.g_file, params)
     try:
         e, summary = reconstruct(fq, gq, params)

@@ -79,9 +79,6 @@ class Dyadic:
     def __float__(self) -> float:
         return self.num / (1 << self.exp)
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
-from typing import Optional, Sequence, Union
+from itertools import accumulate, zip_longest
+from typing import Iterable, Optional, Sequence, Union
 
-from .dyadic import Dyadic, ONE, ZERO
-from .stepfn import StepFunction, distribution, rearrange
+from .dyadic import Dyadic
+from .stepfn import StepFunction, distribution_steps, rearrange
+
+Number = Union[int, Dyadic]
 
 
 class Verdict(str, Enum):
@@ -38,9 +40,9 @@ class Verdict(str, Enum):
 class Witness:
     """First failing point of a prefix check: lhs > rhs exactly there."""
 
-    point: Union[int, Dyadic]
-    lhs: Union[int, Dyadic]
-    rhs: Union[int, Dyadic]
+    point: Number
+    lhs: Number
+    rhs: Number
 
 
 @dataclass(frozen=True)
@@ -91,21 +93,29 @@ class Partition:
         return len(self.parts)
 
 
+def counts_above(values: Iterable[int], top: int) -> list[int]:
+    """Entry m is the number of values greater than m, for 0 <= m < top.
+
+    The integer distribution function, from a histogram and a suffix sum
+    in O(len(values) + top); every value must lie in 0..top.
+    """
+    hist = [0] * (top + 1)
+    for v in values:
+        hist[v] += 1
+    return list(accumulate(reversed(hist[1:])))[::-1]
+
+
 def conjugate(p: Partition) -> Partition:
     """Conjugate partition: entry i counts parts of p that are >= i+1.
 
     Transposes the Young diagram; an involution that preserves the total.
     """
-    if not p.parts or p.parts[0] == 0:
-        return Partition(())
-    return Partition(
-        tuple(sum(1 for part in p.parts if part >= i) for i in range(1, p.parts[0] + 1))
-    )
+    return Partition(tuple(counts_above(p.parts, max(p.parts, default=0))))
 
 
 def prefix_excess(
-    lhs: Sequence[int], rhs: Sequence[int]
-) -> Optional[tuple[int, int, int]]:
+    lhs: Sequence[Number], rhs: Sequence[Number]
+) -> Optional[tuple[int, Number, Number]]:
     """First prefix length m where the sum of lhs's first m entries exceeds
     rhs's, as (m, lhs sum, rhs sum); None when rhs dominates throughout.
 
@@ -120,6 +130,39 @@ def prefix_excess(
         if a > b:
             return m, a, b
     return None
+
+
+def run_excess(
+    lhs: Sequence[tuple[Number, Number]], rhs: Sequence[tuple[Number, Number]]
+) -> Optional[tuple[Number, Number, Number]]:
+    """prefix_excess for step functions given as (value, width) runs from 0.
+
+    Each side is zero beyond its last run.  Both primitives are linear
+    between consecutive run ends of either side, so comparing them at
+    every run end decides the whole inequality.  Returns the first run
+    end t where the integral of lhs over [0, t] exceeds that of rhs, as
+    (t, lhs integral, rhs integral); None when rhs dominates throughout.
+    """
+    ends = sorted({*accumulate(w for _, w in lhs), *accumulate(w for _, w in rhs)})
+
+    def cut(runs):
+        # integral of the runs over each piece between consecutive ends
+        out, pos, pieces = [], 0, iter(ends)
+        end = 0
+        for v, w in runs:
+            end += w
+            for t in pieces:
+                out.append(v * (t - pos))
+                pos = t
+                if t == end:
+                    break
+        return out
+
+    excess = prefix_excess(cut(lhs), cut(rhs))
+    if excess is None:
+        return None
+    m, a, b = excess
+    return ends[m - 1], a, b
 
 
 def check_gale_ryser(p: Partition, q: Partition) -> FeasibilityReport:
@@ -140,68 +183,6 @@ def check_gale_ryser(p: Partition, q: Partition) -> FeasibilityReport:
     return FeasibilityReport(Verdict.FEASIBLE, totals=totals)
 
 
-class _CumulativePrimitive:
-    """Piecewise-linear primitive with O(log) exact evaluation.
-
-    Stored as knots t_0 = 0 < t_1 < ... with cumulative values and the
-    slope on each piece; constant beyond the last knot.
-    """
-
-    def __init__(self, knots, slopes):
-        self.knots = knots  # ascending Dyadics starting at 0
-        self.slopes = slopes  # one per piece, len(knots) - 1 entries
-        self.cums = [ZERO]
-        for i, s in enumerate(slopes):
-            self.cums.append(self.cums[-1] + s * (knots[i + 1] - knots[i]))
-
-    @classmethod
-    def of_rearrangement(cls, f: StepFunction):
-        fstar = rearrange(f)
-        return cls(list(fstar.breakpoints), list(fstar.values))
-
-    @classmethod
-    def of_distribution(cls, g: StepFunction):
-        # slope of the primitive at t is lambda_g(t); it changes exactly at
-        # the distinct values of g
-        levels = sorted(set(g.values) | {ZERO})
-        knots = levels
-        slopes = [distribution(g, lv) for lv in levels[:-1]]
-        if len(knots) == 1:  # g identically zero
-            knots = [ZERO, ONE]
-            slopes = [ZERO]
-        return cls(knots, slopes)
-
-    def slope_points(self):
-        return self.knots[1:]
-
-    def __call__(self, t: Dyadic) -> Dyadic:
-        if t <= ZERO:
-            return ZERO
-        lo, hi = 0, len(self.knots) - 1
-        while lo < hi:  # last knot index with knots[i] <= t
-            mid = (lo + hi + 1) // 2
-            if self.knots[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo == len(self.knots) - 1:
-            return self.cums[-1]
-        return self.cums[lo] + self.slopes[lo] * (t - self.knots[lo])
-
-
-def _prefix_violation(left_src: StepFunction, right_src: StepFunction):
-    """First t > 0 where the rearrangement primitive of left_src exceeds
-    the distribution primitive of right_src, or None if dominated."""
-    lhs = _CumulativePrimitive.of_rearrangement(left_src)
-    rhs = _CumulativePrimitive.of_distribution(right_src)
-    points = sorted(set(lhs.slope_points()) | set(rhs.slope_points()))
-    for t in points:
-        a, b = lhs(t), rhs(t)
-        if a > b:
-            return Witness(t, a, b)
-    return None
-
-
 def _hlp_report(
     f: StepFunction, g: StepFunction, left: StepFunction, right: StepFunction
 ) -> FeasibilityReport:
@@ -210,10 +191,13 @@ def _hlp_report(
     nf, ng = f.integral(), g.integral()
     if nf != ng:
         return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=(nf, ng))
-    w = _prefix_violation(left, right)
-    if w is not None:
+    excess = run_excess(
+        [(v, hi - lo) for lo, hi, v in rearrange(left).intervals()],
+        [(lam, hi - lo) for lo, hi, lam in distribution_steps(right)],
+    )
+    if excess is not None:
         return FeasibilityReport(
-            Verdict.INFEASIBLE_MAJORIZATION, witness=w, totals=(nf, ng)
+            Verdict.INFEASIBLE_MAJORIZATION, witness=Witness(*excess), totals=(nf, ng)
         )
     return FeasibilityReport(Verdict.FEASIBLE, totals=(nf, ng))
 

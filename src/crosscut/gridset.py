@@ -36,11 +36,12 @@ drives.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .dyadic import ZERO, Dyadic
-from .feasibility import FeasibilityReport, check_hlp, prefix_excess
+from .feasibility import FeasibilityReport, check_hlp, counts_above, run_excess
 from .matrices import realize_exact_margins
 from .stepfn import StepFunction
 
@@ -226,9 +227,8 @@ def vertical_section(e: DyadicSet) -> StepFunction:
     p = e.params
     vals = []
     for j in range(p.side):
-        col = [e.fill[i][j] for i in range(p.side)]
-        for m in range(p.sub_per_cell):
-            vals.append(Dyadic(sum(1 for w in col if w > m), p.depth))
+        for count in counts_above([row[j] for row in e.fill], p.sub_per_cell):
+            vals.append(Dyadic(count, p.depth))
     return StepFunction.from_grid(vals, p.depth + p.subres)
 
 
@@ -288,7 +288,7 @@ class _Work:
             if v < Dyadic(0):
                 raise QuantizationError("target values must be nonnegative")
             self.fu.extend([v.num << (self.D - v.exp)] * self.subs)
-        self.f_desc = sorted(self.fu, reverse=True)
+        self.f_runs = sorted(Counter(self.fu).items(), reverse=True)
         self.fill = [list(row) for row in fill]
         self.vu = [0] * self.V
         for j in range(self.side):
@@ -297,11 +297,10 @@ class _Work:
     # -- state maintenance -------------------------------------------------
 
     def _recount_col(self, j: int) -> None:
-        col = [self.fill[i][j] for i in range(self.side)]
-        base = j * self.subs
         shift = self.D - self.N
-        for m in range(self.subs):
-            self.vu[base + m] = sum(1 for w in col if w > m) << shift
+        self.vu[j * self.subs : (j + 1) * self.subs] = [
+            count << shift for count in counts_above([row[j] for row in self.fill], self.subs)
+        ]
 
     def snapshot_fill(self):
         return [row[:] for row in self.fill]
@@ -326,8 +325,9 @@ class _Work:
         return [sum(row) for row in self.fill]
 
     def majorized(self) -> bool:
-        """Prefix integral of sorted f never exceeds that of sorted v."""
-        return prefix_excess(self.f_desc, sorted(self.vu, reverse=True)) is None
+        """Prefix integral of sorted f never exceeds that of sorted v; both
+        sorted sequences are compared as (value, multiplicity) runs."""
+        return run_excess(self.f_runs, sorted(Counter(self.vu).items(), reverse=True)) is None
 
     def rows_are_translated_hypograph_slices(self) -> bool:
         """Each band is a permutation of (full cells, at most one partial,

@@ -57,12 +57,6 @@ class RawMarginal:
             if v < 0:
                 raise NegativeValue(f"negative value {v}")
 
-    def value_at(self, x: Fraction) -> Fraction:
-        i = len(self.breakpoints) - 1
-        while self.breakpoints[i] > x:
-            i -= 1
-        return self.values[i]
-
 
 @dataclass(frozen=True)
 class QuantizationReport:
@@ -135,44 +129,44 @@ def load_partition(path: str) -> Partition:
     return Partition(parts)
 
 
-def _interval_average(raw: RawMarginal, lo: Fraction, hi: Fraction) -> Fraction:
-    total = Fraction(0)
-    cuts = [lo] + [b for b in raw.breakpoints if lo < b < hi] + [hi]
-    for a, b in zip(cuts, cuts[1:]):
-        total += raw.value_at(a) * (b - a)
-    return total / (hi - lo)
-
-
 def quantize(raw: RawMarginal, params: GridParams):
     """Snap a raw marginal to the dyadic grid.
 
     Returns (StepFunction, QuantizationReport).  The output is constant on
     each width 2**-N interval; values are interval averages rounded to the
-    nearest multiple of 2**-(N+K), ties toward zero.
+    nearest multiple of 2**-(N+K), ties toward zero.  One walk over the
+    cells and the raw plateaus cuts each cell into the (value, width)
+    pieces of the common refinement, which give both its exact average
+    and its exact error integrals.
     """
-    n = params.depth
     nk = params.depth + params.subres
     cells = params.side
+    ends = raw.breakpoints[1:] + (Fraction(1),)  # end of each raw plateau
+    i = 0  # raw plateau holding the start of the current piece
     qvals: list[Dyadic] = []
+    l1 = Fraction(0)
+    sup = Fraction(0)
     for j in range(cells):
-        lo, hi = Fraction(j, cells), Fraction(j + 1, cells)
-        avg = _interval_average(raw, lo, hi)
+        pos, hi = Fraction(j, cells), Fraction(j + 1, cells)
+        pieces = []
+        while True:
+            end = min(ends[i], hi)
+            pieces.append((raw.values[i], end - pos))
+            if ends[i] > hi:
+                break
+            i += 1
+            if end == hi:
+                break
+            pos = end
+        avg = sum(v * w for v, w in pieces) * cells
         q = Dyadic.round_fraction(avg, nk)
         if q < Dyadic(0):
             q = Dyadic(0)
         qvals.append(q)
-    quantized = StepFunction.from_grid(qvals, n)
-
-    # exact error integrals over the common refinement
-    l1 = Fraction(0)
-    sup = Fraction(0)
-    grid_cuts = [Fraction(j, cells) for j in range(cells + 1)]
-    cuts = sorted(set(grid_cuts) | set(raw.breakpoints))
-    for a, b in zip(cuts, cuts[1:]):
-        rv = raw.value_at(a)
-        cell = int(a * cells)  # floor; pieces never straddle a grid cut
-        qv = qvals[cell].to_fraction()
-        err = abs(rv - qv)
-        l1 += err * (b - a)
-        sup = max(sup, err)
+        qf = q.to_fraction()
+        for v, w in pieces:
+            err = abs(v - qf)
+            l1 += err * w
+            sup = max(sup, err)
+    quantized = StepFunction.from_grid(qvals, params.depth)
     return quantized, QuantizationReport(l1_error=l1, sup_error=sup)

@@ -82,19 +82,33 @@ def read_netpbm(text: str):
     return magic, width, height, maxval, rows, comments
 
 
+MAX_IMAGE_SUBRES = 16  # netpbm samples go up to maxval 65535
+
+
+def image_maxval(cap: int) -> int:
+    """PGM maxval of a set image with cells of cap sub-units: 255 up to
+    K = 7, and cap itself from K = 8 on, so that pixels are the fills."""
+    if cap > 1 << MAX_IMAGE_SUBRES:
+        raise ValueError(f"set images hold K <= {MAX_IMAGE_SUBRES} only")
+    return max(255, cap)
+
+
 def pixel_from_fill(w: int, cap: int) -> int:
-    """8-bit gray level of a cell holding w of cap sub-units."""
-    # round(255 * w / cap), half away from zero is irrelevant for w >= 0
-    return (510 * w + cap) // (2 * cap)
+    """Gray level of a cell holding w of cap sub-units."""
+    # round(maxval * w / cap); w >= 0, so halves round up
+    top = image_maxval(cap)
+    return (2 * top * w + cap) // (2 * cap)
 
 
 def fill_from_pixel(p: int, cap: int) -> int:
-    """Nearest cell fill for gray level p; inverts pixel_from_fill for cap <= 128."""
-    return (2 * p * cap + 255) // 510
+    """Nearest cell fill for gray level p; inverts pixel_from_fill for K <= 16."""
+    top = image_maxval(cap)
+    return (2 * p * cap + top) // (2 * top)
 
 
 def set_to_image(e: DyadicSet) -> str:
-    """PBM of a K=0 set, else PGM of gray levels, with a 'K=<k>' comment."""
+    """PBM of a K=0 set, else PGM of gray levels, with a 'K=<k>' comment;
+    lossless for K <= 16, ValueError beyond."""
     cap = e.params.sub_per_cell
     side = e.params.side
     comment = f"K={e.params.subres}"
@@ -108,7 +122,7 @@ def set_to_image(e: DyadicSet) -> str:
         [pixel_from_fill(e.fill[side - 1 - r][c], cap) for c in range(side)]
         for r in range(side)
     ]
-    return write_pgm(pixels, comments=[comment])
+    return write_pgm(pixels, maxval=image_maxval(cap), comments=[comment])
 
 
 def set_from_image(text: str, override_subres=None) -> DyadicSet:
@@ -140,8 +154,8 @@ def set_from_image(text: str, override_subres=None) -> DyadicSet:
         )
     params = GridParams(depth, subres)
     cap = params.sub_per_cell
-    if maxval != 255:
-        raise ValueError("expected an 8-bit PGM with maxval 255")
+    if maxval != image_maxval(cap):
+        raise ValueError(f"expected a PGM with maxval {image_maxval(cap)} for K={subres}")
     fill = tuple(
         tuple(fill_from_pixel(rows[height - 1 - i][j], cap) for j in range(width))
         for i in range(height)

@@ -148,12 +148,15 @@ def distribution_steps(f: StepFunction):
     """The distribution function as plateaus (s_lo, s_hi, measure).
 
     Covers [0, max f); lambda_f is zero from max f on.  Empty for f == 0.
+    The transpose of f*: with f* taking the values v_1 > v_2 > ... on its
+    plateaus, lambda_f on [v_{i+1}, v_i) is the measure of the first i.
     """
-    levels = sorted(set(f.values) | {ZERO})
-    out = []
-    for lo, hi in zip(levels, levels[1:]):
-        out.append((lo, hi, distribution(f, lo)))
-    return tuple(out)
+    fstar = rearrange(f)
+    levels = fstar.values if fstar.values[-1] == ZERO else fstar.values + (ZERO,)
+    return tuple(
+        (levels[i], levels[i - 1], fstar.breakpoints[i])
+        for i in range(len(levels) - 1, 0, -1)
+    )
 
 
 def rearrange(f: StepFunction) -> StepFunction:

@@ -102,6 +102,24 @@ def test_realize_set_writes_pbm_when_k_zero(files, capsys):
     assert main(["verify", out, f, f]) == 0
 
 
+def test_realize_set_images_are_lossless_up_to_k16(files, capsys, monkeypatch):
+    tmp, write = files
+    f = write("f.csv", "breakpoint,value\n0,1/2\n")
+    out = tmp / "set.pgm"
+    assert main(["realize-set", f, f, "-N", "2", "-K", "9", "-o", str(out)]) == 0
+    assert main(["verify", str(out), f, f]) == 0
+    assert "horizontal section equals quantized g: True" in capsys.readouterr().out
+
+    def must_not_run(*args):
+        raise AssertionError("construction ran for an unwritable K")
+
+    monkeypatch.setattr("crosscut.cli.reconstruct", must_not_run)
+    out17 = tmp / "k17.pgm"
+    assert main(["realize-set", f, f, "-N", "1", "-K", "17", "-o", str(out17)]) == 2
+    assert "K <= 16" in capsys.readouterr().err
+    assert not out17.exists()
+
+
 def test_realize_set_infeasible_exit(files, capsys):
     tmp, write = files
     f = write("f.csv", "breakpoint,value\n0,2\n")

@@ -13,11 +13,24 @@ from crosscut.netpbm import pixel_from_fill, set_from_image, set_to_image
 
 def test_round_trip_is_identity_for_small_subres():
     rng = random.Random(1234)
-    for _ in range(60):
-        params = GridParams(rng.randint(1, 4), rng.randint(0, 7))
-        e = rand_dyadic_set(rng, params)
-        back = set_from_image(set_to_image(e))
-        assert back == e
+    for k in range(17):
+        for _ in range(6):
+            params = GridParams(rng.randint(1, 4), k)
+            e = rand_dyadic_set(rng, params)
+            back = set_from_image(set_to_image(e))
+            assert back == e
+
+
+def test_pgm_maxval_must_match_k():
+    e = DyadicSet(GridParams(1, 9), ((0, 512), (256, 1)))
+    text = set_to_image(e)
+    assert "\n512\n" in text
+    with pytest.raises(ValueError):
+        set_from_image(text.replace("\n512\n", "\n255\n"))
+    with pytest.raises(ValueError):
+        set_from_image("P2\n# K=3\n2 2\n8\n0 8 4 1\n")
+    with pytest.raises(ValueError):
+        set_to_image(DyadicSet(GridParams(1, 17), ((0, 0), (0, 0))))
 
 
 def test_bottom_band_lands_on_the_last_image_row():

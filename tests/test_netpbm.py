@@ -4,6 +4,7 @@ import pytest
 
 from crosscut.netpbm import (
     fill_from_pixel,
+    image_maxval,
     pixel_from_fill,
     read_netpbm,
     write_pbm,
@@ -50,3 +51,14 @@ def test_pixel_mapping_is_lossless_up_to_k7():
         cap = 1 << k
         for w in range(cap + 1):
             assert fill_from_pixel(pixel_from_fill(w, cap), cap) == w
+
+
+def test_pixels_are_the_fills_from_k8_to_k16():
+    for k in range(8, 17):
+        cap = 1 << k
+        assert image_maxval(cap) == cap
+        for w in (0, 1, cap // 3, cap // 2, cap - 1, cap):
+            assert pixel_from_fill(w, cap) == w == fill_from_pixel(w, cap)
+    assert image_maxval(1 << 7) == 255
+    with pytest.raises(ValueError):
+        image_maxval(1 << 17)
