@@ -9,9 +9,9 @@ shifted by -1 and +1, its l1_drop or sym_diff raised by 2**-9, the record
 dropped or duplicated, the records shuffled, its gen set to 0, and an
 extra record appended at generation N or N+1 (each of these on the bare
 records and on the summary), plus, on the summary only, one generation's
-swap_count raised by 1 and the last swap removed.  An outcome is stored
-as [ok, violation, record_index], or as {"malformed": <text>} when
-audit_trace raises MalformedTrace.
+swap_count raised by 1, each generation record dropped in turn and the
+last swap removed.  An outcome is stored as [ok, violation, record_index],
+or as {"malformed": <text>} when audit_trace raises MalformedTrace.
 
 To rewrite the stored outcomes after a deliberate behaviour change:
     PYTHONPATH=src python tests/test_audit_golden.py
@@ -108,6 +108,8 @@ def traces(name: str) -> dict:
     out["swap_count+1@summary"] = replace(
         summary, generations=gens[:j] + (bumped,) + gens[j + 1 :]
     )
+    for j in range(n):
+        out[f"gen{j + 1}_dropped@summary"] = replace(summary, generations=gens[:j] + gens[j + 1 :])
     return out
 
 
