@@ -1,5 +1,9 @@
 """crosscut: realizability and construction of binary matrices and plane
-sets with prescribed cross sections, in exact dyadic arithmetic."""
+sets with prescribed cross sections, in exact dyadic arithmetic.
+
+The package exports the entry points and the types they return or raise;
+everything else is imported from its own module (crosscut.stepfn,
+crosscut.report, crosscut.ingest, ...)."""
 
 from .dyadic import Dyadic
 from .feasibility import (
@@ -9,8 +13,6 @@ from .feasibility import (
     Witness,
     check_gale_ryser,
     check_hlp,
-    check_hlp_symmetric,
-    conjugate,
 )
 from .gridset import (
     DyadicSet,
@@ -18,18 +20,11 @@ from .gridset import (
     GridParams,
     InfeasibleInput,
     InvariantViolation,
-    MoveOutOfRange,
     QuantizationError,
-    SwapMove,
     SwapRecord,
     TraceSummary,
     discrete_exact_set,
-    horizontal_section,
-    initial_set,
-    is_swappable,
-    optimize_generation,
     reconstruct,
-    swap,
     vertical_section,
 )
 from .matrices import (
@@ -37,31 +32,11 @@ from .matrices import (
     InfeasibleMargins,
     InstanceTooLarge,
     brute_force_realize,
-    col_sums,
-    realize_exact_margins,
-    row_sums,
     ryser_construct,
     swap_construct,
 )
-from .report import (
-    AuditResult,
-    MalformedTrace,
-    audit_trace,
-    parse_trace,
-    render_text,
-    summary_dict,
-    trace_lines,
-)
-from .stepfn import (
-    StepFunction,
-    distribution,
-    distribution_steps,
-    l1_distance,
-    primitive_dist,
-    primitive_rearr,
-    rearrange,
-    rearrangement_value,
-)
+from .report import AuditResult, MalformedTrace, audit_trace
+from .stepfn import StepFunction
 
 __version__ = "0.1.0"
 
@@ -78,11 +53,9 @@ __all__ = [
     "InstanceTooLarge",
     "InvariantViolation",
     "MalformedTrace",
-    "MoveOutOfRange",
     "Partition",
     "QuantizationError",
     "StepFunction",
-    "SwapMove",
     "SwapRecord",
     "TraceSummary",
     "Verdict",
@@ -91,30 +64,9 @@ __all__ = [
     "brute_force_realize",
     "check_gale_ryser",
     "check_hlp",
-    "check_hlp_symmetric",
-    "col_sums",
-    "conjugate",
     "discrete_exact_set",
-    "distribution",
-    "distribution_steps",
-    "horizontal_section",
-    "initial_set",
-    "is_swappable",
-    "l1_distance",
-    "optimize_generation",
-    "parse_trace",
-    "primitive_dist",
-    "primitive_rearr",
-    "realize_exact_margins",
-    "rearrange",
-    "rearrangement_value",
     "reconstruct",
-    "render_text",
-    "row_sums",
     "ryser_construct",
-    "summary_dict",
-    "swap",
     "swap_construct",
-    "trace_lines",
     "vertical_section",
 ]

@@ -38,30 +38,26 @@ from .matrices import (
     swap_construct,
 )
 from .netpbm import MAX_IMAGE_SUBRES, set_from_image, set_to_image, write_pbm
-from .report import render_text, summary_dict, trace_lines
+from .report import exact_text, render_text, summary_dict, trace_lines
 from .stepfn import l1_distance, rearrange
 from .svgplot import distribution_points, render_curves, step_points
-
-
-def _fmt(value) -> str:
-    return f"{value} (~{float(value):.6g})"
 
 
 def _print_report(report: FeasibilityReport, point_label: str) -> None:
     print(f"verdict: {report.verdict.value}")
     if report.totals is not None:
-        print(f"totals: {_fmt(report.totals[0])} vs {_fmt(report.totals[1])}")
+        print(f"totals: {exact_text(report.totals[0])} vs {exact_text(report.totals[1])}")
     if report.witness is not None:
         w = report.witness
         print(
-            f"witness: {point_label}={w.point} lhs={_fmt(w.lhs)} rhs={_fmt(w.rhs)}"
+            f"witness: {point_label}={w.point} lhs={exact_text(w.lhs)} rhs={exact_text(w.rhs)}"
         )
 
 
 def _print_quant(name: str, rep: QuantizationReport) -> None:
     print(
-        f"quantized {name}: l1 error {_fmt(rep.l1_error)}, "
-        f"sup error {_fmt(rep.sup_error)}"
+        f"quantized {name}: l1 error {exact_text(rep.l1_error)}, "
+        f"sup error {exact_text(rep.sup_error)}"
     )
 
 
@@ -169,7 +165,7 @@ def _cmd_verify(args) -> int:
     print(f"cross-section self-check: {self_check.verdict.value}")
     h_exact = h == gq
     print(f"horizontal section equals quantized g: {h_exact}")
-    print(f"residual |f - v|_1: {_fmt(l1_distance(fq, v))}")
+    print(f"residual |f - v|_1: {exact_text(l1_distance(fq, v))}")
     ok = h_exact and self_check.feasible
     return 0 if ok else 1
 
@@ -180,8 +176,8 @@ def _cmd_render(args) -> int:
     fq, rep = quantize(raw, params)
     _print_quant("f", rep)
     fstar = rearrange(fq)
-    ymax = max(1.0, float(fq.max_value()))
-    xmax = max(1.0, float(fq.max_value()))
+    # the distribution's x axis runs over f's values
+    extent = max(1.0, float(fq.max_value()))
     svg = render_curves(
         [
             ("marginal", step_points(fq)),
@@ -189,8 +185,8 @@ def _cmd_render(args) -> int:
             ("distribution", distribution_points(fq)),
         ],
         title="marginal / rearrangement / distribution",
-        x_max=xmax,
-        y_max=ymax,
+        x_max=extent,
+        y_max=extent,
     )
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -28,17 +28,19 @@ Everything here reduces to integer arithmetic: with D the common scale of
 f's values and the sub-unit grid, sections, margins and prefix sums are
 integers, so all comparisons are exact.
 
-One engine, _Work, runs the search and the swaps and builds the trace
-records; ReplayState is the same engine with a step that replays a
-recorded swap and re-derives its invariants, which report.audit_trace
-drives.
+One engine, _Work, runs the generation sweep, the search and the swaps
+and builds the trace.  Replay is the same sweep running recorded moves:
+ReplayState's find_first hands out the next record of a trace instead of
+searching, and its apply re-derives every invariant of that swap, so
+report.audit_trace only compares the recorded summary with the replayed
+one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .dyadic import ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above, run_excess
@@ -64,6 +66,19 @@ class InfeasibleInput(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A standing hypothesis of the swap construction does not hold."""
+
+
+class MalformedTrace(ValueError):
+    """Trace cannot be replayed: bad syntax, indices, or ordering."""
+
+
+class ReplayViolation(Exception):
+    """A replayed swap breaks an invariant or disagrees with its record."""
+
+    def __init__(self, record_index: int, violation: str):
+        super().__init__(f"record {record_index}: {violation}")
+        self.record_index = record_index
+        self.violation = violation
 
 
 @dataclass(frozen=True)
@@ -285,8 +300,6 @@ class _Work:
         self.D = max([self.N + self.K] + [v.exp for v in fvals])
         self.fu = []
         for v in fvals:
-            if v < Dyadic(0):
-                raise QuantizationError("target values must be nonnegative")
             self.fu.extend([v.num << (self.D - v.exp)] * self.subs)
         self.f_runs = sorted(Counter(self.fu).items(), reverse=True)
         self.fill = [list(row) for row in fill]
@@ -301,9 +314,6 @@ class _Work:
         self.vu[j * self.subs : (j + 1) * self.subs] = [
             count << shift for count in counts_above([row[j] for row in self.fill], self.subs)
         ]
-
-    def snapshot_fill(self):
-        return [row[:] for row in self.fill]
 
     # -- exact quantities ----------------------------------------------------
 
@@ -429,20 +439,38 @@ class _Work:
     ) -> GenerationRecord:
         """Apply first-found swaps of one generation until none remains,
         passing each executed swap to on_swap."""
-        start = self.snapshot_fill()
+        start = [row[:] for row in self.fill]
         count = 0
-        while True:
-            move = self.find_first(gen)
-            if move is None:
-                return self.generation_record(gen, count, start)
+        while (move := self.find_first(gen)) is not None:
             rec = self.apply(move)
             if on_swap is not None:
                 on_swap(rec)
             count += 1
+        return GenerationRecord(gen, count, self.residual_dyadic(), self.sym_diff_dyadic(start))
 
-    def generation_record(self, gen: int, count: int, start_fill) -> GenerationRecord:
-        return GenerationRecord(
-            gen, count, self.residual_dyadic(), self.sym_diff_dyadic(start_fill)
+    def sweep(
+        self,
+        feasibility: Optional[FeasibilityReport],
+        on_swap: Optional[Callable[[SwapRecord], None]] = None,
+    ) -> TraceSummary:
+        """Run generations 1..N to exhaustion, checking the row shape after
+        each, and return the trace that carries the given feasibility
+        report; each executed swap is also passed to on_swap."""
+        initial = self.residual_dyadic()
+        swaps: list[SwapRecord] = []
+
+        def record(rec: SwapRecord) -> None:
+            swaps.append(rec)
+            if on_swap is not None:
+                on_swap(rec)
+
+        gens = []
+        for gen in range(1, self.N + 1):
+            gens.append(self.run_generation(gen, record))
+            if not self.rows_are_translated_hypograph_slices():
+                raise InvariantViolation(f"generation {gen} left a band with two partial cells")
+        return TraceSummary(
+            tuple(gens), tuple(swaps), initial, self.residual_dyadic(), feasibility
         )
 
     def to_set(self) -> DyadicSet:
@@ -498,49 +526,58 @@ def reconstruct(
     work = _Work(params, initial_set(g, params).fill, f)
     if not work.majorized():
         raise InvariantViolation("feasible start must dominate the target")
-    initial_res = work.residual_dyadic()
-    records: list[SwapRecord] = []
-
-    def record(rec: SwapRecord) -> None:
-        records.append(rec)
-        if on_swap is not None:
-            on_swap(rec)
-
-    gens: list[GenerationRecord] = []
-    for gen in range(1, params.depth + 1):
-        gens.append(work.run_generation(gen, record))
-        if not work.rows_are_translated_hypograph_slices():
-            raise InvariantViolation(f"generation {gen} left a band with two partial cells")
-    summary = TraceSummary(
-        generations=tuple(gens),
-        swaps=tuple(records),
-        initial_residual=initial_res,
-        final_residual=work.residual_dyadic(),
-        feasibility=rep,
-    )
+    summary = work.sweep(rep, on_swap)
     return work.to_set(), summary
 
 
 class ReplayState(_Work):
-    """The swap engine with a replay step that re-derives every per-swap
-    invariant of a recorded move."""
+    """The swap engine running the moves of a recorded trace: find_first
+    hands out the next record instead of searching, and apply re-derives
+    every per-swap invariant of it."""
 
-    def verify_and_apply(
-        self, move: SwapMove
-    ) -> tuple[Optional[SwapRecord], Optional[str]]:
-        """Apply one recorded swap; return the replayed record and the
-        first violated invariant."""
-        if move.gen > self.N:
-            return None, "generation exceeds grid depth"
+    def __init__(self, params: GridParams, fill, f: StepFunction, records: Sequence[SwapRecord]):
+        super().__init__(params, fill, f)
+        self.records = tuple(records)
+        self.next = 0  # index of the next record to replay
+
+    def find_first(self, gen: int) -> Optional[SwapMove]:
+        """The next recorded move when it belongs to generation gen, None
+        when it belongs to a later one or the trace is used up; raises
+        MalformedTrace for a record that cannot come next."""
+        if self.next == len(self.records):
+            return None
+        idx, rec = self.next, self.records[self.next]
+        # the sweep only passes a record's generation when the next one is
+        # later, so an earlier generation here means the order decreased
+        if idx and rec.gen < gen:
+            raise MalformedTrace(f"record {idx}: generation order decreases")
+        if rec.gen > self.N:
+            raise MalformedTrace(f"record {idx}: generation beyond grid depth")
+        try:
+            move = SwapMove(rec.gen, rec.band, rec.donor, rec.receiver)
+        except ValueError as exc:
+            raise MalformedTrace(f"record {idx}: {exc}") from exc
+        return move if move.gen == gen else None
+
+    def apply(self, move: SwapMove) -> SwapRecord:
+        return self.verify_and_apply(move)
+
+    def verify_and_apply(self, move: SwapMove) -> SwapRecord:
+        """Apply the next recorded swap, re-derive its invariants and
+        compare them with the record; raises ReplayViolation with the
+        record index at the first that fails."""
+        idx = self.next
+        recorded = self.records[idx]
+        self.next += 1
         rows_before = self.row_unit_sums()
         vu_before = self.vu[:]
-        fill_before = self.snapshot_fill()
+        fill_before = [row[:] for row in self.fill]
 
-        rec = self.apply(move)
+        rec = super().apply(move)
 
         # row sections and measure are untouched by a horizontal exchange
         if self.row_unit_sums() != rows_before:
-            return rec, "horizontal section changed"
+            raise ReplayViolation(idx, "horizontal section changed")
 
         # one-sided set differences match the column integrals of the
         # vertical-section change (all on the same exact scale)
@@ -558,35 +595,45 @@ class ReplayState(_Work):
         # lost cell units are areas 2**-(2N+K); section sums are in units
         # 2**-(D+N+K): lost * 2**(D-N) must equal the section-change sum
         if lost << (self.D - self.N) != drop_d:
-            return rec, "set loss does not match donor-column section drop"
+            raise ReplayViolation(idx, "set loss does not match donor-column section drop")
         if gained << (self.D - self.N) != rise_k:
-            return rec, "set gain does not match receiver-column section rise"
+            raise ReplayViolation(idx, "set gain does not match receiver-column section rise")
 
         # the L1 error drops by exactly the symmetric difference
         sym = Dyadic(lost + gained, 2 * self.N + self.K)
         if sym != rec.sym_diff:
-            return rec, "symmetric difference bookkeeping mismatch"
+            raise ReplayViolation(idx, "symmetric difference bookkeeping mismatch")
         if sym.num == 0:
-            return rec, "swap moved no mass"
+            raise ReplayViolation(idx, "swap moved no mass")
         if rec.l1_drop != sym:
-            return rec, "L1 error did not drop by the symmetric difference"
+            raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
 
         # per column class: donor stays above f, receiver below, rest equal
         for cls in range(1, (1 << move.gen) + 1):
             rng = self._class_range(move.gen, cls)
             if cls == move.donor:
                 if not all(self.fu[x] <= self.vu[x] <= vu_before[x] for x in rng):
-                    return rec, "donor column left the f .. v_before corridor"
+                    raise ReplayViolation(idx, "donor column left the f .. v_before corridor")
             elif cls == move.receiver:
                 if not all(self.fu[x] >= self.vu[x] >= vu_before[x] for x in rng):
-                    return rec, "receiver column left the v_before .. f corridor"
+                    raise ReplayViolation(idx, "receiver column left the v_before .. f corridor")
             elif any(self.vu[x] != vu_before[x] for x in rng):
-                return rec, "untouched column changed"
+                raise ReplayViolation(idx, "untouched column changed")
 
-        # prefix dominance preserved
         if not self.majorized():
-            return rec, "prefix dominance lost after swap"
-        return rec, None
+            raise ReplayViolation(idx, "prefix dominance lost after swap")
+
+        # the recorded exact values are the replayed ones
+        if recorded.sym_diff != rec.sym_diff:
+            raise ReplayViolation(
+                idx,
+                f"recorded symmetric difference {recorded.sym_diff} != replayed {rec.sym_diff}",
+            )
+        if recorded.l1_drop != rec.l1_drop:
+            raise ReplayViolation(
+                idx, f"recorded L1 drop {recorded.l1_drop} != replayed {rec.l1_drop}"
+            )
+        return rec
 
 
 def discrete_exact_set(

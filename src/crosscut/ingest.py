@@ -160,8 +160,6 @@ def quantize(raw: RawMarginal, params: GridParams):
             pos = end
         avg = sum(v * w for v, w in pieces) * cells
         q = Dyadic.round_fraction(avg, nk)
-        if q < Dyadic(0):
-            q = Dyadic(0)
         qvals.append(q)
         qf = q.to_fraction()
         for v, w in pieces:

@@ -2,10 +2,13 @@
 
 A reconstruction run records one SwapRecord per executed move and one
 GenerationRecord per grid generation.  The trace is a replayable artifact,
-not a log: audit_trace rebuilds the starting set and re-derives every
-claimed quantity from scratch, so the swap invariants (row sections
-preserved, the L1 error dropping by exactly the symmetric difference,
-prefix dominance maintained) are checked rather than trusted.
+not a log: audit_trace rebuilds the starting set and runs the swap
+engine's own generation sweep on the recorded moves instead of searched
+ones (gridset.ReplayState).  The replay re-derives every claimed quantity
+from scratch, so the swap invariants (row sections preserved, the L1
+error dropping by exactly the symmetric difference, prefix dominance
+maintained) are checked rather than trusted; audit_trace then compares
+the recorded summary with the replayed one.
 """
 
 from __future__ import annotations
@@ -18,17 +21,14 @@ from .dyadic import Dyadic, ZERO
 from .gridset import (
     GenerationRecord,
     GridParams,
+    MalformedTrace,
     ReplayState,
-    SwapMove,
+    ReplayViolation,
     SwapRecord,
     TraceSummary,
     initial_set,
 )
 from .stepfn import StepFunction
-
-
-class MalformedTrace(ValueError):
-    """Trace cannot be replayed: bad syntax, indices, or ordering."""
 
 
 @dataclass(frozen=True)
@@ -62,42 +62,44 @@ def trace_lines(summary: TraceSummary) -> str:
 
 
 def parse_trace(text: str) -> tuple[SwapRecord, ...]:
+    """Records of trace_lines output; the four indices must be JSON
+    integers and the two exact values strings."""
     records = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            rec = SwapRecord(
-                gen=int(obj["gen"]),
-                band=int(obj["band"]),
-                donor=int(obj["donor"]),
-                receiver=int(obj["receiver"]),
-                l1_drop=Dyadic.parse(obj["l1_drop"]),
-                sym_diff=Dyadic.parse(obj["sym_diff"]),
-            )
+            indices = [obj[key] for key in ("gen", "band", "donor", "receiver")]
+            exact = [obj[key] for key in ("l1_drop", "sym_diff")]
+            if any(type(v) is not int for v in indices):
+                raise TypeError("gen, band, donor and receiver must be JSON integers")
+            if any(not isinstance(v, str) for v in exact):
+                raise TypeError("l1_drop and sym_diff must be strings")
+            rec = SwapRecord(*indices, *(Dyadic.parse(v) for v in exact))
         except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise MalformedTrace(f"line {lineno}: {exc}") from exc
         records.append(rec)
     return tuple(records)
 
 
-def _fmt(d: Dyadic) -> str:
-    return f"{d} (~{float(d):.6g})"
+def exact_text(value) -> str:
+    """An exact value followed by its float approximation."""
+    return f"{value} (~{float(value):.6g})"
 
 
 def render_text(summary: TraceSummary) -> str:
     """Human-readable construction report."""
     lines = [
         f"feasibility: {summary.feasibility.verdict.value}",
-        f"initial residual |f - v|_1: {_fmt(summary.initial_residual)}",
+        f"initial residual |f - v|_1: {exact_text(summary.initial_residual)}",
     ]
     for g in summary.generations:
         lines.append(
             f"generation {g.gen}: {g.swap_count} swaps, "
-            f"residual {_fmt(g.residual_l1)}, set change {_fmt(g.sym_diff)}"
+            f"residual {exact_text(g.residual_l1)}, set change {exact_text(g.sym_diff)}"
         )
-    lines.append(f"final residual: {_fmt(summary.final_residual)}")
+    lines.append(f"final residual: {exact_text(summary.final_residual)}")
     total_moves = sum(g.swap_count for g in summary.generations)
     lines.append(f"total swaps: {total_moves}")
     return "\n".join(lines) + "\n"
@@ -140,7 +142,9 @@ def audit_trace(
 ) -> AuditResult:
     """Replay a trace from the initial hypograph set and verify every swap.
 
-    Checks, per executed swap, with exact arithmetic:
+    The replay is the engine's own generation sweep running the recorded
+    moves (gridset.ReplayState), which checks, per executed swap, with
+    exact arithmetic:
       * row cross sections and total measure unchanged,
       * the one-sided set differences equal the column integrals of the
         vertical-section changes,
@@ -150,97 +154,48 @@ def audit_trace(
         touched columns and leaves every other column unchanged,
       * prefix dominance of f's rearrangement primitive is preserved.
 
-    For a full TraceSummary, per-generation aggregates (swap counts,
+    For a full TraceSummary, its per-generation aggregates (swap counts,
     residuals, boundary symmetric differences, the telescoping bound) are
-    re-derived as well.  Returns the first violation, if any.
+    compared with those of the replayed summary as well.  Returns the
+    first violation, if any.
     """
-    summary: Optional[TraceSummary] = None
-    if isinstance(trace, TraceSummary):
-        summary = trace
-        records = summary.swaps
-    else:
-        records = tuple(trace)
-
+    summary = trace if isinstance(trace, TraceSummary) else None
+    records = trace.swaps if summary is not None else trace
     try:
-        state = ReplayState(params, initial_set(g, params).fill, f)
+        state = ReplayState(params, initial_set(g, params).fill, f, records)
     except Exception as exc:
         raise MalformedTrace(f"cannot rebuild initial state: {exc}") from exc
 
-    initial_residual = state.residual_dyadic()
     if not state.majorized():
         return AuditResult(False, "initial prefix dominance fails", None)
+    try:
+        replayed = state.sweep(feasibility=None)
+    except ReplayViolation as exc:
+        return AuditResult(False, exc.violation, exc.record_index)
+    if summary is None:
+        return AuditResult(True)
 
-    gen_stats: dict[int, GenerationRecord] = {}
-    open_gen: Optional[int] = None
-    count = 0
-    gen_start_fill = state.snapshot_fill()
-
-    for idx, rec in enumerate(records):
-        if open_gen is not None and rec.gen < open_gen:
-            raise MalformedTrace(f"record {idx}: generation order decreases")
-        if rec.gen > params.depth:
-            raise MalformedTrace(f"record {idx}: generation beyond grid depth")
-        if open_gen is not None and rec.gen != open_gen:
-            gen_stats[open_gen] = state.generation_record(open_gen, count, gen_start_fill)
-            gen_start_fill = state.snapshot_fill()
-            count = 0
-        open_gen = rec.gen
-        try:
-            move = SwapMove(rec.gen, rec.band, rec.donor, rec.receiver)
-        except ValueError as exc:
-            raise MalformedTrace(f"record {idx}: {exc}") from exc
-
-        replayed, problem = state.verify_and_apply(move)
-        if problem is not None:
-            return AuditResult(False, problem, idx)
-        if rec.sym_diff != replayed.sym_diff:
-            return AuditResult(
-                False,
-                f"recorded symmetric difference {rec.sym_diff} != "
-                f"replayed {replayed.sym_diff}",
-                idx,
-            )
-        if rec.l1_drop != replayed.l1_drop:
-            return AuditResult(
-                False,
-                f"recorded L1 drop {rec.l1_drop} != replayed {replayed.l1_drop}",
-                idx,
-            )
-        count += 1
-
-    if open_gen is not None:
-        gen_stats[open_gen] = state.generation_record(open_gen, count, gen_start_fill)
-
-    if summary is not None:
-        sym_total = ZERO
-        last_res = initial_residual
-        for g_rec in summary.generations:
-            stats = gen_stats.get(g_rec.gen, GenerationRecord(g_rec.gen, 0, last_res, ZERO))
-            if g_rec.swap_count != stats.swap_count:
-                return AuditResult(
-                    False, f"generation {g_rec.gen}: swap count mismatch", None
-                )
-            if g_rec.residual_l1 != stats.residual_l1:
-                return AuditResult(
-                    False, f"generation {g_rec.gen}: residual mismatch", None
-                )
-            if g_rec.residual_l1 > last_res:
-                return AuditResult(
-                    False, f"generation {g_rec.gen}: residual increased", None
-                )
-            if g_rec.sym_diff != stats.sym_diff:
-                return AuditResult(
-                    False,
-                    f"generation {g_rec.gen}: symmetric-difference mismatch",
-                    None,
-                )
-            sym_total = sym_total + g_rec.sym_diff
-            last_res = g_rec.residual_l1
-        if summary.final_residual != state.residual_dyadic():
-            return AuditResult(False, "final residual mismatch", None)
-        if summary.initial_residual != initial_residual:
-            return AuditResult(False, "initial residual mismatch", None)
-        if sym_total > initial_residual:
-            return AuditResult(False, "telescoping bound violated", None)
-
+    # generations without swaps are held to the previous recorded residual
+    swapped = {r.gen: r for r in replayed.generations if r.swap_count}
+    sym_total = ZERO
+    last_res = replayed.initial_residual
+    for g_rec in summary.generations:
+        stats = swapped.get(g_rec.gen, GenerationRecord(g_rec.gen, 0, last_res, ZERO))
+        for bad, what in (
+            (g_rec.swap_count != stats.swap_count, "swap count mismatch"),
+            (g_rec.residual_l1 != stats.residual_l1, "residual mismatch"),
+            (g_rec.residual_l1 > last_res, "residual increased"),
+            (g_rec.sym_diff != stats.sym_diff, "symmetric-difference mismatch"),
+        ):
+            if bad:
+                return AuditResult(False, f"generation {g_rec.gen}: {what}", None)
+        sym_total = sym_total + g_rec.sym_diff
+        last_res = g_rec.residual_l1
+    for bad, what in (
+        (summary.final_residual != replayed.final_residual, "final residual mismatch"),
+        (summary.initial_residual != replayed.initial_residual, "initial residual mismatch"),
+        (sym_total > replayed.initial_residual, "telescoping bound violated"),
+    ):
+        if bad:
+            return AuditResult(False, what, None)
     return AuditResult(True)

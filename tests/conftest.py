@@ -12,14 +12,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from crosscut import (
-    DyadicSet,
-    GridParams,
-    StepFunction,
-    check_hlp,
-    initial_set,
-)
+from crosscut import DyadicSet, GridParams, StepFunction, check_hlp
 from crosscut.dyadic import Dyadic
+from crosscut.gridset import initial_set
 
 # ---------------------------------------------------------------------------
 # Fraction oracles

@@ -22,25 +22,25 @@ from crosscut import (
     brute_force_realize,
     check_gale_ryser,
     check_hlp,
-    check_hlp_symmetric,
-    col_sums,
     discrete_exact_set,
-    distribution,
-    horizontal_section,
-    l1_distance,
-    primitive_dist,
-    primitive_rearr,
-    rearrange,
-    rearrangement_value,
     reconstruct,
-    row_sums,
     ryser_construct,
     swap_construct,
     vertical_section,
 )
 from crosscut.dyadic import Dyadic
+from crosscut.feasibility import check_hlp_symmetric
+from crosscut.gridset import horizontal_section
 from crosscut.ingest import RawMarginal, quantize
-from crosscut.matrices import ConstructionStuck
+from crosscut.matrices import ConstructionStuck, col_sums, row_sums
+from crosscut.stepfn import (
+    distribution,
+    l1_distance,
+    primitive_dist,
+    primitive_rearr,
+    rearrange,
+    rearrangement_value,
+)
 
 D = Dyadic
 

@@ -12,13 +12,10 @@ from crosscut import (
     brute_force_realize,
     check_gale_ryser,
     check_hlp,
-    check_hlp_symmetric,
-    conjugate,
-    primitive_dist,
-    primitive_rearr,
-    rearrange,
 )
 from crosscut.dyadic import Dyadic
+from crosscut.feasibility import check_hlp_symmetric, conjugate
+from crosscut.stepfn import primitive_dist, primitive_rearr, rearrange
 
 D = Dyadic
 

@@ -23,9 +23,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_feasible_pair
-from crosscut import GridParams, audit_trace, reconstruct, trace_lines
+from crosscut import GridParams, audit_trace, reconstruct
 from crosscut.cli import main
 from crosscut.ingest import RawMarginal, quantize
+from crosscut.report import trace_lines
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"

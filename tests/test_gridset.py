@@ -19,26 +19,27 @@ from conftest import (
 from crosscut import (
     GridParams,
     InfeasibleInput,
-    MoveOutOfRange,
     QuantizationError,
     StepFunction,
-    SwapMove,
     Verdict,
     audit_trace,
     check_hlp,
     discrete_exact_set,
-    distribution,
-    horizontal_section,
-    initial_set,
-    is_swappable,
-    l1_distance,
-    optimize_generation,
     reconstruct,
-    swap,
     vertical_section,
 )
 import crosscut
 from crosscut.dyadic import Dyadic
+from crosscut.gridset import (
+    MoveOutOfRange,
+    SwapMove,
+    horizontal_section,
+    initial_set,
+    is_swappable,
+    optimize_generation,
+    swap,
+)
+from crosscut.stepfn import distribution, l1_distance
 
 D = Dyadic
 
@@ -266,7 +267,7 @@ def test_dominance_hypothesis_raises_under_python_O():
     # a full left column against f = 1 fails prefix dominance; the check
     # must survive -O, which strips assert statements
     code = (
-        "from crosscut import *\n"
+        "from crosscut.gridset import *\n"
         "e = DyadicSet(GridParams(1, 0), ((1, 0), (1, 0)))\n"
         "try:\n"
         "    is_swappable(e, StepFunction.constant(1), SwapMove(1, 1, 1, 2))\n"

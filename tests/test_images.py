@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import rand_dyadic_set
-from crosscut import GridParams, horizontal_section, swap, vertical_section
+from crosscut import GridParams, vertical_section
 from crosscut.dyadic import Dyadic
-from crosscut.gridset import DyadicSet, SwapMove
+from crosscut.gridset import DyadicSet, SwapMove, horizontal_section, swap
 from crosscut.netpbm import pixel_from_fill, set_from_image, set_to_image
 
 

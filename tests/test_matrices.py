@@ -12,12 +12,10 @@ from crosscut import (
     Partition,
     brute_force_realize,
     check_gale_ryser,
-    col_sums,
-    realize_exact_margins,
-    row_sums,
     ryser_construct,
     swap_construct,
 )
+from crosscut.matrices import col_sums, realize_exact_margins, row_sums
 
 
 def test_row_and_col_sums():

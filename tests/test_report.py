@@ -12,16 +12,13 @@ from crosscut import (
     StepFunction,
     SwapRecord,
     audit_trace,
-    initial_set,
-    l1_distance,
-    parse_trace,
     reconstruct,
-    render_text,
-    summary_dict,
-    trace_lines,
     vertical_section,
 )
 from crosscut.dyadic import Dyadic
+from crosscut.gridset import initial_set
+from crosscut.report import parse_trace, render_text, summary_dict, trace_lines
+from crosscut.stepfn import l1_distance
 
 D = Dyadic
 
@@ -86,6 +83,29 @@ def test_parse_trace_rejects_garbage():
         parse_trace("not json\n")
     with pytest.raises(MalformedTrace):
         parse_trace('{"gen": 1}\n')
+
+
+GOOD_LINE = '{"band": 1, "donor": 1, "gen": 1, "l1_drop": "1/4", "receiver": 2, "sym_diff": "1/4"}'
+
+
+def test_parse_trace_rejects_non_integer_indices():
+    # a float, a bool and a string used to pass through int()
+    bad = GOOD_LINE.replace('"gen": 1', '"gen": 1.9').replace('"band": 1', '"band": true')
+    bad = bad.replace('"donor": 1', '"donor": "2"')
+    assert parse_trace(GOOD_LINE) == (SwapRecord(1, 1, 1, 2, D(1, 2), D(1, 2)),)
+    for text in (bad, GOOD_LINE.replace('"receiver": 2', '"receiver": 2.0')):
+        with pytest.raises(MalformedTrace, match="line 2: .*JSON integers"):
+            parse_trace(GOOD_LINE + "\n" + text + "\n")
+
+
+def test_parse_trace_rejects_numeric_exact_values():
+    # a number used to escape as AttributeError from Dyadic.parse
+    for text in (
+        GOOD_LINE.replace('"1/4", "receiver"', '0.5, "receiver"'),
+        GOOD_LINE.replace('"sym_diff": "1/4"', '"sym_diff": 1'),
+    ):
+        with pytest.raises(MalformedTrace, match="line 2: .*must be strings"):
+            parse_trace(GOOD_LINE + "\n" + text + "\n")
 
 
 def test_render_text_and_summary_dict():

@@ -19,8 +19,9 @@ from conftest import (
     rand_stepfn,
     stepfn_st,
 )
-from crosscut import (
-    StepFunction,
+from crosscut import StepFunction
+from crosscut.dyadic import Dyadic
+from crosscut.stepfn import (
     distribution,
     distribution_steps,
     l1_distance,
@@ -29,7 +30,6 @@ from crosscut import (
     rearrange,
     rearrangement_value,
 )
-from crosscut.dyadic import Dyadic
 
 D = Dyadic
 
