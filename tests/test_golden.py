@@ -5,8 +5,8 @@ Each case runs `crosscut realize-set` in-process on marginal CSV files and
 compares the three files it writes with the ones stored under
 tests/golden/<case>/.  The same run is also rebuilt through the library
 and its full trace must pass audit_trace.  The cases are the three
-families of scripts/residual_sweep.py at N=6, K=4 and twenty seeded
-rand_feasible_pair instances at N <= 4.
+families of scripts/residual_sweep.py at N=6 and at N=7, K=4, and twenty
+seeded rand_feasible_pair instances at N <= 4.
 
 To rewrite the stored outputs after a deliberate behaviour change:
     PYTHONPATH=src python tests/test_golden.py
@@ -50,12 +50,15 @@ def _raw(fn) -> RawMarginal:
 def cases() -> dict:
     """name -> (raw f, raw g, GridParams)."""
     sweep = _sweep_module()
-    out = {
-        "sweep_flat": (sweep.flat(Fraction(1, 3)), sweep.flat(Fraction(1, 3))),
-        "sweep_ramp": (sweep.ramp(), sweep.ramp()),
-        "sweep_two_level": (sweep.two_level(), sweep.flat(Fraction(5, 16))),
+    families = {
+        "flat": (sweep.flat(Fraction(1, 3)), sweep.flat(Fraction(1, 3))),
+        "ramp": (sweep.ramp(), sweep.ramp()),
+        "two_level": (sweep.two_level(), sweep.flat(Fraction(5, 16))),
     }
-    out = {name: (f, g, GridParams(6, 4)) for name, (f, g) in out.items()}
+    out = {}
+    for prefix, depth in (("sweep", 6), ("sweep7", 7)):
+        for family, (f, g) in families.items():
+            out[f"{prefix}_{family}"] = (f, g, GridParams(depth, 4))
     for seed in range(20):
         rng = random.Random(7000 + seed)
         params = GridParams(rng.randint(1, 4), rng.randint(0, 3))
