@@ -28,6 +28,22 @@ Everything here reduces to integer arithmetic: with D the common scale of
 f's values and the sub-unit grid, sections, margins and prefix sums are
 integers, so all comparisons are exact.
 
+An exchange permutes the cells inside each row, so every row of a set
+reachable from a hypograph keeps the hypograph's shape: full cells, at
+most one partial cell, empty cells.  The search uses that.  It holds
+each row as two bitmasks over its columns, the full cells and the
+nonempty ones, and packs a block of a band into one int per mask.  A
+receiver block then fits in a donor block when no receiver cell is
+nonempty where the donor's is not full, and it is a proper subset when
+the masks differ: two big-int operations per candidate.  Only cells that
+are partial in both blocks escape the masks; they need a row with two
+partial cells, which the per-generation row-shape check rules out for
+reachable sets, and for arbitrary sets (is_swappable,
+optimize_generation) their fills are compared one by one.  A swap
+changes the section only on its two column classes, so the L1 drop and
+the histogram of section heights behind the dominance test are updated
+from those classes alone.
+
 One engine, _Work, runs the generation sweep, the search and the swaps
 and builds the trace.  Replay is the same sweep running recorded moves:
 ReplayState's find_first hands out the next record of a trace instead of
@@ -40,6 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ZERO, Dyadic
@@ -287,7 +304,14 @@ class _Work:
 
     fu/vu hold the target and the vertical section per finest sub-column,
     both in units of 2**-D where D >= N + K also covers the denominators
-    of f's values; margins 2**-n become the integers 2**(D - n).
+    of f's values; margins 2**-n become the integers 2**(D - n).  A
+    sub-column's section is a whole number c of cells, vu = c << (D - N),
+    and vcount[c] counts the sub-columns at height c.
+
+    The search reads each grid row as two bitmasks over its columns, the
+    full cells and the nonempty ones.  They are built by the first search
+    and kept current by apply, so a replay that never searches never
+    builds them.
     """
 
     def __init__(self, params: GridParams, fill, f: StepFunction):
@@ -298,46 +322,72 @@ class _Work:
         self.V = params.sub_total
         fvals = _plateau_values(f, self.N)
         self.D = max([self.N + self.K] + [v.exp for v in fvals])
+        self.shift = self.D - self.N
         self.fu = []
         for v in fvals:
             self.fu.extend([v.num << (self.D - v.exp)] * self.subs)
         self.f_runs = sorted(Counter(self.fu).items(), reverse=True)
         self.fill = [list(row) for row in fill]
         self.vu = [0] * self.V
+        self.vcount = [self.V] + [0] * self.side
         for j in range(self.side):
             self._recount_col(j)
+        self.full: Optional[list[int]] = None
+        self.nonempty: Optional[list[int]] = None
 
     # -- state maintenance -------------------------------------------------
 
     def _recount_col(self, j: int) -> None:
-        shift = self.D - self.N
-        self.vu[j * self.subs : (j + 1) * self.subs] = [
-            count << shift for count in counts_above([row[j] for row in self.fill], self.subs)
-        ]
+        lo, hi = j * self.subs, (j + 1) * self.subs
+        vcount = self.vcount
+        for v in self.vu[lo:hi]:
+            vcount[v >> self.shift] -= 1
+        counts = counts_above([row[j] for row in self.fill], self.subs)
+        for c in counts:
+            vcount[c] += 1
+        self.vu[lo:hi] = [c << self.shift for c in counts]
+
+    def _row_masks(self) -> tuple[list[int], list[int]]:
+        if self.full is None:
+            cap = self.subs
+            self.full = [sum(1 << c for c, w in enumerate(row) if w == cap) for row in self.fill]
+            self.nonempty = [sum(1 << c for c, w in enumerate(row) if w) for row in self.fill]
+        return self.full, self.nonempty
+
+    def _exchange_masks(self, move: SwapMove) -> None:
+        span = self.side >> move.gen
+        r0, j0, k0 = ((i - 1) * span for i in (move.band, move.donor, move.receiver))
+        low = (1 << span) - 1
+        for masks in self._row_masks():
+            for r in range(r0, r0 + span):
+                m = masks[r]
+                d = ((m >> j0) ^ (m >> k0)) & low
+                masks[r] = m ^ (d << j0) ^ (d << k0)
 
     # -- exact quantities ----------------------------------------------------
 
+    def _gap_units(self, cols: range) -> int:
+        """|f - v|_1 over the given sub-columns, in residual units."""
+        lo, hi = cols.start, cols.stop
+        return sum(map(abs, map(sub, self.fu[lo:hi], self.vu[lo:hi])))
+
     def residual_units(self) -> int:
-        return sum(abs(a - b) for a, b in zip(self.fu, self.vu))
+        return self._gap_units(range(self.V))
 
     def residual_dyadic(self) -> Dyadic:
         return Dyadic(self.residual_units(), self.D + self.N + self.K)
 
     def sym_diff_dyadic(self, other_fill) -> Dyadic:
-        total = sum(
-            abs(a - b)
-            for ra, rb in zip(self.fill, other_fill)
-            for a, b in zip(ra, rb)
-        )
+        total = sum(sum(map(abs, map(sub, ra, rb))) for ra, rb in zip(self.fill, other_fill))
         return Dyadic(total, 2 * self.N + self.K)
-
-    def row_unit_sums(self) -> list[int]:
-        return [sum(row) for row in self.fill]
 
     def majorized(self) -> bool:
         """Prefix integral of sorted f never exceeds that of sorted v; both
         sorted sequences are compared as (value, multiplicity) runs."""
-        return run_excess(self.f_runs, sorted(Counter(self.vu).items(), reverse=True)) is None
+        v_runs = [
+            (c << self.shift, m) for c, m in reversed(list(enumerate(self.vcount))) if m
+        ]
+        return run_excess(self.f_runs, v_runs) is None
 
     def rows_are_translated_hypograph_slices(self) -> bool:
         """Each band is a permutation of (full cells, at most one partial,
@@ -351,27 +401,83 @@ class _Work:
         width = (self.side >> gen) * self.subs
         return range((idx - 1) * width, idx * width)
 
+    def _excess(self, gen: int, idx: int):
+        """v - f on each sub-column of the column class."""
+        cols = self._class_range(gen, idx)
+        return map(sub, self.vu[cols.start : cols.stop], self.fu[cols.start : cols.stop])
+
     def _donor_ok(self, gen: int, j: int) -> bool:
-        margin = 1 << (self.D - gen)
-        return all(self.vu[x] >= self.fu[x] + margin for x in self._class_range(gen, j))
+        return min(self._excess(gen, j)) >= 1 << (self.D - gen)
 
     def _receiver_ok(self, gen: int, k: int) -> bool:
-        margin = 1 << (self.D - gen)
-        return all(self.vu[x] <= self.fu[x] - margin for x in self._class_range(gen, k))
+        return max(self._excess(gen, k)) <= -(1 << (self.D - gen))
 
-    def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
+    def _contained_pairs(self, gen: int, band: int, donors, receivers):
+        """(donor, receiver) pairs, donor-major in the given orders, whose
+        receiver block in the band is contained in the donor block cell by
+        cell and differs from it.
+
+        A block is packed from the row masks as its span rows side by side,
+        one int for the full cells and one for the nonempty ones.  A
+        receiver cell fits its donor cell when it is empty or the donor's
+        is full, unless both are partial; so with x the receiver's nonempty
+        cells where the donor's are not full, the block fits when x is 0,
+        and is then a proper subset exactly when the masks differ.  When x
+        is not 0, only cells partial in both blocks can still fit; those
+        occur only in a band with a row of two partial cells, and their
+        fills are compared one by one.
+        """
+        span = self.side >> gen
+        r0 = (band - 1) * span
+        full, nonempty = self._row_masks()
+        bf = bne = stride = 0
+        twin = False  # some row of the band has two partial cells
+        for i in range(span):
+            f, ne = full[r0 + i], nonempty[r0 + i]
+            at = i * self.side
+            bf |= f << at
+            bne |= ne << at
+            stride |= ((1 << span) - 1) << at
+            partial = ne ^ f
+            twin = twin or partial & (partial - 1) != 0
+
+        def block(c: int) -> tuple[int, int]:
+            at = (c - 1) * span
+            return (bf >> at) & stride, (bne >> at) & stride
+
+        recv = [(k, *block(k)) for k in receivers]
+        for j in donors:
+            fj, nej = block(j)
+            not_fj = ~fj
+            for k, fk, nek in recv:
+                x = nek & not_fj
+                if x:
+                    if not (twin and self._partials_fit(gen, band, j, k, x, fj != fk or nej != nek)):
+                        continue
+                elif nej == fk:
+                    continue
+                yield j, k
+
+    def _partials_fit(self, gen: int, band: int, j: int, k: int, x: int, differ: bool) -> bool:
+        """Scalar compare of the cells of x (packed as in _contained_pairs):
+        each receiver fill at most the donor's, and some cell smaller or
+        the masks different."""
         span = self.side >> gen
         r0, j0, k0 = (band - 1) * span, (j - 1) * span, (k - 1) * span
-        strict = False
-        for r in range(r0, r0 + span):
-            row = self.fill[r]
-            for c in range(span):
-                wj, wk = row[j0 + c], row[k0 + c]
-                if wk > wj:
-                    return False
-                if wk < wj:
-                    strict = True
+        strict = differ
+        while x:
+            low = x & -x
+            i, c = divmod(low.bit_length() - 1, self.side)
+            row = self.fill[r0 + i]
+            wj, wk = row[j0 + c], row[k0 + c]
+            if wk > wj:
+                return False
+            strict = strict or wk < wj
+            x ^= low
         return strict
+
+    def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
+        return any(self._contained_pairs(gen, band, (j,), (k,)))
 
     def _recount_classes(self, move: SwapMove) -> None:
         span = self.side >> move.gen
@@ -381,13 +487,18 @@ class _Work:
 
     def _dominance_after(self, move: SwapMove) -> bool:
         """Prefix dominance of the section the move leaves; the move is
-        applied and then undone."""
-        saved = self.vu[:]
+        applied and then undone, and the two classes' sections and the
+        height counts restored."""
+        touched = [self._class_range(move.gen, c) for c in (move.donor, move.receiver)]
+        saved = [self.vu[cols.start : cols.stop] for cols in touched]
+        saved_count = self.vcount[:]
         _exchange(self.fill, move)
         self._recount_classes(move)
         ok = self.majorized()
         _exchange(self.fill, move)
-        self.vu = saved
+        for cols, vals in zip(touched, saved):
+            self.vu[cols.start : cols.stop] = vals
+        self.vcount = saved_count
         return ok
 
     def swappable(self, move: SwapMove) -> bool:
@@ -406,25 +517,27 @@ class _Work:
         donors = [j for j in range(1, top + 1) if self._donor_ok(gen, j)]
         if not donors:
             return None
-        receivers = {k for k in range(1, top + 1) if self._receiver_ok(gen, k)}
+        # a receiver is never a donor: the margins have opposite signs
+        receivers = [k for k in range(1, top + 1) if self._receiver_ok(gen, k)]
         if not receivers:
             return None
         for band in range(1, top + 1):
-            for j in donors:
-                for k in range(1, top + 1):
-                    if k == j or k not in receivers:
-                        continue
-                    if self._proper_subset(gen, band, j, k):
-                        move = SwapMove(gen, band, j, k)
-                        if self._dominance_after(move):
-                            return move
+            for j, k in self._contained_pairs(gen, band, donors, receivers):
+                move = SwapMove(gen, band, j, k)
+                if self._dominance_after(move):
+                    return move
         return None
 
     def apply(self, move: SwapMove) -> SwapRecord:
-        before = self.residual_units()
+        """Exchange the move's squares; the L1 drop is read off the two
+        touched column classes, the only ones whose section changes."""
+        touched = [self._class_range(move.gen, c) for c in (move.donor, move.receiver)]
+        before = sum(map(self._gap_units, touched))
         moved = _exchange(self.fill, move)
         self._recount_classes(move)
-        after = self.residual_units()
+        after = sum(map(self._gap_units, touched))
+        if self.full is not None:
+            self._exchange_masks(move)
         return SwapRecord(
             move.gen,
             move.band,
@@ -443,6 +556,9 @@ class _Work:
         count = 0
         while (move := self.find_first(gen)) is not None:
             rec = self.apply(move)
+            # a strict drop each swap is what makes the loop finite
+            if rec.l1_drop <= ZERO:
+                raise InvariantViolation(f"generation {gen}: a swap did not lower the residual")
             if on_swap is not None:
                 on_swap(rec)
             count += 1
@@ -569,21 +685,28 @@ class ReplayState(_Work):
         idx = self.next
         recorded = self.records[idx]
         self.next += 1
-        rows_before = self.row_unit_sums()
+        span = self.side >> move.gen
+        r0 = (move.band - 1) * span
+        rows = self.fill[r0 : r0 + span]
+        cells = [(i - 1) * span + c for i in (move.donor, move.receiver) for c in range(span)]
+        blocks_before = [[row[c] for c in cells] for row in rows]
+        rows_before = [sum(row) for row in rows]
         vu_before = self.vu[:]
-        fill_before = [row[:] for row in self.fill]
 
         rec = super().apply(move)
 
-        # row sections and measure are untouched by a horizontal exchange
-        if self.row_unit_sums() != rows_before:
+        # row sections and measure are untouched by a horizontal exchange,
+        # which writes only the band's rows
+        if [sum(row) for row in rows] != rows_before:
             raise ReplayViolation(idx, "horizontal section changed")
 
-        # one-sided set differences match the column integrals of the
-        # vertical-section change (all on the same exact scale)
+        # one-sided set differences of the two exchanged blocks match the
+        # column integrals of the vertical-section change (all on the same
+        # exact scale)
         lost = gained = 0
-        for row_before, row in zip(fill_before, self.fill):
-            for a, b in zip(row_before, row):
+        for row, before in zip(rows, blocks_before):
+            for c, a in zip(cells, before):
+                b = row[c]
                 if a > b:
                     lost += a - b
                 else:
@@ -617,7 +740,7 @@ class ReplayState(_Work):
             elif cls == move.receiver:
                 if not all(self.fu[x] >= self.vu[x] >= vu_before[x] for x in rng):
                     raise ReplayViolation(idx, "receiver column left the v_before .. f corridor")
-            elif any(self.vu[x] != vu_before[x] for x in rng):
+            elif self.vu[rng.start : rng.stop] != vu_before[rng.start : rng.stop]:
                 raise ReplayViolation(idx, "untouched column changed")
 
         if not self.majorized():

@@ -31,8 +31,10 @@ from crosscut import (
 import crosscut
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import (
+    InvariantViolation,
     MoveOutOfRange,
     SwapMove,
+    _Work,
     horizontal_section,
     initial_set,
     is_swappable,
@@ -307,6 +309,17 @@ def test_optimize_generation_single_swap_fixture():
     assert vertical_section(done) == f
     # a second pass finds nothing
     assert optimize_generation(done, f, 1) == done
+
+
+def test_generation_loop_stops_on_a_swap_that_lowers_nothing():
+    # a search that keeps handing out a no-op move must raise, not loop
+    class Stuck(_Work):
+        def find_first(self, gen):
+            return SwapMove(1, 1, 1, 2)
+
+    e = initial_set(StepFunction.constant(0), GridParams(1, 0))
+    with pytest.raises(InvariantViolation):
+        Stuck(e.params, e.fill, StepFunction.constant(0)).run_generation(1)
 
 
 def test_optimize_generation_validates_generation():

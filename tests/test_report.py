@@ -181,6 +181,26 @@ def test_audit_flags_corrupted_generation_aggregate():
     assert not result.ok and "swap count" in result.violation
 
 
+def test_audit_requires_every_generation_in_order():
+    # the N=4 ramp swaps in generation 3; dropping its record, swapping two
+    # records or listing one twice must all fail, with render_text then
+    # disagreeing with the swap records
+    f = ramp(4)
+    params = GridParams(4, 4)
+    _, summary = reconstruct(f, f, params)
+    gens = summary.generations
+    assert gens[2].swap_count == 2
+    for altered in (
+        gens[:2] + gens[3:],
+        (gens[1], gens[0]) + gens[2:],
+        gens[:1] + gens,
+        gens + (gens[-1],),
+    ):
+        result = audit_trace(replace(summary, generations=altered), f, f, params)
+        assert not result.ok
+        assert result.violation == "generation list is not 1..4 in order"
+
+
 def test_audit_rejects_malformed_generation_order():
     f = ramp(4)
     params = GridParams(4, 4)
