@@ -401,6 +401,10 @@ class _Work:
         width = (self.side >> gen) * self.subs
         return range((idx - 1) * width, idx * width)
 
+    def _touched(self, move: SwapMove) -> list[range]:
+        """Sub-columns of the move's donor and receiver classes."""
+        return [self._class_range(move.gen, c) for c in (move.donor, move.receiver)]
+
     def _excess(self, gen: int, idx: int):
         """v - f on each sub-column of the column class."""
         cols = self._class_range(gen, idx)
@@ -417,15 +421,11 @@ class _Work:
         receiver block in the band is contained in the donor block cell by
         cell and differs from it.
 
-        A block is packed from the row masks as its span rows side by side,
-        one int for the full cells and one for the nonempty ones.  A
-        receiver cell fits its donor cell when it is empty or the donor's
-        is full, unless both are partial; so with x the receiver's nonempty
-        cells where the donor's are not full, the block fits when x is 0,
-        and is then a proper subset exactly when the masks differ.  When x
-        is not 0, only cells partial in both blocks can still fit; those
-        occur only in a band with a row of two partial cells, and their
-        fills are compared one by one.
+        A block packs its span rows' masks side by side.  x holds the
+        receiver's nonempty cells where the donor's are not full: with x
+        0 the block fits, and it is a proper subset when the masks differ.
+        Otherwise only cells partial in both blocks can still fit, which
+        takes a row with two partial cells; those are compared by fill.
         """
         span = self.side >> gen
         r0 = (band - 1) * span
@@ -489,7 +489,7 @@ class _Work:
         """Prefix dominance of the section the move leaves; the move is
         applied and then undone, and the two classes' sections and the
         height counts restored."""
-        touched = [self._class_range(move.gen, c) for c in (move.donor, move.receiver)]
+        touched = self._touched(move)
         saved = [self.vu[cols.start : cols.stop] for cols in touched]
         saved_count = self.vcount[:]
         _exchange(self.fill, move)
@@ -531,7 +531,7 @@ class _Work:
     def apply(self, move: SwapMove) -> SwapRecord:
         """Exchange the move's squares; the L1 drop is read off the two
         touched column classes, the only ones whose section changes."""
-        touched = [self._class_range(move.gen, c) for c in (move.donor, move.receiver)]
+        touched = self._touched(move)
         before = sum(map(self._gap_units, touched))
         moved = _exchange(self.fill, move)
         self._recount_classes(move)
@@ -711,8 +711,7 @@ class ReplayState(_Work):
                     lost += a - b
                 else:
                     gained += b - a
-        donor_cols = self._class_range(move.gen, move.donor)
-        recv_cols = self._class_range(move.gen, move.receiver)
+        donor_cols, recv_cols = self._touched(move)
         drop_d = sum(vu_before[x] - self.vu[x] for x in donor_cols)
         rise_k = sum(self.vu[x] - vu_before[x] for x in recv_cols)
         # lost cell units are areas 2**-(2N+K); section sums are in units

@@ -18,7 +18,7 @@ from typing import Optional
 
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import run_excess
-from crosscut.gridset import SwapMove, SwapRecord, _Work, initial_set
+from crosscut.gridset import SwapMove, SwapRecord, _Work
 
 
 class ReferenceWork(_Work):
@@ -69,8 +69,3 @@ class ReferenceWork(_Work):
         drop = Dyadic(before - self.residual_units(), self.D + self.N + self.K)
         return replace(rec, l1_drop=drop)
 
-
-def reference_trace(f, g, params):
-    """Swap records of the reference sweep from the hypograph of g."""
-    work = ReferenceWork(params, initial_set(g, params).fill, f)
-    return work.sweep(None).swaps
