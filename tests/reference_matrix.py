@@ -1,0 +1,51 @@
+"""The cell-by-cell move search of matrices.swap_construct, kept as the
+reference for the bitmask search.
+
+reference_swap_construct starts from the same left-aligned matrix and
+fires the same first-found move: rows top-down, then the leftmost
+surplus donor column holding a 1, then the leftmost deficit receiver
+column holding a 0 whose move keeps the sorted column sums dominating q.
+Each candidate is tested cell by cell from row 0 on every move.
+"""
+
+from __future__ import annotations
+
+from crosscut.feasibility import Partition, prefix_excess
+from crosscut.matrices import BinaryMatrix
+
+
+def reference_swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
+    """The matrix swap_construct builds for a Gale-Ryser feasible pair;
+    RuntimeError when no move is left before the margins are met."""
+    nrows, ncols = len(p), len(q)
+    grid = [[1 if c < p.parts[r] else 0 for c in range(ncols)] for r in range(nrows)]
+    cols = [sum(grid[r][c] for r in range(nrows)) for c in range(ncols)]
+    target = list(q.parts)
+
+    def find_move():
+        for r in range(nrows):
+            row = grid[r]
+            for cj in range(ncols):
+                if cols[cj] <= target[cj] or not row[cj]:
+                    continue
+                for ck in range(ncols):
+                    if cols[ck] >= target[ck] or row[ck]:
+                        continue
+                    cand = list(cols)
+                    cand[cj] -= 1
+                    cand[ck] += 1
+                    cand.sort(reverse=True)
+                    if prefix_excess(q.parts, cand) is None:
+                        return r, cj, ck
+        return None
+
+    while cols != target:
+        move = find_move()
+        if move is None:
+            raise RuntimeError("no admissible move but margins not met")
+        r, cj, ck = move
+        grid[r][cj] = 0
+        grid[r][ck] = 1
+        cols[cj] -= 1
+        cols[ck] += 1
+    return BinaryMatrix.from_rows(grid)
