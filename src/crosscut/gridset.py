@@ -44,6 +44,20 @@ changes the section only on its two column classes, so the L1 drop and
 the histogram of section heights behind the dominance test are updated
 from those classes alone.
 
+A search keeps its state for the length of a generation: the donor and
+receiver lists and the band it resumes at.  Three facts keep the first
+swappable move in (band, donor, receiver) order the one it finds:
+
+  * a swap changes the section only on its donor and receiver classes,
+    and by at most the margin, so the donor stays at or above f and the
+    receiver at or below it: no class joins a list, and only the two
+    touched classes are tested again;
+  * a swap writes only the rows of its own band, so a band that held no
+    contained pair holds none after it, the lists having only shrunk;
+  * dominance can change anywhere, so a band that held a pair rejected
+    by dominance may fire later, and the next search resumes at the
+    first band that held any pair, never past it.
+
 One engine, _Work, runs the generation sweep, the search and the swaps
 and builds the trace.  Replay is the same sweep running recorded moves:
 ReplayState's find_first hands out the next record of a trace instead of
@@ -299,6 +313,19 @@ def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
     return DyadicSet(p, tuple(tuple(row) for row in grid))
 
 
+@dataclass
+class _Scan:
+    """Search state of one generation: the classes still passing the
+    donor and the receiver margin, ascending, the first band that a
+    search scans and the move the last search found."""
+
+    gen: int
+    donors: list[int]
+    receivers: list[int]
+    band: int = 1
+    found: Optional[SwapMove] = None
+
+
 class _Work:
     """Mutable integer-scaled state for the swap search.
 
@@ -334,6 +361,7 @@ class _Work:
             self._recount_col(j)
         self.full: Optional[list[int]] = None
         self.nonempty: Optional[list[int]] = None
+        self.scan: Optional[_Scan] = None
 
     # -- state maintenance -------------------------------------------------
 
@@ -512,25 +540,48 @@ class _Work:
         )
 
     def find_first(self, gen: int) -> Optional[SwapMove]:
-        """First swappable move in (band, donor, receiver) ascending order."""
+        """First swappable move in (band, donor, receiver) ascending order.
+
+        The donor and receiver lists and the band to resume at are built
+        by the generation's first search (self.scan) and kept current by
+        apply.  This finds the move a rescan of every band would, because
+        a swap of the generation
+          * moves the section only on its donor and receiver classes and
+            leaves them at or above and at or below f, so no class joins
+            a list and only those two are tested again;
+          * writes only its own band's rows, so a band that yielded no
+            contained pair yields none after it;
+          * can change dominance anywhere, so a band where dominance
+            rejected a pair is not skipped.
+        The next search resumes at the first band that yielded any pair,
+        the hit or a rejection; only bands that yielded none are skipped.
+        """
         top = 1 << gen
-        donors = [j for j in range(1, top + 1) if self._donor_ok(gen, j)]
-        if not donors:
+        scan = self.scan
+        if scan is None or scan.gen != gen:
+            donors = [j for j in range(1, top + 1) if self._donor_ok(gen, j)]
+            # a receiver is never a donor: the margins have opposite signs
+            receivers = [k for k in range(1, top + 1) if self._receiver_ok(gen, k)]
+            scan = self.scan = _Scan(gen, donors, receivers)
+        if not (scan.donors and scan.receivers):
             return None
-        # a receiver is never a donor: the margins have opposite signs
-        receivers = [k for k in range(1, top + 1) if self._receiver_ok(gen, k)]
-        if not receivers:
-            return None
-        for band in range(1, top + 1):
-            for j, k in self._contained_pairs(gen, band, donors, receivers):
+        resume = top + 1
+        for band in range(scan.band, top + 1):
+            for j, k in self._contained_pairs(gen, band, scan.donors, scan.receivers):
+                resume = min(resume, band)
                 move = SwapMove(gen, band, j, k)
                 if self._dominance_after(move):
+                    scan.band, scan.found = resume, move
                     return move
+        scan.band = resume
         return None
 
     def apply(self, move: SwapMove) -> SwapRecord:
         """Exchange the move's squares; the L1 drop is read off the two
-        touched column classes, the only ones whose section changes."""
+        touched column classes, the only ones whose section changes.  The
+        generation's search state is kept for the move its last search
+        found, dropping a donor or receiver that lost its margin, and
+        dropped for any other move."""
         touched = self._touched(move)
         before = sum(map(self._gap_units, touched))
         moved = _exchange(self.fill, move)
@@ -538,6 +589,16 @@ class _Work:
         after = sum(map(self._gap_units, touched))
         if self.full is not None:
             self._exchange_masks(move)
+        scan = self.scan
+        if scan is not None and move == scan.found:
+            scan.found = None
+            if not self._donor_ok(move.gen, move.donor):
+                scan.donors.remove(move.donor)
+            if not self._receiver_ok(move.gen, move.receiver):
+                scan.receivers.remove(move.receiver)
+        else:
+            # the facts behind the kept state hold only for the move found
+            self.scan = None
         return SwapRecord(
             move.gen,
             move.band,
@@ -552,6 +613,7 @@ class _Work:
     ) -> GenerationRecord:
         """Apply first-found swaps of one generation until none remains,
         passing each executed swap to on_swap."""
+        self.scan = None
         start = [row[:] for row in self.fill]
         count = 0
         while (move := self.find_first(gen)) is not None:

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .feasibility import FeasibilityReport, Partition, check_gale_ryser, prefix_excess
+from .feasibility import (
+    FeasibilityReport,
+    Partition,
+    check_gale_ryser,
+    counts_above,
+    prefix_excess,
+)
 
 BRUTE_FORCE_CELL_LIMIT = 20
 
@@ -163,6 +169,14 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
     return None
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     """Build the matrix by single-entry moves from the left-aligned start.
 
@@ -172,31 +186,39 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     to the sorted column sums keeping their prefix dominance over q; every
     move brings the column sums closer to q by exactly 2 in L1, so the
     loop terminates.
+
+    The first move in (row, donor, receiver) order fires.  Rows are held
+    as int masks, bit c for column c, beside a mask of the surplus and
+    one of the deficit columns.  A move leaves its donor at or above its
+    target and its receiver at or below, so both masks only shrink.  A
+    row's donors are then row & surplus and its receivers ~row & deficit,
+    walked in ascending bit order.
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:
         raise InfeasibleMargins(report)
-    nrows, ncols = len(p), len(q)
-    grid = [[1 if c < p.parts[r] else 0 for c in range(ncols)] for r in range(nrows)]
-    cols = [sum(grid[r][c] for r in range(nrows)) for c in range(ncols)]
+    ncols = len(q)
+    rows = [(1 << part) - 1 for part in p.parts]
+    cols = counts_above(p.parts, ncols)
     target = list(q.parts)
+    surplus = sum(1 << c for c in range(ncols) if cols[c] > target[c])
+    deficit = sum(1 << c for c in range(ncols) if cols[c] < target[c])
+
+    def dominates_after(cj: int, ck: int) -> bool:
+        cand = list(cols)
+        cand[cj] -= 1
+        cand[ck] += 1
+        cand.sort(reverse=True)
+        return prefix_excess(q.parts, cand) is None
 
     def find_move():
-        # rows top-down, then leftmost surplus donor, leftmost deficit receiver
-        for r in range(nrows):
-            row = grid[r]
-            for cj in range(ncols):
-                if cols[cj] <= target[cj] or not row[cj]:
-                    continue
-                for ck in range(ncols):
-                    if cols[ck] >= target[ck] or row[ck]:
-                        continue
-                    cand = list(cols)
-                    cand[cj] -= 1
-                    cand[ck] += 1
-                    cand.sort(reverse=True)
-                    if prefix_excess(q.parts, cand) is None:
-                        return r, cj, ck
+        for r, row in enumerate(rows):
+            receivers = ~row & deficit
+            if receivers:
+                for cj in _bits(row & surplus):
+                    for ck in _bits(receivers):
+                        if dominates_after(cj, ck):
+                            return r, cj, ck
         return None
 
     while cols != target:
@@ -204,11 +226,14 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
         if move is None:
             raise ConstructionStuck("no admissible move but margins not met")
         r, cj, ck = move
-        grid[r][cj] = 0
-        grid[r][ck] = 1
+        rows[r] ^= (1 << cj) | (1 << ck)
         cols[cj] -= 1
         cols[ck] += 1
-    a = BinaryMatrix.from_rows(grid)
+        if cols[cj] == target[cj]:
+            surplus ^= 1 << cj
+        if cols[ck] == target[ck]:
+            deficit ^= 1 << ck
+    a = BinaryMatrix.from_rows([[(row >> c) & 1 for c in range(ncols)] for row in rows])
     _check_margins(a, p, q)
     return a
 
