@@ -24,10 +24,10 @@ def _ramp(depth: int):
 
 
 def test_band_scans_follow_the_swaps_on_ramp_n7(monkeypatch):
-    # a generation lists each band at most once as a band without pairs;
-    # beyond that each search rescans only the band it resumes at, so the
-    # scans are bounded by sum_gen 2**gen + swaps + N (a rescan from band
-    # 1 on every search took 3,057)
+    # later searches of a generation skip every band an earlier one
+    # passed without a pair, so the scans stay within one per band and
+    # generation, one per swap and one per final search: sum_gen 2**gen +
+    # swaps + N.  Rescanning from band 1 on every search makes 2,919.
     calls = []
     original = _Work._contained_pairs
 
