@@ -61,6 +61,12 @@ def _print_quant(name: str, rep: QuantizationReport) -> None:
     )
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
 def _quantized_pair(f_path: str, g_path: str, params: GridParams):
     rawf = load_marginal(f_path)
     rawg = load_marginal(g_path)
@@ -106,9 +112,7 @@ def _cmd_realize_matrix(args) -> int:
         content = write_pbm(a.entries)
     else:
         content = a.to_text()
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    print(f"wrote {args.output}")
+    _write(args.output, content)
     return 0
 
 
@@ -122,19 +126,13 @@ def _cmd_realize_set(args) -> int:
     except InfeasibleInput as exc:
         _print_report(exc.report, "t")
         return 1
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(set_to_image(e))
+    image = set_to_image(e)
     sys.stdout.write(render_text(summary))
-    print(f"wrote {args.output}")
+    _write(args.output, image)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_lines(summary))
-        print(f"wrote {args.trace}")
+        _write(args.trace, trace_lines(summary))
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            json.dump(summary_dict(summary), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.summary}")
+        _write(args.summary, json.dumps(summary_dict(summary), indent=2, sort_keys=True) + "\n")
     if args.svg:
         v = vertical_section(e)
         ymax = max(1.0, float(fq.max_value()), float(v.max_value()))
@@ -147,9 +145,7 @@ def _cmd_realize_set(args) -> int:
             title="cross sections",
             y_max=ymax,
         )
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(f"wrote {args.svg}")
+        _write(args.svg, svg)
     return 0
 
 
@@ -188,9 +184,7 @@ def _cmd_render(args) -> int:
         x_max=extent,
         y_max=extent,
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    print(f"wrote {args.output}")
+    _write(args.output, svg)
     return 0
 
 

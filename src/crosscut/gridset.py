@@ -36,13 +36,12 @@ nonempty ones, and packs a block of a band into one int per mask.  A
 receiver block then fits in a donor block when no receiver cell is
 nonempty where the donor's is not full, and it is a proper subset when
 the masks differ: two big-int operations per candidate.  Only cells that
-are partial in both blocks escape the masks; they need a row with two
-partial cells, which the per-generation row-shape check rules out for
-reachable sets, and for arbitrary sets (is_swappable,
-optimize_generation) their fills are compared one by one.  A swap
-changes the section only on its two column classes, so the L1 drop and
-the histogram of section heights behind the dominance test are updated
-from those classes alone.
+are partial in both blocks escape the masks.  Reachable sets have none;
+sets with a row of two partial cells, which exchanges never create or
+remove (is_swappable and optimize_generation accept them), compare the
+squares cell by cell.  A swap changes the section only on its two column
+classes, so the L1 drop and the histogram of section heights behind the
+dominance test are updated from those classes alone.
 
 A search keeps its state for the length of a generation: the donor and
 receiver lists and the band it resumes at.  Three facts keep the first
@@ -285,19 +284,23 @@ def horizontal_section(e: DyadicSet) -> StepFunction:
     return StepFunction.from_grid(vals, p.depth)
 
 
+def _squares(side: int, move: SwapMove) -> tuple[slice, slice, slice]:
+    """The band rows and the donor and receiver columns of the move's two
+    squares in a side x side grid of cells."""
+    span = side >> move.gen
+    r0, j0, k0 = (move.band - 1) * span, (move.donor - 1) * span, (move.receiver - 1) * span
+    return slice(r0, r0 + span), slice(j0, j0 + span), slice(k0, k0 + span)
+
+
 def _exchange(fill: list[list[int]], move: SwapMove) -> int:
     """Exchange the two squares of the move in place, columnwise; returns
     the number of cell sub-units that change hands, sum |donor - receiver|."""
-    span = len(fill) >> move.gen
-    r0 = (move.band - 1) * span
-    j0 = (move.donor - 1) * span
-    k0 = (move.receiver - 1) * span
+    rows, donor, receiver = _squares(len(fill), move)
     moved = 0
-    for row in fill[r0 : r0 + span]:
-        for c in range(span):
-            a, b = row[j0 + c], row[k0 + c]
-            moved += abs(a - b)
-            row[j0 + c], row[k0 + c] = b, a
+    for row in fill[rows]:
+        a, b = row[donor], row[receiver]
+        moved += sum(map(abs, map(sub, a, b)))
+        row[donor], row[receiver] = b, a
     return moved
 
 
@@ -361,6 +364,7 @@ class _Work:
             self._recount_col(j)
         self.full: Optional[list[int]] = None
         self.nonempty: Optional[list[int]] = None
+        self.twin = False  # some row has two partial (nonempty, not full) cells
         self.scan: Optional[_Scan] = None
 
     # -- state maintenance -------------------------------------------------
@@ -380,27 +384,28 @@ class _Work:
             cap = self.subs
             self.full = [sum(1 << c for c, w in enumerate(row) if w == cap) for row in self.fill]
             self.nonempty = [sum(1 << c for c, w in enumerate(row) if w) for row in self.fill]
+            # exchanges only permute a row's cells, so this never changes
+            self.twin = any((p := ne ^ f) & (p - 1) for f, ne in zip(self.full, self.nonempty))
         return self.full, self.nonempty
 
     def _exchange_masks(self, move: SwapMove) -> None:
-        span = self.side >> move.gen
-        r0, j0, k0 = ((i - 1) * span for i in (move.band, move.donor, move.receiver))
-        low = (1 << span) - 1
+        rows, donor, receiver = _squares(self.side, move)
+        j0, k0 = donor.start, receiver.start
+        low = (1 << (donor.stop - j0)) - 1
         for masks in self._row_masks():
-            for r in range(r0, r0 + span):
+            for r in range(rows.start, rows.stop):
                 m = masks[r]
                 d = ((m >> j0) ^ (m >> k0)) & low
                 masks[r] = m ^ (d << j0) ^ (d << k0)
 
     # -- exact quantities ----------------------------------------------------
 
-    def _gap_units(self, cols: range) -> int:
+    def _gap_units(self, cols: slice) -> int:
         """|f - v|_1 over the given sub-columns, in residual units."""
-        lo, hi = cols.start, cols.stop
-        return sum(map(abs, map(sub, self.fu[lo:hi], self.vu[lo:hi])))
+        return sum(map(abs, map(sub, self.fu[cols], self.vu[cols])))
 
     def residual_units(self) -> int:
-        return self._gap_units(range(self.V))
+        return self._gap_units(slice(None))
 
     def residual_dyadic(self) -> Dyadic:
         return Dyadic(self.residual_units(), self.D + self.N + self.K)
@@ -425,18 +430,17 @@ class _Work:
 
     # -- swap conditions -------------------------------------------------------
 
-    def _class_range(self, gen: int, idx: int) -> range:
-        width = (self.side >> gen) * self.subs
-        return range((idx - 1) * width, idx * width)
-
-    def _touched(self, move: SwapMove) -> list[range]:
+    def _touched(self, move: SwapMove) -> tuple[slice, slice]:
         """Sub-columns of the move's donor and receiver classes."""
-        return [self._class_range(move.gen, c) for c in (move.donor, move.receiver)]
+        _, donor, receiver = _squares(self.side, move)
+        s = self.subs
+        return slice(donor.start * s, donor.stop * s), slice(receiver.start * s, receiver.stop * s)
 
     def _excess(self, gen: int, idx: int):
         """v - f on each sub-column of the column class."""
-        cols = self._class_range(gen, idx)
-        return map(sub, self.vu[cols.start : cols.stop], self.fu[cols.start : cols.stop])
+        width = (self.side >> gen) * self.subs
+        cols = slice((idx - 1) * width, idx * width)
+        return map(sub, self.vu[cols], self.fu[cols])
 
     def _donor_ok(self, gen: int, j: int) -> bool:
         return min(self._excess(gen, j)) >= 1 << (self.D - gen)
@@ -449,25 +453,21 @@ class _Work:
         receiver block in the band is contained in the donor block cell by
         cell and differs from it.
 
-        A block packs its span rows' masks side by side.  x holds the
-        receiver's nonempty cells where the donor's are not full: with x
-        0 the block fits, and it is a proper subset when the masks differ.
-        Otherwise only cells partial in both blocks can still fit, which
-        takes a row with two partial cells; those are compared by fill.
+        A block packs its span rows' masks side by side.  A receiver
+        nonempty cell where the donor's is not full escapes the masks:
+        sets with a row of two partial cells, which exchanges never create
+        or remove, compare the squares cell by cell.  Otherwise the block
+        fits, and it is a proper subset when the masks differ.
         """
         span = self.side >> gen
         r0 = (band - 1) * span
         full, nonempty = self._row_masks()
         bf = bne = stride = 0
-        twin = False  # some row of the band has two partial cells
         for i in range(span):
-            f, ne = full[r0 + i], nonempty[r0 + i]
             at = i * self.side
-            bf |= f << at
-            bne |= ne << at
+            bf |= full[r0 + i] << at
+            bne |= nonempty[r0 + i] << at
             stride |= ((1 << span) - 1) << at
-            partial = ne ^ f
-            twin = twin or partial & (partial - 1) != 0
 
         def block(c: int) -> tuple[int, int]:
             at = (c - 1) * span
@@ -478,54 +478,41 @@ class _Work:
             fj, nej = block(j)
             not_fj = ~fj
             for k, fk, nek in recv:
-                x = nek & not_fj
-                if x:
-                    if not (twin and self._partials_fit(gen, band, j, k, x, fj != fk or nej != nek)):
+                if nek & not_fj:
+                    if not (self.twin and self._nests_by_fill(SwapMove(gen, band, j, k))):
                         continue
                 elif nej == fk:
                     continue
                 yield j, k
 
-    def _partials_fit(self, gen: int, band: int, j: int, k: int, x: int, differ: bool) -> bool:
-        """Scalar compare of the cells of x (packed as in _contained_pairs):
-        each receiver fill at most the donor's, and some cell smaller or
-        the masks different."""
-        span = self.side >> gen
-        r0, j0, k0 = (band - 1) * span, (j - 1) * span, (k - 1) * span
-        strict = differ
-        while x:
-            low = x & -x
-            i, c = divmod(low.bit_length() - 1, self.side)
-            row = self.fill[r0 + i]
-            wj, wk = row[j0 + c], row[k0 + c]
-            if wk > wj:
-                return False
-            strict = strict or wk < wj
-            x ^= low
-        return strict
+    def _nests_by_fill(self, move: SwapMove) -> bool:
+        """Every receiver fill at most the donor's in the same cell, and
+        some fill smaller."""
+        rows, donor, receiver = _squares(self.side, move)
+        pairs = [(a, b) for row in self.fill[rows] for a, b in zip(row[donor], row[receiver])]
+        return all(b <= a for a, b in pairs) and any(b < a for a, b in pairs)
 
     def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
         return any(self._contained_pairs(gen, band, (j,), (k,)))
 
     def _recount_classes(self, move: SwapMove) -> None:
-        span = self.side >> move.gen
-        for c in range(span):
-            self._recount_col((move.donor - 1) * span + c)
-            self._recount_col((move.receiver - 1) * span + c)
+        for cols in _squares(self.side, move)[1:]:
+            for j in range(cols.start, cols.stop):
+                self._recount_col(j)
 
     def _dominance_after(self, move: SwapMove) -> bool:
         """Prefix dominance of the section the move leaves; the move is
         applied and then undone, and the two classes' sections and the
         height counts restored."""
         touched = self._touched(move)
-        saved = [self.vu[cols.start : cols.stop] for cols in touched]
+        saved = [self.vu[cols] for cols in touched]
         saved_count = self.vcount[:]
         _exchange(self.fill, move)
         self._recount_classes(move)
         ok = self.majorized()
         _exchange(self.fill, move)
         for cols, vals in zip(touched, saved):
-            self.vu[cols.start : cols.stop] = vals
+            self.vu[cols] = vals
         self.vcount = saved_count
         return ok
 
@@ -747,35 +734,32 @@ class ReplayState(_Work):
         idx = self.next
         recorded = self.records[idx]
         self.next += 1
-        span = self.side >> move.gen
-        r0 = (move.band - 1) * span
-        rows = self.fill[r0 : r0 + span]
-        cells = [(i - 1) * span + c for i in (move.donor, move.receiver) for c in range(span)]
-        blocks_before = [[row[c] for c in cells] for row in rows]
-        rows_before = [sum(row) for row in rows]
+        rows, donor, receiver = _squares(self.side, move)
+        band = self.fill[rows]
+        blocks_before = [row[donor] + row[receiver] for row in band]
+        rows_before = [sum(row) for row in band]
         vu_before = self.vu[:]
 
         rec = super().apply(move)
 
         # row sections and measure are untouched by a horizontal exchange,
         # which writes only the band's rows
-        if [sum(row) for row in rows] != rows_before:
+        if [sum(row) for row in band] != rows_before:
             raise ReplayViolation(idx, "horizontal section changed")
 
         # one-sided set differences of the two exchanged blocks match the
         # column integrals of the vertical-section change (all on the same
         # exact scale)
         lost = gained = 0
-        for row, before in zip(rows, blocks_before):
-            for c, a in zip(cells, before):
-                b = row[c]
+        for row, before in zip(band, blocks_before):
+            for a, b in zip(before, row[donor] + row[receiver]):
                 if a > b:
                     lost += a - b
                 else:
                     gained += b - a
         donor_cols, recv_cols = self._touched(move)
-        drop_d = sum(vu_before[x] - self.vu[x] for x in donor_cols)
-        rise_k = sum(self.vu[x] - vu_before[x] for x in recv_cols)
+        drop_d = sum(vu_before[donor_cols]) - sum(self.vu[donor_cols])
+        rise_k = sum(self.vu[recv_cols]) - sum(vu_before[recv_cols])
         # lost cell units are areas 2**-(2N+K); section sums are in units
         # 2**-(D+N+K): lost * 2**(D-N) must equal the section-change sum
         if lost << (self.D - self.N) != drop_d:
@@ -792,17 +776,22 @@ class ReplayState(_Work):
         if rec.l1_drop != sym:
             raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
 
-        # per column class: donor stays above f, receiver below, rest equal
-        for cls in range(1, (1 << move.gen) + 1):
-            rng = self._class_range(move.gen, cls)
-            if cls == move.donor:
-                if not all(self.fu[x] <= self.vu[x] <= vu_before[x] for x in rng):
-                    raise ReplayViolation(idx, "donor column left the f .. v_before corridor")
-            elif cls == move.receiver:
-                if not all(self.fu[x] >= self.vu[x] >= vu_before[x] for x in rng):
-                    raise ReplayViolation(idx, "receiver column left the v_before .. f corridor")
-            elif self.vu[rng.start : rng.stop] != vu_before[rng.start : rng.stop]:
-                raise ReplayViolation(idx, "untouched column changed")
+        # the donor stays between f and its old section and the receiver
+        # between its old section and f, checked left to right; every other
+        # column is unchanged
+        corridors = [
+            (donor_cols, self.fu, vu_before, "donor column left the f .. v_before corridor"),
+            (recv_cols, vu_before, self.fu, "receiver column left the v_before .. f corridor"),
+        ]
+        if move.receiver < move.donor:
+            corridors.reverse()
+        for cols, low, high, what in corridors:
+            if not all(lo <= v <= hi for lo, v, hi in zip(low[cols], self.vu[cols], high[cols])):
+                raise ReplayViolation(idx, what)
+        left, right = corridors[0][0], corridors[1][0]
+        rest = slice(None, left.start), slice(left.stop, right.start), slice(right.stop, None)
+        if any(self.vu[cols] != vu_before[cols] for cols in rest):
+            raise ReplayViolation(idx, "untouched column changed")
 
         if not self.majorized():
             raise ReplayViolation(idx, "prefix dominance lost after swap")

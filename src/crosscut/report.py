@@ -164,7 +164,7 @@ def audit_trace(
     records = trace.swaps if summary is not None else trace
     try:
         state = ReplayState(params, initial_set(g, params).fill, f, records)
-    except Exception as exc:
+    except ValueError as exc:  # QuantizationError, or a DyadicSet range error
         raise MalformedTrace(f"cannot rebuild initial state: {exc}") from exc
 
     if not state.majorized():

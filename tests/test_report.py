@@ -220,6 +220,19 @@ def test_audit_rejects_generation_beyond_depth():
         audit_trace((deep,), f, f, params)
 
 
+def test_audit_rejects_g_off_the_grid():
+    # ramp(4) changes value every 1/16, between the 1/8 bands of N=3
+    f, params, (e, summary) = run_fixture()
+    with pytest.raises(MalformedTrace, match="cannot rebuild initial state"):
+        audit_trace(summary, f, ramp(4), params)
+
+
+def test_audit_does_not_relabel_engine_faults():
+    f, params, _ = run_fixture()
+    with pytest.raises(TypeError):
+        audit_trace(None, f, f, params)
+
+
 def test_trace_summary_rejects_inconsistent_aggregates():
     f, params, (e, summary) = run_fixture()
     firing = next(g for g in summary.generations if g.swap_count)
