@@ -3,11 +3,12 @@
 ReferenceWork is the engine with its search and bookkeeping done the
 direct way: every candidate (band, donor, receiver) is tested cell by
 cell, the L1 drop of a swap is the difference of two whole-section
-residual sums, and prefix dominance recounts the histogram of the whole
-vertical section.  Everything else (margins, the exchange, the column
-recount, the generation loop) is the engine's own, so a trace of
-ReferenceWork differs from the engine's exactly when the fast search or
-its bookkeeping does.
+residual sums, and prefix dominance exchanges the squares, recounts the
+two classes' whole columns and tests the histogram of the whole vertical
+section before undoing the exchange.  Everything else (margins, the
+section update of a swap, the generation loop) is the engine's own, so a
+trace of ReferenceWork differs from the engine's exactly when the fast
+search or its bookkeeping does.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 from typing import Optional
 
 from crosscut.dyadic import Dyadic
-from crosscut.feasibility import run_excess
+from crosscut.feasibility import counts_above, run_excess
 from crosscut.gridset import SwapMove, SwapRecord, _Work
 
 
@@ -25,8 +26,32 @@ class ReferenceWork(_Work):
     def residual_units(self) -> int:
         return sum(abs(a - b) for a, b in zip(self.fu, self.vu))
 
+    def _section_dominates(self, vu) -> bool:
+        """The whole section vu against f, as two histograms of runs."""
+        f_runs = sorted(Counter(self.fu).items(), reverse=True)
+        return run_excess(f_runs, sorted(Counter(vu).items(), reverse=True)) is None
+
     def majorized(self) -> bool:
-        return run_excess(self.f_runs, sorted(Counter(self.vu).items(), reverse=True)) is None
+        return self._section_dominates(self.vu)
+
+    def _dominance_after(self, move: SwapMove) -> bool:
+        """Exchange the squares cell by cell, recount every column of both
+        classes from all its cells, test the whole section, then undo."""
+        span = self.side >> move.gen
+        r0, j0, k0 = (move.band - 1) * span, (move.donor - 1) * span, (move.receiver - 1) * span
+
+        def exchange():
+            for row in self.fill[r0 : r0 + span]:
+                for c in range(span):
+                    row[j0 + c], row[k0 + c] = row[k0 + c], row[j0 + c]
+
+        exchange()
+        vu = self.vu[:]
+        for j in (*range(j0, j0 + span), *range(k0, k0 + span)):
+            counts = counts_above([row[j] for row in self.fill], self.subs)
+            vu[j * self.subs : (j + 1) * self.subs] = [c << self.shift for c in counts]
+        exchange()
+        return self._section_dominates(vu)
 
     def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
         """Receiver block <= donor block in every cell, and not equal."""
