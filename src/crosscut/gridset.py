@@ -39,9 +39,24 @@ the masks differ: two big-int operations per candidate.  Only cells that
 are partial in both blocks escape the masks.  Reachable sets have none;
 sets with a row of two partial cells, which exchanges never create or
 remove (is_swappable and optimize_generation accept them), compare the
-squares cell by cell.  A swap changes the section only on its two column
-classes, so the L1 drop and the histogram of section heights behind the
-dominance test are updated from those classes alone.
+squares cell by cell.
+
+A swap's bookkeeping follows the cells it moves.  A cell of width a that
+takes the place of one of width b raises its column by one cell on the
+sub-columns [b, a) and lowers it on [a, b), so the section, its L1 gap
+to f and the histogram of section heights are updated from the exchanged
+cell pairs alone.  Dominance is tested on a window of the sorted order.
+Let [lo, hi] be the heights that the changed sub-columns take before or
+after the move.  The mass above hi, the mass below lo and the total stay
+the same, so the sorted section's prefix sums can change only between
+positions #{v > hi} and #{v >= lo}.  If the section dominated f before
+the move, it dominates after it exactly when it does inside that window.
+Within a run of equal heights the gap between the two prefix sums is
+convex, so each run is tested once, at the run end or the end of an f
+run where the gap is smallest.  The induction starts at the checked
+start of reconstruct and audit_trace, and every probed or replayed swap
+keeps it; a state built on a set that does not dominate f tests the
+whole sorted order until a swap makes it dominate.
 
 A search keeps its state for the length of a generation: the donor and
 receiver lists and the band it resumes at.  Three facts keep the first
@@ -67,13 +82,14 @@ one.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ZERO, Dyadic
-from .feasibility import FeasibilityReport, check_hlp, counts_above, run_excess
+from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import realize_exact_margins
 from .stepfn import StepFunction
 
@@ -292,10 +308,9 @@ def _squares(side: int, move: SwapMove) -> tuple[slice, slice, slice]:
     return slice(r0, r0 + span), slice(j0, j0 + span), slice(k0, k0 + span)
 
 
-def _exchange(fill: list[list[int]], move: SwapMove) -> int:
-    """Exchange the two squares of the move in place, columnwise; returns
-    the number of cell sub-units that change hands, sum |donor - receiver|."""
-    rows, donor, receiver = _squares(len(fill), move)
+def _exchange(fill: list[list[int]], rows: slice, donor: slice, receiver: slice) -> int:
+    """Exchange the two squares in place, columnwise; returns the number
+    of cell sub-units that change hands, sum |donor - receiver|."""
     moved = 0
     for row in fill[rows]:
         a, b = row[donor], row[receiver]
@@ -312,7 +327,7 @@ def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
             f"generation {move.gen} exceeds grid depth {p.depth}"
         )
     grid = [list(row) for row in e.fill]
-    _exchange(grid, move)
+    _exchange(grid, *_squares(p.side, move))
     return DyadicSet(p, tuple(tuple(row) for row in grid))
 
 
@@ -335,8 +350,13 @@ class _Work:
     fu/vu hold the target and the vertical section per finest sub-column,
     both in units of 2**-D where D >= N + K also covers the denominators
     of f's values; margins 2**-n become the integers 2**(D - n).  A
-    sub-column's section is a whole number c of cells, vu = c << (D - N),
-    and vcount[c] counts the sub-columns at height c.
+    sub-column's section is a whole number c of cells, vu = c << (D - N).
+    For each height c in 0..2**N + 1, above[c] counts the sub-columns at
+    height c or more and mass[c] sums their heights in cells; f_top[t]
+    sums the t largest target values and f_over[c] counts the
+    sub-columns whose target exceeds height c.  dominated says whether
+    the sorted section's prefix sums bound f's, and saved holds each band
+    row as it was before the generation first touched it.
 
     The search reads each grid row as two bitmasks over its columns, the
     full cells and the nonempty ones.  They are built by the first search
@@ -356,28 +376,90 @@ class _Work:
         self.fu = []
         for v in fvals:
             self.fu.extend([v.num << (self.D - v.exp)] * self.subs)
-        self.f_runs = sorted(Counter(self.fu).items(), reverse=True)
+        ranked = sorted(self.fu)
+        self.f_top = [0, *accumulate(reversed(ranked))]
+        self.f_over = [self.V - bisect_right(ranked, c << self.shift) for c in range(self.side + 1)]
         self.fill = [list(row) for row in fill]
-        self.vu = [0] * self.V
-        self.vcount = [self.V] + [0] * self.side
+        self.vu = []
         for j in range(self.side):
-            self._recount_col(j)
+            counts = counts_above([row[j] for row in self.fill], self.subs)
+            self.vu.extend(c << self.shift for c in counts)
+        heights = [0] * (self.side + 1)
+        for v in self.vu:
+            heights[v >> self.shift] += 1
+        self.above = [0] * (self.side + 2)
+        self.mass = [0] * (self.side + 2)
+        for c in range(self.side, -1, -1):
+            self.above[c] = self.above[c + 1] + heights[c]
+            self.mass[c] = self.mass[c + 1] + c * heights[c]
         self.full: Optional[list[int]] = None
         self.nonempty: Optional[list[int]] = None
         self.twin = False  # some row has two partial (nonempty, not full) cells
         self.scan: Optional[_Scan] = None
+        self.saved: dict[int, list[int]] = {}
+        self.dominated = self.majorized()
 
     # -- state maintenance -------------------------------------------------
 
-    def _recount_col(self, j: int) -> None:
-        lo, hi = j * self.subs, (j + 1) * self.subs
-        vcount = self.vcount
-        for v in self.vu[lo:hi]:
-            vcount[v >> self.shift] -= 1
-        counts = counts_above([row[j] for row in self.fill], self.subs)
-        for c in counts:
-            vcount[c] += 1
-        self.vu[lo:hi] = [c << self.shift for c in counts]
+    def _section_change(self, rows: slice, donor: slice, receiver: slice) -> list[tuple[int, int]]:
+        """(sub-column, change in cells) for each sub-column whose section
+        the exchange of the two squares changes, read off their cells.
+
+        A donor cell a replaced by the receiver's b adds one cell to the
+        donor column on [a, b) and takes one off on [b, a): a difference
+        array with +1 at a and -1 at b.  The receiver column changes the
+        other way.
+        """
+        subs, w = self.subs, self.subs + 1
+        span = donor.stop - donor.start
+        diff = [0] * (span * w)
+        for row in self.fill[rows]:
+            for at, a, b in zip(range(0, span * w, w), row[donor], row[receiver]):
+                if a != b:
+                    diff[at + a] += 1
+                    diff[at + b] -= 1
+        out = []
+        for c in range(span):
+            at = c * w
+            if any(diff[at : at + w]):
+                j, k = (donor.start + c) * subs, (receiver.start + c) * subs
+                for m, d in enumerate(accumulate(diff[at : at + subs])):
+                    if d:
+                        out.append((j + m, d))
+                        out.append((k + m, -d))
+        return out
+
+    def _height_change(self, changes: list[tuple[int, int]]) -> dict[int, int]:
+        """Net change of the number of sub-columns at each height."""
+        vu, shift = self.vu, self.shift
+        out: dict[int, int] = {}
+        for i, d in changes:
+            h = vu[i] >> shift
+            out[h] = out.get(h, 0) - 1
+            out[h + d] = out.get(h + d, 0) + 1
+        return out
+
+    def _write_section(self, changes: list[tuple[int, int]], heights: dict[int, int]) -> int:
+        """Apply the section and height changes; returns the drop of
+        |f - v|_1 in residual units.  above and mass change only strictly
+        above the lowest height touched, since the moved sub-columns keep
+        their number and their total."""
+        fu, vu, shift = self.fu, self.vu, self.shift
+        drop = 0
+        for i, d in changes:
+            f, v = fu[i], vu[i]
+            vu[i] = w = v + (d << shift)
+            drop += abs(f - v) - abs(f - w)
+        if heights:
+            above, mass = self.above, self.mass
+            count = total = 0
+            for c in range(max(heights), min(heights), -1):
+                dc = heights.get(c, 0)
+                count += dc
+                total += c * dc
+                above[c] += count
+                mass[c] += total
+        return drop
 
     def _row_masks(self) -> tuple[list[int], list[int]]:
         if self.full is None:
@@ -388,8 +470,7 @@ class _Work:
             self.twin = any((p := ne ^ f) & (p - 1) for f, ne in zip(self.full, self.nonempty))
         return self.full, self.nonempty
 
-    def _exchange_masks(self, move: SwapMove) -> None:
-        rows, donor, receiver = _squares(self.side, move)
+    def _exchange_masks(self, rows: slice, donor: slice, receiver: slice) -> None:
         j0, k0 = donor.start, receiver.start
         low = (1 << (donor.stop - j0)) - 1
         for masks in self._row_masks():
@@ -400,41 +481,51 @@ class _Work:
 
     # -- exact quantities ----------------------------------------------------
 
-    def _gap_units(self, cols: slice) -> int:
-        """|f - v|_1 over the given sub-columns, in residual units."""
-        return sum(map(abs, map(sub, self.fu[cols], self.vu[cols])))
-
     def residual_units(self) -> int:
-        return self._gap_units(slice(None))
+        """|f - v|_1 in residual units."""
+        return sum(map(abs, map(sub, self.fu, self.vu)))
 
     def residual_dyadic(self) -> Dyadic:
         return Dyadic(self.residual_units(), self.D + self.N + self.K)
 
-    def sym_diff_dyadic(self, other_fill) -> Dyadic:
-        total = sum(sum(map(abs, map(sub, ra, rb))) for ra, rb in zip(self.fill, other_fill))
-        return Dyadic(total, 2 * self.N + self.K)
+    def _dominates(self, heights: dict[int, int], lo: int, hi: int) -> bool:
+        """Prefix sums of the sorted section, with the height counts
+        changed by heights, bound f's at every position held by a height
+        strictly between lo and hi; lo = -1, hi = 2**N + 1 tests the whole
+        sorted order.
+
+        The section is linear along a run of equal heights c and f's
+        prefix sum concave, so their gap is smallest at the run position
+        nearest to f_over[c], where f's values fall to c or below.
+        """
+        above, f_top, f_over, shift = self.above, self.f_top, self.f_over, self.shift
+        rise = heights.get(hi, 0)
+        pos, total = above[hi] + rise, self.mass[hi] + hi * rise
+        for c in range(hi - 1, lo, -1):
+            n = above[c] - above[c + 1] + heights.get(c, 0)
+            if n:
+                end = pos + n
+                t = min(max(f_over[c], pos), end)
+                if f_top[t] > (total + c * (t - pos)) << shift:
+                    return False
+                pos, total = end, total + c * n
+        return True
 
     def majorized(self) -> bool:
-        """Prefix integral of sorted f never exceeds that of sorted v; both
-        sorted sequences are compared as (value, multiplicity) runs."""
-        v_runs = [
-            (c << self.shift, m) for c, m in reversed(list(enumerate(self.vcount))) if m
-        ]
-        return run_excess(self.f_runs, v_runs) is None
+        """Prefix integral of sorted f never exceeds that of sorted v."""
+        return self._dominates({}, -1, self.side + 1)
 
-    def rows_are_translated_hypograph_slices(self) -> bool:
-        """Each band is a permutation of (full cells, at most one partial,
-        empty cells); holds for every set reachable from a hypograph."""
-        cap = self.subs
-        return all(sum(1 for w in row if 0 < w < cap) <= 1 for row in self.fill)
+    def _dominates_after(self, heights: dict[int, int]) -> bool:
+        """Prefix dominance once the height counts change by heights: on
+        the window of the changed heights when the state dominates, on the
+        whole sorted order otherwise."""
+        if not heights:
+            return self.dominated
+        if self.dominated:
+            return self._dominates(heights, min(heights), max(heights))
+        return self._dominates(heights, -1, self.side + 1)
 
     # -- swap conditions -------------------------------------------------------
-
-    def _touched(self, move: SwapMove) -> tuple[slice, slice]:
-        """Sub-columns of the move's donor and receiver classes."""
-        _, donor, receiver = _squares(self.side, move)
-        s = self.subs
-        return slice(donor.start * s, donor.stop * s), slice(receiver.start * s, receiver.stop * s)
 
     def _excess(self, gen: int, idx: int):
         """v - f on each sub-column of the column class."""
@@ -495,26 +586,11 @@ class _Work:
     def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
         return any(self._contained_pairs(gen, band, (j,), (k,)))
 
-    def _recount_classes(self, move: SwapMove) -> None:
-        for cols in _squares(self.side, move)[1:]:
-            for j in range(cols.start, cols.stop):
-                self._recount_col(j)
-
     def _dominance_after(self, move: SwapMove) -> bool:
-        """Prefix dominance of the section the move leaves; the move is
-        applied and then undone, and the two classes' sections and the
-        height counts restored."""
-        touched = self._touched(move)
-        saved = [self.vu[cols] for cols in touched]
-        saved_count = self.vcount[:]
-        _exchange(self.fill, move)
-        self._recount_classes(move)
-        ok = self.majorized()
-        _exchange(self.fill, move)
-        for cols, vals in zip(touched, saved):
-            self.vu[cols] = vals
-        self.vcount = saved_count
-        return ok
+        """Prefix dominance of the section the move would leave, read off
+        the move's cells; nothing is changed."""
+        changes = self._section_change(*_squares(self.side, move))
+        return self._dominates_after(self._height_change(changes))
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -564,20 +640,26 @@ class _Work:
         return None
 
     def apply(self, move: SwapMove) -> SwapRecord:
-        """Exchange the move's squares; the L1 drop is read off the two
-        touched column classes, the only ones whose section changes.  The
-        generation's search state is kept for the move its last search
-        found, dropping a donor or receiver that lost its margin, and
-        dropped for any other move."""
-        touched = self._touched(move)
-        before = sum(map(self._gap_units, touched))
-        moved = _exchange(self.fill, move)
-        self._recount_classes(move)
-        after = sum(map(self._gap_units, touched))
-        if self.full is not None:
-            self._exchange_masks(move)
+        """Exchange the move's squares; the section, the L1 drop and the
+        height counts are updated from the exchanged cells.  A move the
+        last search found keeps dominance, as its probe showed; any other
+        move is tested.  The generation's search state is kept for the
+        move its last search found, dropping a donor or receiver that lost
+        its margin, and dropped for any other move."""
+        rows, donor, receiver = _squares(self.side, move)
+        changes = self._section_change(rows, donor, receiver)
+        heights = self._height_change(changes)
         scan = self.scan
-        if scan is not None and move == scan.found:
+        found = scan is not None and move == scan.found
+        self.dominated = found or self._dominates_after(heights)
+        for r in range(rows.start, rows.stop):
+            if r not in self.saved:
+                self.saved[r] = self.fill[r][:]
+        moved = _exchange(self.fill, rows, donor, receiver)
+        drop = self._write_section(changes, heights)
+        if self.full is not None:
+            self._exchange_masks(rows, donor, receiver)
+        if found:
             scan.found = None
             if not self._donor_ok(move.gen, move.donor):
                 scan.donors.remove(move.donor)
@@ -591,7 +673,7 @@ class _Work:
             move.band,
             move.donor,
             move.receiver,
-            Dyadic(before - after, self.D + self.N + self.K),
+            Dyadic(drop, self.D + self.N + self.K),
             Dyadic(2 * moved, 2 * self.N + self.K),
         )
 
@@ -599,9 +681,10 @@ class _Work:
         self, gen: int, on_swap: Optional[Callable[[SwapRecord], None]] = None
     ) -> GenerationRecord:
         """Apply first-found swaps of one generation until none remains,
-        passing each executed swap to on_swap."""
+        passing each executed swap to on_swap.  The symmetric difference
+        is read off the band rows the generation touched."""
         self.scan = None
-        start = [row[:] for row in self.fill]
+        self.saved = {}
         count = 0
         while (move := self.find_first(gen)) is not None:
             rec = self.apply(move)
@@ -611,16 +694,19 @@ class _Work:
             if on_swap is not None:
                 on_swap(rec)
             count += 1
-        return GenerationRecord(gen, count, self.residual_dyadic(), self.sym_diff_dyadic(start))
+        sym = sum(sum(map(abs, map(sub, row, self.fill[r]))) for r, row in self.saved.items())
+        return GenerationRecord(gen, count, self.residual_dyadic(), Dyadic(sym, 2 * self.N + self.K))
 
     def sweep(
         self,
         feasibility: Optional[FeasibilityReport],
         on_swap: Optional[Callable[[SwapRecord], None]] = None,
     ) -> TraceSummary:
-        """Run generations 1..N to exhaustion, checking the row shape after
-        each, and return the trace that carries the given feasibility
-        report; each executed swap is also passed to on_swap."""
+        """Run generations 1..N to exhaustion, checking the shape of the
+        rows each one touched, and return the trace that carries the given
+        feasibility report; each executed swap is also passed to on_swap.
+        An exchange only permutes a row's cells, so rows it never touched
+        keep the shape they started with."""
         initial = self.residual_dyadic()
         swaps: list[SwapRecord] = []
 
@@ -632,7 +718,8 @@ class _Work:
         gens = []
         for gen in range(1, self.N + 1):
             gens.append(self.run_generation(gen, record))
-            if not self.rows_are_translated_hypograph_slices():
+            cap = self.subs
+            if any(sum(1 for w in self.fill[r] if 0 < w < cap) > 1 for r in self.saved):
                 raise InvariantViolation(f"generation {gen} left a band with two partial cells")
         return TraceSummary(
             tuple(gens), tuple(swaps), initial, self.residual_dyadic(), feasibility
@@ -651,7 +738,7 @@ def is_swappable(e: DyadicSet, f: StepFunction, move: SwapMove) -> bool:
     when it fails.
     """
     work = _Work(e.params, e.fill, f)
-    if not work.majorized():
+    if not work.dominated:
         raise InvariantViolation("prefix dominance hypothesis violated for this set")
     return work.swappable(move)
 
@@ -689,7 +776,7 @@ def reconstruct(
     if not rep.feasible:
         raise InfeasibleInput(rep)
     work = _Work(params, initial_set(g, params).fill, f)
-    if not work.majorized():
+    if not work.dominated:
         raise InvariantViolation("feasible start must dominate the target")
     summary = work.sweep(rep, on_swap)
     return work.to_set(), summary
@@ -757,7 +844,9 @@ class ReplayState(_Work):
                     lost += a - b
                 else:
                     gained += b - a
-        donor_cols, recv_cols = self._touched(move)
+        s = self.subs
+        donor_cols = slice(donor.start * s, donor.stop * s)
+        recv_cols = slice(receiver.start * s, receiver.stop * s)
         drop_d = sum(vu_before[donor_cols]) - sum(self.vu[donor_cols])
         rise_k = sum(self.vu[recv_cols]) - sum(vu_before[recv_cols])
         # lost cell units are areas 2**-(2N+K); section sums are in units
@@ -793,7 +882,7 @@ class ReplayState(_Work):
         if any(self.vu[cols] != vu_before[cols] for cols in rest):
             raise ReplayViolation(idx, "untouched column changed")
 
-        if not self.majorized():
+        if not self.dominated:
             raise ReplayViolation(idx, "prefix dominance lost after swap")
 
         # the recorded exact values are the replayed ones

@@ -15,16 +15,11 @@ All three succeed exactly on the pairs accepted by check_gale_ryser.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import accumulate, combinations
+from operator import sub
+from typing import Optional, Sequence
 
-from .feasibility import (
-    FeasibilityReport,
-    Partition,
-    check_gale_ryser,
-    counts_above,
-    prefix_excess,
-)
+from .feasibility import FeasibilityReport, Partition, check_gale_ryser, counts_above
 
 BRUTE_FORCE_CELL_LIMIT = 20
 
@@ -177,6 +172,35 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _ColumnSums:
+    """Column sums whose sorted prefix sums bound q's, with the slack
+    that tells which single moves keep them so (see swap_construct)."""
+
+    def __init__(self, cols: list[int], q: Sequence[int], nrows: int):
+        self.cols = cols
+        self.ge = [len(cols)] + counts_above(cols, nrows)
+        self.slack = [0, *map(sub, accumulate(sorted(cols, reverse=True)), accumulate(q))]
+
+    def keeps_dominance(self, cj: int, ck: int) -> bool:
+        a, b = self.cols[cj], self.cols[ck]
+        return a <= b + 1 or min(self.slack[self.ge[a] : self.ge[b + 1] + 1]) >= 1
+
+    def move(self, cj: int, ck: int) -> None:
+        """One unit from column cj to column ck."""
+        cols, ge, slack = self.cols, self.ge, self.slack
+        a, b = cols[cj], cols[ck]
+        if a >= b + 2:
+            for t in range(ge[a], ge[b + 1] + 1):
+                slack[t] -= 1
+        elif a <= b:
+            for t in range(ge[b + 1] + 1, ge[a]):
+                slack[t] += 1
+        ge[a] -= 1
+        ge[b + 1] += 1
+        cols[cj] -= 1
+        cols[ck] += 1
+
+
 def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     """Build the matrix by single-entry moves from the left-aligned start.
 
@@ -193,6 +217,17 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     target and its receiver at or below, so both masks only shrink.  A
     row's donors are then row & surplus and its receivers ~row & deficit,
     walked in ascending bit order.
+
+    Dominance is read off a slack list: slack[t] is the sum of the t
+    largest column sums minus the sum of q's first t parts, never
+    negative since the start is q-dominating (Gale-Ryser) and every move
+    keeps it.  Moving a 1 from a column with sum a to one with sum b takes
+    one off the last a in sorted order and adds one to the first b.  When
+    a <= b + 1 no prefix sum drops, so the move keeps dominance.  When
+    a >= b + 2 the prefix sums drop by exactly 1 on the lengths
+    #{sums >= a} .. #{sums > b} and nowhere else, so the move keeps
+    dominance iff slack is at least 1 there.  ge[v] = #{sums >= v} finds
+    both ends (_ColumnSums).
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:
@@ -203,13 +238,7 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     target = list(q.parts)
     surplus = sum(1 << c for c in range(ncols) if cols[c] > target[c])
     deficit = sum(1 << c for c in range(ncols) if cols[c] < target[c])
-
-    def dominates_after(cj: int, ck: int) -> bool:
-        cand = list(cols)
-        cand[cj] -= 1
-        cand[ck] += 1
-        cand.sort(reverse=True)
-        return prefix_excess(q.parts, cand) is None
+    sums = _ColumnSums(cols, target, len(p))
 
     def find_move():
         for r, row in enumerate(rows):
@@ -217,7 +246,7 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
             if receivers:
                 for cj in _bits(row & surplus):
                     for ck in _bits(receivers):
-                        if dominates_after(cj, ck):
+                        if sums.keeps_dominance(cj, ck):
                             return r, cj, ck
         return None
 
@@ -227,8 +256,7 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
             raise ConstructionStuck("no admissible move but margins not met")
         r, cj, ck = move
         rows[r] ^= (1 << cj) | (1 << ck)
-        cols[cj] -= 1
-        cols[ck] += 1
+        sums.move(cj, ck)
         if cols[cj] == target[cj]:
             surplus ^= 1 << cj
         if cols[ck] == target[ck]:

@@ -167,7 +167,7 @@ def audit_trace(
     except ValueError as exc:  # QuantizationError, or a DyadicSet range error
         raise MalformedTrace(f"cannot rebuild initial state: {exc}") from exc
 
-    if not state.majorized():
+    if not state.dominated:
         return AuditResult(False, "initial prefix dominance fails", None)
     try:
         replayed = state.sweep(feasibility=None)

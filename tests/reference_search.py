@@ -22,36 +22,47 @@ from crosscut.feasibility import counts_above, run_excess
 from crosscut.gridset import SwapMove, SwapRecord, _Work
 
 
+def section_dominates(work: _Work, vu) -> bool:
+    """The whole section vu against the work's f, as two histograms of runs."""
+    f_runs = sorted(Counter(work.fu).items(), reverse=True)
+    return run_excess(f_runs, sorted(Counter(vu).items(), reverse=True)) is None
+
+
+def recounted_columns(work: _Work, vu, columns) -> list[int]:
+    """vu with the given cell columns recounted from all their cells."""
+    vu = list(vu)
+    for j in columns:
+        counts = counts_above([row[j] for row in work.fill], work.subs)
+        vu[j * work.subs : (j + 1) * work.subs] = [c << work.shift for c in counts]
+    return vu
+
+
+def dominance_after_by_recount(work: _Work, move: SwapMove) -> bool:
+    """Exchange the squares cell by cell, recount every column of both
+    classes from all its cells, test the whole section, then undo."""
+    span = work.side >> move.gen
+    r0, j0, k0 = (move.band - 1) * span, (move.donor - 1) * span, (move.receiver - 1) * span
+
+    def exchange():
+        for row in work.fill[r0 : r0 + span]:
+            for c in range(span):
+                row[j0 + c], row[k0 + c] = row[k0 + c], row[j0 + c]
+
+    exchange()
+    vu = recounted_columns(work, work.vu, (*range(j0, j0 + span), *range(k0, k0 + span)))
+    exchange()
+    return section_dominates(work, vu)
+
+
 class ReferenceWork(_Work):
     def residual_units(self) -> int:
         return sum(abs(a - b) for a, b in zip(self.fu, self.vu))
 
-    def _section_dominates(self, vu) -> bool:
-        """The whole section vu against f, as two histograms of runs."""
-        f_runs = sorted(Counter(self.fu).items(), reverse=True)
-        return run_excess(f_runs, sorted(Counter(vu).items(), reverse=True)) is None
-
     def majorized(self) -> bool:
-        return self._section_dominates(self.vu)
+        return section_dominates(self, self.vu)
 
     def _dominance_after(self, move: SwapMove) -> bool:
-        """Exchange the squares cell by cell, recount every column of both
-        classes from all its cells, test the whole section, then undo."""
-        span = self.side >> move.gen
-        r0, j0, k0 = (move.band - 1) * span, (move.donor - 1) * span, (move.receiver - 1) * span
-
-        def exchange():
-            for row in self.fill[r0 : r0 + span]:
-                for c in range(span):
-                    row[j0 + c], row[k0 + c] = row[k0 + c], row[j0 + c]
-
-        exchange()
-        vu = self.vu[:]
-        for j in (*range(j0, j0 + span), *range(k0, k0 + span)):
-            counts = counts_above([row[j] for row in self.fill], self.subs)
-            vu[j * self.subs : (j + 1) * self.subs] = [c << self.shift for c in counts]
-        exchange()
-        return self._section_dominates(vu)
+        return dominance_after_by_recount(self, move)
 
     def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
         """Receiver block <= donor block in every cell, and not equal."""

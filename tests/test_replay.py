@@ -27,11 +27,12 @@ class _Drifting(ReplayState):
         super().__init__(*args)
         self.at, self.nth = at, nth
 
-    def _recount_classes(self, move):
-        super()._recount_classes(move)
+    def _write_section(self, changes, heights):
+        drop = super()._write_section(changes, heights)
         self.nth -= 1
         if self.nth == 0:
             self.vu[self.at] += 1
+        return drop
 
 
 def _replay_one(fill, f, params, move, record, state_cls=ReplayState, **kw):
@@ -129,20 +130,20 @@ def _sweep_violation(state):
 
 
 def _on_second_exchange(monkeypatch, corrupt):
-    """Runs corrupt(fill, move, moved) -> moved after the second exchange."""
+    """Runs corrupt(fill, rows, moved) -> moved after the second exchange."""
     exchange, calls = gridset._exchange, []
 
-    def patched(fill, move):
-        moved = exchange(fill, move)
-        calls.append(move)
-        return corrupt(fill, move, moved) if len(calls) == 2 else moved
+    def patched(fill, rows, donor, receiver):
+        moved = exchange(fill, rows, donor, receiver)
+        calls.append(rows)
+        return corrupt(fill, rows, moved) if len(calls) == 2 else moved
 
     monkeypatch.setattr(gridset, "_exchange", patched)
 
 
 def test_injected_row_change_is_flagged(monkeypatch):
-    def leak(fill, move, moved):
-        row = fill[(move.band - 1) * (len(fill) >> move.gen)]
+    def leak(fill, rows, moved):
+        row = fill[rows.start]
         row[0] = row[0] - 1 if row[0] else 1
         return moved
 
@@ -153,7 +154,7 @@ def test_injected_row_change_is_flagged(monkeypatch):
 
 def test_injected_miscount_is_flagged(monkeypatch):
     state = _fixture_state()
-    _on_second_exchange(monkeypatch, lambda fill, move, moved: moved + 1)
+    _on_second_exchange(monkeypatch, lambda fill, rows, moved: moved + 1)
     assert _sweep_violation(state) == (1, "symmetric difference bookkeeping mismatch")
 
 
