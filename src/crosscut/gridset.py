@@ -44,19 +44,21 @@ squares cell by cell.
 A swap's bookkeeping follows the cells it moves.  A cell of width a that
 takes the place of one of width b raises its column by one cell on the
 sub-columns [b, a) and lowers it on [a, b), so the section, its L1 gap
-to f and the histogram of section heights are updated from the exchanged
-cell pairs alone.  Dominance is tested on a window of the sorted order.
-Let [lo, hi] be the heights that the changed sub-columns take before or
-after the move.  The mass above hi, the mass below lo and the total stay
-the same, so the sorted section's prefix sums can change only between
-positions #{v > hi} and #{v >= lo}.  If the section dominated f before
-the move, it dominates after it exactly when it does inside that window.
-Within a run of equal heights the gap between the two prefix sums is
-convex, so each run is tested once, at the run end or the end of an f
-run where the gap is smallest.  The induction starts at the checked
-start of reconstruct and audit_trace, and every probed or replayed swap
-keeps it; a state built on a set that does not dominate f tests the
-whole sorted order until a swap makes it dominate.
+to f and the count of sub-columns per height are updated from the
+exchanged cell pairs alone.  Dominance is tested on a window of the
+sorted section.  Let lo and hi be the least and the greatest height a
+changed sub-column has before or after the move.  The mass above hi, the
+mass below lo and the total stay the same, so the sorted prefix sums can
+change only between positions #{v > hi} and #{v >= lo}.  On the run of
+height hi they can only rise, as the values they replace were at most
+hi, and on the run of height lo likewise, as the values below them were
+at least lo; only the heights strictly between need a test.  That is
+exact when the section dominated f before the move.  The induction
+starts at the checked start of reconstruct and audit_trace, and every
+probed or replayed swap keeps it; a state that does not dominate f,
+built on an arbitrary set, tests the whole sorted order.  Along a run of
+equal heights the gap between the two prefix sums is convex, so each run
+is tested once, where f's values fall to its height.
 
 A search keeps its state for the length of a generation: the donor and
 receiver lists and the band it resumes at.  Three facts keep the first
@@ -387,11 +389,8 @@ class _Work:
         heights = [0] * (self.side + 1)
         for v in self.vu:
             heights[v >> self.shift] += 1
-        self.above = [0] * (self.side + 2)
-        self.mass = [0] * (self.side + 2)
-        for c in range(self.side, -1, -1):
-            self.above[c] = self.above[c + 1] + heights[c]
-            self.mass[c] = self.mass[c + 1] + c * heights[c]
+        self.above = [*accumulate(reversed(heights))][::-1] + [0]
+        self.mass = [*accumulate(c * heights[c] for c in range(self.side, -1, -1))][::-1] + [0]
         self.full: Optional[list[int]] = None
         self.nonempty: Optional[list[int]] = None
         self.twin = False  # some row has two partial (nonempty, not full) cells
@@ -401,16 +400,17 @@ class _Work:
 
     # -- state maintenance -------------------------------------------------
 
-    def _section_change(self, rows: slice, donor: slice, receiver: slice) -> list[tuple[int, int]]:
-        """(sub-column, change in cells) for each sub-column whose section
-        the exchange of the two squares changes, read off their cells.
+    def _section_change(self, rows: slice, donor: slice, receiver: slice):
+        """The section change of exchanging the two squares, read off their
+        cells: (sub-column, change in cells) pairs, and the net change of
+        the number of sub-columns at each height.
 
         A donor cell a replaced by the receiver's b adds one cell to the
         donor column on [a, b) and takes one off on [b, a): a difference
         array with +1 at a and -1 at b.  The receiver column changes the
         other way.
         """
-        subs, w = self.subs, self.subs + 1
+        subs, w, vu, shift = self.subs, self.subs + 1, self.vu, self.shift
         span = donor.stop - donor.start
         diff = [0] * (span * w)
         for row in self.fill[rows]:
@@ -418,47 +418,38 @@ class _Work:
                 if a != b:
                     diff[at + a] += 1
                     diff[at + b] -= 1
-        out = []
+        changes: list[tuple[int, int]] = []
+        heights: dict[int, int] = {}
         for c in range(span):
             at = c * w
             if any(diff[at : at + w]):
                 j, k = (donor.start + c) * subs, (receiver.start + c) * subs
                 for m, d in enumerate(accumulate(diff[at : at + subs])):
                     if d:
-                        out.append((j + m, d))
-                        out.append((k + m, -d))
-        return out
-
-    def _height_change(self, changes: list[tuple[int, int]]) -> dict[int, int]:
-        """Net change of the number of sub-columns at each height."""
-        vu, shift = self.vu, self.shift
-        out: dict[int, int] = {}
-        for i, d in changes:
-            h = vu[i] >> shift
-            out[h] = out.get(h, 0) - 1
-            out[h + d] = out.get(h + d, 0) + 1
-        return out
+                        for i, e in ((j + m, d), (k + m, -d)):
+                            h = vu[i] >> shift
+                            heights[h] = heights.get(h, 0) - 1
+                            heights[h + e] = heights.get(h + e, 0) + 1
+                            changes.append((i, e))
+        return changes, heights
 
     def _write_section(self, changes: list[tuple[int, int]], heights: dict[int, int]) -> int:
-        """Apply the section and height changes; returns the drop of
-        |f - v|_1 in residual units.  above and mass change only strictly
-        above the lowest height touched, since the moved sub-columns keep
-        their number and their total."""
+        """Apply a section change; returns the drop of |f - v|_1 in
+        residual units.  above and mass change only above the least height
+        touched, as the moved sub-columns keep their number and total."""
         fu, vu, shift = self.fu, self.vu, self.shift
         drop = 0
         for i, d in changes:
             f, v = fu[i], vu[i]
             vu[i] = w = v + (d << shift)
             drop += abs(f - v) - abs(f - w)
-        if heights:
-            above, mass = self.above, self.mass
-            count = total = 0
-            for c in range(max(heights), min(heights), -1):
-                dc = heights.get(c, 0)
-                count += dc
-                total += c * dc
-                above[c] += count
-                mass[c] += total
+        count = total = 0
+        for c in range(max(heights, default=0), min(heights, default=0), -1):
+            dc = heights.get(c, 0)
+            count += dc
+            total += c * dc
+            self.above[c] += count
+            self.mass[c] += total
         return drop
 
     def _row_masks(self) -> tuple[list[int], list[int]]:
@@ -488,16 +479,21 @@ class _Work:
     def residual_dyadic(self) -> Dyadic:
         return Dyadic(self.residual_units(), self.D + self.N + self.K)
 
-    def _dominates(self, heights: dict[int, int], lo: int, hi: int) -> bool:
-        """Prefix sums of the sorted section, with the height counts
-        changed by heights, bound f's at every position held by a height
-        strictly between lo and hi; lo = -1, hi = 2**N + 1 tests the whole
-        sorted order.
+    def _dominates(self, heights: dict[int, int], whole: bool = False) -> bool:
+        """Whether the sorted section, with the number of sub-columns at
+        each height changed by heights, still has prefix sums bounding
+        f's.  A dominating state tests the heights strictly between the
+        least and the greatest changed one (see the module docstring);
+        otherwise, or when whole is set, every height is tested.
 
         The section is linear along a run of equal heights c and f's
         prefix sum concave, so their gap is smallest at the run position
         nearest to f_over[c], where f's values fall to c or below.
         """
+        if whole or not self.dominated:
+            lo, hi = -1, self.side + 1
+        else:
+            lo, hi = min(heights, default=0), max(heights, default=0)
         above, f_top, f_over, shift = self.above, self.f_top, self.f_over, self.shift
         rise = heights.get(hi, 0)
         pos, total = above[hi] + rise, self.mass[hi] + hi * rise
@@ -513,17 +509,7 @@ class _Work:
 
     def majorized(self) -> bool:
         """Prefix integral of sorted f never exceeds that of sorted v."""
-        return self._dominates({}, -1, self.side + 1)
-
-    def _dominates_after(self, heights: dict[int, int]) -> bool:
-        """Prefix dominance once the height counts change by heights: on
-        the window of the changed heights when the state dominates, on the
-        whole sorted order otherwise."""
-        if not heights:
-            return self.dominated
-        if self.dominated:
-            return self._dominates(heights, min(heights), max(heights))
-        return self._dominates(heights, -1, self.side + 1)
+        return self._dominates({}, whole=True)
 
     # -- swap conditions -------------------------------------------------------
 
@@ -589,8 +575,7 @@ class _Work:
     def _dominance_after(self, move: SwapMove) -> bool:
         """Prefix dominance of the section the move would leave, read off
         the move's cells; nothing is changed."""
-        changes = self._section_change(*_squares(self.side, move))
-        return self._dominates_after(self._height_change(changes))
+        return self._dominates(self._section_change(*_squares(self.side, move))[1])
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -640,18 +625,16 @@ class _Work:
         return None
 
     def apply(self, move: SwapMove) -> SwapRecord:
-        """Exchange the move's squares; the section, the L1 drop and the
-        height counts are updated from the exchanged cells.  A move the
-        last search found keeps dominance, as its probe showed; any other
-        move is tested.  The generation's search state is kept for the
-        move its last search found, dropping a donor or receiver that lost
-        its margin, and dropped for any other move."""
+        """Exchange the move's squares and update the section, the L1 drop
+        and the height counts from the exchanged cells.  The move the last
+        search found keeps dominance, as its probe showed, and keeps the
+        generation's search state, less a donor or receiver that lost its
+        margin; any other move is tested and drops the search state."""
         rows, donor, receiver = _squares(self.side, move)
-        changes = self._section_change(rows, donor, receiver)
-        heights = self._height_change(changes)
+        changes, heights = self._section_change(rows, donor, receiver)
         scan = self.scan
         found = scan is not None and move == scan.found
-        self.dominated = found or self._dominates_after(heights)
+        self.dominated = found or self._dominates(heights)
         for r in range(rows.start, rows.stop):
             if r not in self.saved:
                 self.saved[r] = self.fill[r][:]

@@ -190,11 +190,11 @@ class _ColumnSums:
         cols, ge, slack = self.cols, self.ge, self.slack
         a, b = cols[cj], cols[ck]
         if a >= b + 2:
-            for t in range(ge[a], ge[b + 1] + 1):
-                slack[t] -= 1
+            lo, hi = ge[a], ge[b + 1] + 1
+            slack[lo:hi] = [s - 1 for s in slack[lo:hi]]
         elif a <= b:
-            for t in range(ge[b + 1] + 1, ge[a]):
-                slack[t] += 1
+            lo, hi = ge[b + 1] + 1, ge[a]
+            slack[lo:hi] = [s + 1 for s in slack[lo:hi]]
         ge[a] -= 1
         ge[b + 1] += 1
         cols[cj] -= 1
