@@ -49,11 +49,13 @@ exchanged cell pairs alone.  Dominance is tested on a window of the
 sorted section.  Let lo and hi be the least and the greatest height a
 changed sub-column has before or after the move.  The mass above hi, the
 mass below lo and the total stay the same, so the sorted prefix sums can
-change only between positions #{v > hi} and #{v >= lo}.  On the run of
-height hi they can only rise, as the values they replace were at most
-hi, and on the run of height lo likewise, as the values below them were
-at least lo; only the heights strictly between need a test.  That is
-exact when the section dominated f before the move.  The induction
+change only between positions #{v > hi} and #{v >= lo}.  Along the run
+of height hi they grow by hi a position from that unchanged start, where
+they grew by at most hi before; back along the run of height lo they
+fall by lo a position from that unchanged end, where they fell by at
+least lo before.  Neither run can lose dominance, so only the heights
+strictly between lo and hi need a test.  That is exact when the section
+dominated f before the move.  The induction
 starts at the checked start of reconstruct and audit_trace, and every
 probed or replayed swap keeps it; a state that does not dominate f,
 built on an arbitrary set, tests the whole sorted order.  Along a run of
