@@ -701,9 +701,9 @@ class _Work:
                 on_swap(rec)
 
         gens = []
+        cap = self.subs
         for gen in range(1, self.N + 1):
             gens.append(self.run_generation(gen, record))
-            cap = self.subs
             if any(sum(1 for w in self.fill[r] if 0 < w < cap) > 1 for r in self.saved):
                 raise InvariantViolation(f"generation {gen} left a band with two partial cells")
         return TraceSummary(
