@@ -1,5 +1,9 @@
-"""The cell-by-cell move search of matrices.swap_construct, kept as the
-reference for the bitmask search.
+"""The cell-grid constructions of matrices.ryser_construct and
+matrices.swap_construct, kept as the references for the mask-based ones.
+
+reference_ryser_construct fills one column at a time, in q's order: a
+full sort of all rows by remaining need, ties to the lowest row index,
+picks the rows that take a 1.
 
 reference_swap_construct starts from the same left-aligned matrix and
 fires the same first-found move: rows top-down, then the leftmost
@@ -48,4 +52,16 @@ def reference_swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
         grid[r][ck] = 1
         cols[cj] -= 1
         cols[ck] += 1
+    return BinaryMatrix.from_rows(grid)
+
+
+def reference_ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
+    """The matrix ryser_construct builds for a Gale-Ryser feasible pair."""
+    nrows, ncols = len(p), len(q)
+    need = list(p.parts)
+    grid = [[0] * ncols for _ in range(nrows)]
+    for c in range(ncols):
+        for r in sorted(range(nrows), key=lambda r: (-need[r], r))[: q.parts[c]]:
+            grid[r][c] = 1
+            need[r] -= 1
     return BinaryMatrix.from_rows(grid)

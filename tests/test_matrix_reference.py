@@ -1,8 +1,11 @@
-"""matrices.swap_construct against the cell-by-cell reference scan.
+"""matrices.ryser_construct and matrices.swap_construct against their
+cell-grid references.
 
-tests/reference_matrix.py keeps the scan that retests every (row, donor,
-receiver) cell from row 0 on each move.  swap_construct must fire the
-same moves, so both build the same matrix.
+tests/reference_matrix.py keeps the greedy that sorts every row for each
+column and the scan that retests every (row, donor, receiver) cell from
+row 0 on each move.  ryser_construct must pick the same rows and
+swap_construct must fire the same moves, so each builds the matrix of
+its reference.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ import random
 
 import pytest
 
-from crosscut import Partition, swap_construct
+from crosscut import Partition, ryser_construct, swap_construct
 from crosscut.gridset import _plateau_values
 from crosscut.ingest import quantize
 from crosscut.matrices import BinaryMatrix, col_sums, row_sums
-from reference_matrix import reference_swap_construct
+from reference_matrix import reference_ryser_construct, reference_swap_construct
 from test_golden import CASES
 
 
@@ -48,4 +51,54 @@ def test_swap_construct_matches_reference_on_ramp_shadow():
     assert len(p) == 128
     a = swap_construct(p, q)
     assert a == reference_swap_construct(p, q)
+    assert row_sums(a) == p.parts and col_sums(a) == q.parts
+
+
+def _ramp_shadow():
+    """Rows and columns of the N=7 ramp's discrete shadow, 128 each."""
+    raw_f, raw_g, params = CASES["sweep7_ramp"]
+    f, g = (quantize(raw, params)[0] for raw in (raw_f, raw_g))
+    return tuple(
+        Partition(tuple(int(v.to_fraction() * params.side) for v in _plateau_values(fn, params.depth)))
+        for fn in (g, f)
+    )
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_ryser_construct_matches_reference_on_random_margins(chunk):
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        p, q = _random_margins(random.Random(53_000 + seed))
+        assert ryser_construct(p, q) == reference_ryser_construct(p, q), seed
+
+
+def test_ryser_construct_matches_reference_on_ramp_shadow():
+    p, q = _ramp_shadow()
+    a = ryser_construct(p, q)
+    assert a == reference_ryser_construct(p, q)
+    assert row_sums(a) == p.parts and col_sums(a) == q.parts
+
+
+EDGE_SHAPES = {
+    "no_rows_no_cols": ((), ()),
+    "no_cols": ((0, 0), ()),
+    "all_zero": ((0, 0, 0), (0, 0)),
+    "zero_row_and_col": ((2, 1, 0), (2, 1, 0)),
+    "full_rows": ((3, 3), (2, 2, 2)),
+    "full_rows_zero_row": ((4, 4, 0), (2, 2, 2, 2)),
+    "one_full_column": ((1, 1, 1), (3, 0)),
+}
+CONSTRUCTORS = {
+    "ryser": (ryser_construct, reference_ryser_construct),
+    "swap": (swap_construct, reference_swap_construct),
+}
+
+
+@pytest.mark.parametrize("method", CONSTRUCTORS)
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+def test_constructors_match_reference_on_edge_shapes(shape, method):
+    construct, reference = CONSTRUCTORS[method]
+    p, q = (Partition(parts) for parts in EDGE_SHAPES[shape])
+    a = construct(p, q)
+    assert a == reference(p, q)
+    assert (a.rows, a.cols) == (len(p), len(q))
     assert row_sums(a) == p.parts and col_sums(a) == q.parts
