@@ -10,6 +10,14 @@ cross-check each other:
   * brute_force_realize: exhaustive search oracle for small instances.
 
 All three succeed exactly on the pairs accepted by check_gale_ryser.
+
+The two constructors hold each row as an int mask, bit c for column c,
+and cost what their moves cost.  ryser_construct keeps the rows in
+buckets by remaining need, so a column takes whole buckets and one
+prefix instead of sorting every row.  swap_construct resumes its row
+walk at the first row the last walk found holding a (donor, receiver)
+pair: the surplus and deficit masks only shrink and a row changes only
+when a move fires in it, so an earlier row never holds a pair again.
 """
 
 from __future__ import annotations
@@ -86,11 +94,29 @@ class BinaryMatrix:
 
 
 def row_sums(a: BinaryMatrix) -> tuple[int, ...]:
-    return tuple(sum(row) for row in a.entries)
+    return tuple(map(sum, a.entries))
 
 
 def col_sums(a: BinaryMatrix) -> tuple[int, ...]:
-    return tuple(sum(row[c] for row in a.entries) for c in range(a.cols))
+    if not a.entries:
+        return (0,) * a.cols
+    return tuple(map(sum, zip(*a.entries)))
+
+
+_CELLS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _from_masks(rows: Sequence[int], ncols: int) -> BinaryMatrix:
+    """The matrix whose row r holds bit c of rows[r] in column c.
+
+    Each row's entries come from one pass over its binary digits: the
+    bit at ncols pads the digits to ncols + 1 and the reversal drops it.
+    """
+    entries = tuple(
+        tuple(format(row | 1 << ncols, "b")[:0:-1].encode().translate(_CELLS))
+        for row in rows
+    )
+    return BinaryMatrix(len(rows), ncols, entries)
 
 
 def _check_margins(a: BinaryMatrix, p: Partition, q: Partition) -> None:
@@ -100,20 +126,49 @@ def _check_margins(a: BinaryMatrix, p: Partition, q: Partition) -> None:
 
 def ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
     """Greedy fill: columns in nonincreasing q order, each column's ones
-    placed into the rows with largest remaining demand (ties to the lowest
-    row index).  Margins are verified exactly after the fill."""
+    placed into the rows with largest remaining need (ties to the lowest
+    row index).  Margins are verified exactly after the fill.
+
+    The rows are held in buckets by remaining need, each ascending by row
+    index, so a column takes whole buckets from the top and a prefix of
+    the last bucket u it reaches: the rows a sort by (need descending,
+    row ascending) would list first.  Every taken row's need drops by
+    one.  The taken prefix of u merges into bucket u - 1, the bucket above
+    u merges into what is left of u, and the other whole buckets shift
+    down one need unchanged, so two merges per column keep every bucket
+    ascending.  A need-0 row is never taken: feasibility makes the
+    buckets above 0 hold enough rows.
+    """
     report = check_gale_ryser(p, q)
     if not report.feasible:
         raise InfeasibleMargins(report)
-    nrows, ncols = len(p), len(q)
-    need = list(p.parts)
-    grid = [[0] * ncols for _ in range(nrows)]
-    for c in range(ncols):
-        chosen = sorted(range(nrows), key=lambda r: (-need[r], r))[: q.parts[c]]
-        for r in chosen:
-            grid[r][c] = 1
-            need[r] -= 1
-    a = BinaryMatrix.from_rows(grid)
+    ncols = len(q)
+    rows = [0] * len(p)
+    # one empty bucket above the top need, so the shift needs no case
+    buckets: list[list[int]] = [[] for _ in range(ncols + 2)]
+    for r, part in enumerate(p.parts):
+        buckets[part].append(r)
+    top = p.parts[0] if p.parts else 0
+    for c, k in enumerate(q.parts):
+        if not k:
+            break
+        u = top
+        while u and len(buckets[u]) <= k:
+            k -= len(buckets[u])
+            u -= 1
+        if not u and k:
+            raise ConstructionStuck("greedy fill ran out of rows with need")
+        bit = 1 << c
+        head, rest = buckets[u][:k], buckets[u][k:]
+        for bucket in (head, *buckets[u + 1 : top + 1]):
+            for r in bucket:
+                rows[r] |= bit
+        if k:
+            buckets[u - 1] = sorted(buckets[u - 1] + head)
+        buckets[u : top + 1] = [sorted(rest + buckets[u + 1]), *buckets[u + 2 : top + 2]]
+        if u < top:
+            top -= 1
+    a = _from_masks(rows, ncols)
     _check_margins(a, p, q)
     return a
 
@@ -209,7 +264,8 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     a 1 from a surplus column to a deficit column within one row, subject
     to the sorted column sums keeping their prefix dominance over q; every
     move brings the column sums closer to q by exactly 2 in L1, so the
-    loop terminates.
+    loop terminates.  Feasibility makes the totals equal, so the loop
+    stops when no column is left in surplus.
 
     The first move in (row, donor, receiver) order fires.  Rows are held
     as int masks, bit c for column c, beside a mask of the surplus and
@@ -217,6 +273,12 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     target and its receiver at or below, so both masks only shrink.  A
     row's donors are then row & surplus and its receivers ~row & deficit,
     walked in ascending bit order.
+
+    The row walk resumes where the last one first met a row holding a
+    (donor, receiver) pair, the fired move's row or one whose pairs
+    dominance rejected, never past it.  A row before that one held no
+    pair; the masks only shrink and a row changes only when a move fires
+    in it, so it holds none later and a walk from row 0 would pass it.
 
     Dominance is read off a slack list: slack[t] is the sum of the t
     largest column sums minus the sum of q's first t parts, never
@@ -232,36 +294,40 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     report = check_gale_ryser(p, q)
     if not report.feasible:
         raise InfeasibleMargins(report)
-    ncols = len(q)
+    nrows, ncols = len(p), len(q)
     rows = [(1 << part) - 1 for part in p.parts]
     cols = counts_above(p.parts, ncols)
     target = list(q.parts)
     surplus = sum(1 << c for c in range(ncols) if cols[c] > target[c])
     deficit = sum(1 << c for c in range(ncols) if cols[c] < target[c])
-    sums = _ColumnSums(cols, target, len(p))
+    sums = _ColumnSums(cols, target, nrows)
 
-    def find_move():
-        for r, row in enumerate(rows):
-            receivers = ~row & deficit
-            if receivers:
-                for cj in _bits(row & surplus):
+    def find_move(start):
+        """The first admissible move from row start on, with the first
+        row there that holds any pair."""
+        first = None
+        for r in range(start, nrows):
+            row = rows[r]
+            donors, receivers = row & surplus, ~row & deficit
+            if donors and receivers:
+                if first is None:
+                    first = r
+                for cj in _bits(donors):
                     for ck in _bits(receivers):
                         if sums.keeps_dominance(cj, ck):
-                            return r, cj, ck
-        return None
+                            return first, r, cj, ck
+        raise ConstructionStuck("no admissible move but margins not met")
 
-    while cols != target:
-        move = find_move()
-        if move is None:
-            raise ConstructionStuck("no admissible move but margins not met")
-        r, cj, ck = move
+    start = 0
+    while surplus:
+        start, r, cj, ck = find_move(start)
         rows[r] ^= (1 << cj) | (1 << ck)
         sums.move(cj, ck)
         if cols[cj] == target[cj]:
             surplus ^= 1 << cj
         if cols[ck] == target[ck]:
             deficit ^= 1 << ck
-    a = BinaryMatrix.from_rows([[(row >> c) & 1 for c in range(ncols)] for row in rows])
+    a = _from_masks(rows, ncols)
     _check_margins(a, p, q)
     return a
 
@@ -287,7 +353,7 @@ def realize_exact_margins(row_targets, col_targets) -> Optional[BinaryMatrix]:
     for si, i in enumerate(row_order):
         for sj, j in enumerate(col_order):
             entries[i][j] = sorted_a.entries[si][sj]
-    a = BinaryMatrix.from_rows(entries)
+    a = BinaryMatrix(len(rt), len(ct), tuple(map(tuple, entries)))
     if list(row_sums(a)) != rt or list(col_sums(a)) != ct:
         raise ConstructionStuck("permuted matrix misses its margins")
     return a

@@ -1,10 +1,15 @@
 """Matrix constructors against the exhaustive oracle."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crosscut
 from crosscut import (
     BinaryMatrix,
     InfeasibleMargins,
@@ -15,7 +20,13 @@ from crosscut import (
     ryser_construct,
     swap_construct,
 )
-from crosscut.matrices import col_sums, realize_exact_margins, row_sums
+from crosscut.matrices import (
+    ConstructionStuck,
+    _ColumnSums,
+    col_sums,
+    realize_exact_margins,
+    row_sums,
+)
 
 
 def test_row_and_col_sums():
@@ -97,6 +108,45 @@ def test_swap_construct_with_oracle_confirmation():
 def test_swap_construct_rejects_infeasible():
     with pytest.raises(InfeasibleMargins):
         swap_construct(Partition((4, 1)), Partition((2, 2, 1)))
+
+
+def test_swap_construct_without_admissible_move_raises(monkeypatch):
+    # the row walk must end in ConstructionStuck when dominance rejects
+    # every pair, not loop or run off the rows
+    monkeypatch.setattr(_ColumnSums, "keeps_dominance", lambda self, cj, ck: False)
+    with pytest.raises(ConstructionStuck):
+        swap_construct(Partition((2, 2)), Partition((2, 1, 1)))
+
+
+def test_swap_construct_without_admissible_move_raises_under_python_O():
+    code = (
+        "from crosscut import Partition, swap_construct\n"
+        "from crosscut.matrices import ConstructionStuck, _ColumnSums\n"
+        "_ColumnSums.keeps_dominance = lambda self, cj, ck: False\n"
+        "try:\n"
+        "    swap_construct(Partition((2, 2)), Partition((2, 1, 1)))\n"
+        "except ConstructionStuck:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(pathlib.Path(crosscut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_constructors_keep_the_width_of_a_matrix_without_rows():
+    # from_rows cannot tell the width of an empty grid; the constructors
+    # build from the declared shape
+    p, q = Partition(()), Partition((0, 0, 0))
+    for build in (ryser_construct, swap_construct):
+        a = build(p, q)
+        assert a == BinaryMatrix(0, 3, ())
+        assert row_sums(a) == () and col_sums(a) == (0, 0, 0)
+    a = realize_exact_margins([], [0, 0, 0])
+    assert a == BinaryMatrix(0, 3, ())
 
 
 def test_realize_exact_margins_keeps_input_order():

@@ -14,10 +14,10 @@ import random
 
 import pytest
 
-from crosscut import Partition, ryser_construct, swap_construct
+from crosscut import Partition, matrices, ryser_construct, swap_construct
 from crosscut.gridset import _plateau_values
 from crosscut.ingest import quantize
-from crosscut.matrices import BinaryMatrix, col_sums, row_sums
+from crosscut.matrices import BinaryMatrix, _ColumnSums, col_sums, row_sums
 from reference_matrix import reference_ryser_construct, reference_swap_construct
 from test_golden import CASES
 
@@ -102,3 +102,30 @@ def test_constructors_match_reference_on_edge_shapes(shape, method):
     assert a == reference(p, q)
     assert (a.rows, a.cols) == (len(p), len(q))
     assert row_sums(a) == p.parts and col_sums(a) == q.parts
+
+
+def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow(monkeypatch):
+    # the row walk resumes at the first row that held a (donor, receiver)
+    # pair, so a move whose first pair keeps dominance walks one donor and
+    # one receiver list; the rows term leaves room for rejected pairs.
+    # Walking from row 0 on every move makes 30,471 calls.
+    calls, moves = [], []
+    bits, move = matrices._bits, _ColumnSums.move
+
+    def counted_bits(mask):
+        calls.append(mask)
+        return bits(mask)
+
+    def counted_move(self, cj, ck):
+        moves.append((cj, ck))
+        move(self, cj, ck)
+
+    monkeypatch.setattr(matrices, "_bits", counted_bits)
+    monkeypatch.setattr(_ColumnSums, "move", counted_move)
+    p, q = _ramp_shadow()
+    a = swap_construct(p, q)
+    assert a == reference_swap_construct(p, q)
+    assert len(moves) == 1344
+    bound = 2 * len(moves) + len(p)
+    assert bound == 2816
+    assert len(calls) <= bound
