@@ -12,7 +12,9 @@ agree and
     integral_0^t f*(s) ds  <=  integral_0^t lambda_g(s) ds   for all t > 0.
 
 Both sides are piecewise linear in t, so checking them at the union of
-their slope-change points is exact and complete.  Every check returns a
+their slope-change points is exact and complete.  check_hlp reads f and
+g as integer runs (StepFunction.runs) on two common scales and walks the
+runs of f* and lambda_g in step (run_excess).  Every check returns a
 certificate: either a feasible verdict or the first failing point with
 both sides of the violated inequality.
 """
@@ -25,7 +27,7 @@ from itertools import accumulate, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from .dyadic import Dyadic
-from .stepfn import StepFunction, distribution_steps, rearrange
+from .stepfn import StepFunction, _by_value
 
 Number = Union[int, Dyadic]
 
@@ -138,31 +140,26 @@ def run_excess(
     """prefix_excess for step functions given as (value, width) runs from 0.
 
     Each side is zero beyond its last run.  Both primitives are linear
-    between consecutive run ends of either side, so comparing them at
-    every run end decides the whole inequality.  Returns the first run
-    end t where the integral of lhs over [0, t] exceeds that of rhs, as
-    (t, lhs integral, rhs integral); None when rhs dominates throughout.
+    between consecutive run ends of either side, so the walk goes through
+    both lists in step and compares the integrals at every run end.
+    Returns the first run end t where the integral of lhs over [0, t]
+    exceeds that of rhs, as (t, lhs integral, rhs integral); None when
+    rhs dominates throughout.  A run of zero width adds nothing.
     """
-    ends = sorted({*accumulate(w for _, w in lhs), *accumulate(w for _, w in rhs)})
-
-    def cut(runs):
-        # integral of the runs over each piece between consecutive ends
-        out, pos, pieces = [], 0, iter(ends)
-        end = 0
-        for v, w in runs:
-            end += w
-            for t in pieces:
-                out.append(v * (t - pos))
-                pos = t
-                if t == end:
-                    break
-        return out
-
-    excess = prefix_excess(cut(lhs), cut(rhs))
-    if excess is None:
-        return None
-    m, a, b = excess
-    return ends[m - 1], a, b
+    sides = iter(lhs), iter(rhs)
+    # each side's current run as (value, width still to walk), None once spent
+    runs = [next(side, None) for side in sides]
+    t, sums = 0, [0, 0]
+    while runs != [None, None]:
+        step = min(w for _, w in filter(None, runs))
+        t += step
+        for i, run in enumerate(runs):
+            if run is not None:
+                sums[i] += run[0] * step
+                runs[i] = (run[0], run[1] - step) if run[1] > step else next(sides[i], None)
+        if sums[0] > sums[1]:
+            return t, sums[0], sums[1]
+    return None
 
 
 def check_gale_ryser(p: Partition, q: Partition) -> FeasibilityReport:
@@ -183,23 +180,30 @@ def check_gale_ryser(p: Partition, q: Partition) -> FeasibilityReport:
     return FeasibilityReport(Verdict.FEASIBLE, totals=totals)
 
 
-def _hlp_report(
-    f: StepFunction, g: StepFunction, left: StepFunction, right: StepFunction
-) -> FeasibilityReport:
-    """Compare the integrals of f and g, then the rearrangement primitive
-    of left against the distribution primitive of right."""
-    nf, ng = f.integral(), g.integral()
-    if nf != ng:
-        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=(nf, ng))
-    excess = run_excess(
-        [(v, hi - lo) for lo, hi, v in rearrange(left).intervals()],
-        [(lam, hi - lo) for lo, hi, lam in distribution_steps(right)],
-    )
+def _hlp_report(left: StepFunction, right: StepFunction, flip: bool) -> FeasibilityReport:
+    """Compare the integrals of left and right, then the rearrangement
+    primitive of left against the distribution primitive of right, all on
+    integer runs: left's widths and right's values lie along t, over
+    2**-ex, left's values and right's widths over 2**-ey, and integrals
+    over 2**-(ex+ey).  The totals come in (f, g) order, flipped if flip."""
+    ex = max(x.exp for x in (*left.breakpoints, *right.values))
+    ey = max(y.exp for y in (*left.values, *right.breakpoints))
+    fstar = _by_value(left.runs(ex, ey))
+    levels = _by_value(right.runs(ey, ex))
+    nl, nr = (Dyadic(sum(h * w for h, w in runs), ex + ey) for runs in (fstar, levels))
+    totals = (nr, nl) if flip else (nl, nr)
+    if nl != nr:
+        return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=totals)
+    # lambda_right from 0 up: the i largest levels' summed width on [v_{i+1}, v_i)
+    tops, bottoms = [v for v, _ in levels], [v for v, _ in levels[1:]] + [0]
+    measures = accumulate(w for _, w in levels)
+    lam = [(m, top - bottom) for m, top, bottom in zip(measures, tops, bottoms)]
+    excess = run_excess(fstar, lam[::-1])
     if excess is not None:
-        return FeasibilityReport(
-            Verdict.INFEASIBLE_MAJORIZATION, witness=Witness(*excess), totals=(nf, ng)
-        )
-    return FeasibilityReport(Verdict.FEASIBLE, totals=(nf, ng))
+        t, a, b = excess
+        witness = Witness(Dyadic(t, ex), Dyadic(a, ex + ey), Dyadic(b, ex + ey))
+        return FeasibilityReport(Verdict.INFEASIBLE_MAJORIZATION, witness=witness, totals=totals)
+    return FeasibilityReport(Verdict.FEASIBLE, totals=totals)
 
 
 def check_hlp(f: StepFunction, g: StepFunction) -> FeasibilityReport:
@@ -210,7 +214,7 @@ def check_hlp(f: StepFunction, g: StepFunction) -> FeasibilityReport:
     never exceeds the prefix integral of lambda_g.  Exact: both primitives
     are piecewise linear and are compared at every slope change.
     """
-    return _hlp_report(f, g, f, g)
+    return _hlp_report(f, g, False)
 
 
 def check_hlp_symmetric(f: StepFunction, g: StepFunction) -> FeasibilityReport:
@@ -221,4 +225,4 @@ def check_hlp_symmetric(f: StepFunction, g: StepFunction) -> FeasibilityReport:
     realizing set to swap the two cross sections); keeping both directions
     makes that a testable property rather than an assumption.
     """
-    return _hlp_report(f, g, g, f)
+    return _hlp_report(g, f, True)

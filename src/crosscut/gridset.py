@@ -92,7 +92,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Optional, Sequence
 
-from .dyadic import ZERO, Dyadic
+from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import realize_exact_margins
 from .stepfn import StepFunction
@@ -243,22 +243,20 @@ class DyadicSet:
         return Dyadic(total, 2 * self.params.depth + self.params.subres)
 
 
-def _plateau_values(f: StepFunction, depth: int) -> list[Dyadic]:
-    """Values of f on the 2**depth uniform intervals; QuantizationError if
-    f is not constant on one of them."""
+def _cell_units(f: StepFunction, depth: int, exp: int, bounded: bool = True) -> list[int]:
+    """f's value on each of the 2**depth cells, as an integer over 2**-exp.
+
+    QuantizationError for a breakpoint off the cell grid, then, value by
+    value from the left, for one above 1 (when bounded) or off 2**-exp."""
     for b in f.breakpoints[1:-1]:
         if b.exp > depth:
-            raise QuantizationError(
-                f"breakpoint {b} is not a multiple of 2**-{depth}"
-            )
-    out = []
-    idx = 0  # current plateau of f
-    for j in range(1 << depth):
-        lo = Dyadic(j, depth)
-        while f.breakpoints[idx + 1] <= lo:
-            idx += 1
-        out.append(f.values[idx])
-    return out
+            raise QuantizationError(f"breakpoint {b} is not a multiple of 2**-{depth}")
+    for v in f.values:
+        if bounded and v > ONE:
+            raise QuantizationError(f"band value {v} outside [0, 1]")
+        if v.exp > exp:
+            raise QuantizationError(f"band value {v} not a multiple of 2**-{exp}")
+    return [u for u, cells in f.runs(depth, exp) for _ in range(cells)]
 
 
 def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
@@ -268,23 +266,12 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
     multiples of the sub-unit 2**-(N+K).  The resulting vertical cross
     section equals the distribution function of g exactly.
     """
-    vals = _plateau_values(g, params.depth)
-    nk = params.depth + params.subres
-    cap = params.sub_per_cell
-    rows = []
-    for v in vals:
-        if v < Dyadic(0) or v > Dyadic(1):
-            raise QuantizationError(f"band value {v} outside [0, 1]")
-        if v.exp > nk:
-            raise QuantizationError(f"band value {v} not a multiple of 2**-{nk}")
-        units = v.num << (nk - v.exp)
-        full, rem = divmod(units, cap)
-        row = [cap] * full
-        if rem:
-            row.append(rem)
-        row.extend([0] * (params.side - len(row)))
-        rows.append(tuple(row))
-    return DyadicSet(params, tuple(rows))
+    side, cap = params.side, params.sub_per_cell
+    rows = (
+        ([cap] * (units // cap) + [units % cap] + [0] * side)[:side]
+        for units in _cell_units(g, params.depth, params.depth + params.subres)
+    )
+    return DyadicSet(params, tuple(map(tuple, rows)))
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
@@ -374,12 +361,10 @@ class _Work:
         self.side = params.side
         self.subs = params.sub_per_cell
         self.V = params.sub_total
-        fvals = _plateau_values(f, self.N)
-        self.D = max([self.N + self.K] + [v.exp for v in fvals])
+        self.D = max(self.N + self.K, *(v.exp for v in f.values))
         self.shift = self.D - self.N
-        self.fu = []
-        for v in fvals:
-            self.fu.extend([v.num << (self.D - v.exp)] * self.subs)
+        fcells = _cell_units(f, self.N, self.D, bounded=False)
+        self.fu = [u for u in fcells for _ in range(self.subs)]
         ranked = sorted(self.fu)
         self.f_top = [0, *accumulate(reversed(ranked))]
         self.f_over = [self.V - bisect_right(ranked, c << self.shift) for c in range(self.side + 1)]
@@ -845,7 +830,7 @@ class ReplayState(_Work):
         sym = Dyadic(lost + gained, 2 * self.N + self.K)
         if sym != rec.sym_diff:
             raise ReplayViolation(idx, "symmetric difference bookkeeping mismatch")
-        if sym.num == 0:
+        if not sym:
             raise ReplayViolation(idx, "swap moved no mass")
         if rec.l1_drop != sym:
             raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
@@ -893,17 +878,10 @@ def discrete_exact_set(
     not realizable.
     """
     try:
-        fvals = _plateau_values(f, params.depth)
-        gvals = _plateau_values(g, params.depth)
+        cols = _cell_units(f, params.depth, params.depth)
+        rows = _cell_units(g, params.depth, params.depth)
     except QuantizationError:
         return None
-    n = params.depth
-    cols, rows = [], []
-    for vals, out in ((fvals, cols), (gvals, rows)):
-        for v in vals:
-            if v.exp > n or v < Dyadic(0) or v > Dyadic(1):
-                return None
-            out.append(v.num << (n - v.exp))
     a = realize_exact_margins(rows, cols)
     if a is None:
         return None

@@ -21,8 +21,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .dyadic import Dyadic, ONE, ZERO
+
+
+def _starts(values) -> list[int]:
+    """Indices of the values that differ from their left neighbour, 0 first."""
+    return [i for i in range(len(values)) if not i or values[i] != values[i - 1]]
 
 
 @dataclass(frozen=True)
@@ -50,17 +56,9 @@ class StepFunction:
         for v in vals:
             if v < ZERO:
                 raise ValueError("values must be nonnegative")
-        # merge adjacent plateaus with equal value
-        mb = [bp[0]]
-        mv = []
-        for i, v in enumerate(vals):
-            if mv and mv[-1] == v:
-                mb[-1] = bp[i + 1]
-            else:
-                mv.append(v)
-                mb.append(bp[i + 1])
-        object.__setattr__(self, "breakpoints", tuple(mb))
-        object.__setattr__(self, "values", tuple(mv))
+        keep = _starts(vals)  # merges adjacent plateaus with equal value
+        object.__setattr__(self, "breakpoints", (*(bp[i] for i in keep), ONE))
+        object.__setattr__(self, "values", tuple(vals[i] for i in keep))
 
     # -- constructors -----------------------------------------------------
 
@@ -71,12 +69,13 @@ class StepFunction:
 
     @classmethod
     def from_grid(cls, values, exp: int) -> "StepFunction":
-        """Uniform grid of 2**exp plateaus of width 2**-exp."""
+        """Uniform grid of 2**exp plateaus of width 2**-exp, with breakpoints
+        only where the value changes."""
         vals = [v if isinstance(v, Dyadic) else Dyadic(v) for v in values]
         if len(vals) != (1 << exp):
             raise ValueError(f"expected {1 << exp} values")
-        breaks = [Dyadic(i, exp) for i in range(len(vals) + 1)]
-        return cls(tuple(breaks), tuple(vals))
+        keep = _starts(vals)
+        return cls((*(Dyadic(i, exp) for i in keep), ONE), tuple(vals[i] for i in keep))
 
     # -- queries ------------------------------------------------------------
 
@@ -91,11 +90,27 @@ class StepFunction:
             raise ValueError("evaluation point must lie in [0, 1)")
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
+    def runs(self, width_exp: int, value_exp: int) -> list[tuple[int, int]]:
+        """Each canonical plateau as (value, width), left to right, in
+        integers over 2**-value_exp and 2**-width_exp.
+
+        The one place that reads a step function as integers.  ValueError
+        if a value or a breakpoint is not a multiple of its unit.
+        """
+        out, pos = [], 0
+        for b, v in zip(self.breakpoints[1:], self.values):
+            if b.exp > width_exp or v.exp > value_exp:
+                raise ValueError(f"plateau {v} ending at {b} is off the grid of values "
+                                 f"2**-{value_exp} and widths 2**-{width_exp}")
+            end = b.num << (width_exp - b.exp)
+            out.append((v.num << (value_exp - v.exp), end - pos))
+            pos = end
+        return out
+
     def integral(self) -> Dyadic:
-        total = ZERO
-        for lo, hi, v in self.intervals():
-            total = total + v * (hi - lo)
-        return total
+        we = max(b.exp for b in self.breakpoints)
+        ve = max(v.exp for v in self.values)
+        return Dyadic(sum(v * w for v, w in self.runs(we, ve)), we + ve)
 
     def integral_to(self, t: Dyadic) -> Dyadic:
         """Exact integral of the function itself over [0, t], t in [0, 1]."""
@@ -159,21 +174,21 @@ def distribution_steps(f: StepFunction):
     )
 
 
-def rearrange(f: StepFunction) -> StepFunction:
-    """Nonincreasing rearrangement: plateaus sorted by value, descending.
+def _by_value(runs):
+    """(value, width) runs grouped by value: each distinct value once,
+    largest first, with the widths of its runs summed."""
+    widths = {}
+    for v, w in runs:
+        widths[v] = widths.get(v, 0) + w
+    return sorted(widths.items(), reverse=True)
 
-    The sort is stable, so equal values keep their original order before
-    canonical merging; the resulting function does not depend on the tie
-    rule.
-    """
-    segs = [(v, hi - lo) for lo, hi, v in f.intervals()]
-    segs.sort(key=lambda seg: seg[0], reverse=True)
-    breaks = [ZERO]
-    vals = []
-    for v, length in segs:
-        vals.append(v)
-        breaks.append(breaks[-1] + length)
-    return StepFunction(tuple(breaks), tuple(vals))
+
+def rearrange(f: StepFunction) -> StepFunction:
+    """Nonincreasing rearrangement: the plateaus grouped by value, largest
+    first."""
+    groups = _by_value((v, hi - lo) for lo, hi, v in f.intervals())
+    breaks = (ZERO, *accumulate(w for _, w in groups))
+    return StepFunction(breaks, tuple(v for v, _ in groups))
 
 
 def rearrangement_value(f: StepFunction, t: Dyadic) -> Dyadic:

@@ -1,6 +1,6 @@
 """Module layering: the package's internal imports form an acyclic graph,
-every internal import sits at module level, and no module imports a name
-it does not use."""
+every internal import sits at module level, no module imports a name it
+does not use, and only dyadic and stepfn read a Dyadic's numerator."""
 
 import ast
 import pathlib
@@ -75,3 +75,19 @@ def test_modules_use_every_name_they_import():
             f"{path.stem}.py:{line} {name}" for name, line in imported.items() if name not in used
         )
     assert unused == []
+
+
+def test_only_dyadic_and_stepfn_read_numerators():
+    # StepFunction.runs is the one reader of step functions as integers;
+    # every other module goes through it instead of scaling .num by hand
+    readers = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem in ("dyadic", "stepfn"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers.extend(
+            f"{path.stem}.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "num"
+        )
+    assert readers == []

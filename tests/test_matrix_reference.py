@@ -15,7 +15,7 @@ import random
 import pytest
 
 from crosscut import Partition, matrices, ryser_construct, swap_construct
-from crosscut.gridset import _plateau_values
+from crosscut.gridset import _cell_units
 from crosscut.ingest import quantize
 from crosscut.matrices import BinaryMatrix, _ColumnSums, col_sums, row_sums
 from reference_matrix import reference_ryser_construct, reference_swap_construct
@@ -41,13 +41,7 @@ def test_swap_construct_matches_reference_on_random_margins(chunk):
 
 def test_swap_construct_matches_reference_on_ramp_shadow():
     # the discrete shadow of the N=7 ramp: whole cells per band and column
-    raw_f, raw_g, params = CASES["sweep7_ramp"]
-    side = params.side
-    f, g = (quantize(raw, params)[0] for raw in (raw_f, raw_g))
-    p, q = (
-        Partition(tuple(int(v.to_fraction() * side) for v in _plateau_values(fn, params.depth)))
-        for fn in (g, f)
-    )
+    p, q = _ramp_shadow()
     assert len(p) == 128
     a = swap_construct(p, q)
     assert a == reference_swap_construct(p, q)
@@ -58,8 +52,9 @@ def _ramp_shadow():
     """Rows and columns of the N=7 ramp's discrete shadow, 128 each."""
     raw_f, raw_g, params = CASES["sweep7_ramp"]
     f, g = (quantize(raw, params)[0] for raw in (raw_f, raw_g))
+    nk = params.depth + params.subres
     return tuple(
-        Partition(tuple(int(v.to_fraction() * params.side) for v in _plateau_values(fn, params.depth)))
+        Partition(tuple(u >> params.subres for u in _cell_units(fn, params.depth, nk)))
         for fn in (g, f)
     )
 

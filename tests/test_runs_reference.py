@@ -2,9 +2,9 @@
 
 feasibility.run_excess must find the witness of the cut-and-prefix
 reference, with the same types, on run lists of ints and of Dyadics.
-initial_set, _Work and discrete_exact_set must read a function's cell
-values, and raise the QuantizationError text, that the per-cell Dyadic
-walk gave.
+gridset._cell_units, and through it initial_set, _Work and
+discrete_exact_set, must read a function's cell values, and raise the
+QuantizationError text, that the per-cell Dyadic walk gave.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from crosscut.feasibility import run_excess
 from crosscut.gridset import (
     GridParams,
     QuantizationError,
+    _cell_units,
     _Work,
     discrete_exact_set,
     initial_set,
@@ -59,6 +60,23 @@ def test_run_excess_matches_reference_on_random_runs(kind):
         seen["zero width"] += any(not w for _, w in lhs + rhs)
         seen["unequal"] += sum(w for _, w in lhs) != sum(w for _, w in rhs)
     assert all(seen.values()), seen
+
+
+def test_run_excess_reads_zero_width_runs_anywhere_as_nothing():
+    # the reference reads a zero-width run after a side's first run as
+    # holding its value over the next piece; the walk adds nothing for it
+    rng = random.Random(16_000)
+    for _ in range(2000):
+        lhs, rhs = _random_runs(rng), _random_runs(rng)
+        padded = [list(runs) for runs in (lhs, rhs)]
+        for runs in padded:
+            for _ in range(rng.randrange(3)):
+                runs.insert(rng.randrange(len(runs) + 1), (rng.randrange(10), 0))
+        assert run_excess(*padded) == run_excess(lhs, rhs) == reference_run_excess(
+            [r for r in lhs if r[1]], [r for r in rhs if r[1]]
+        )
+    assert reference_run_excess([(5, 1), (9, 0)], [(5, 1), (0, 1)]) == (2, 14, 5)
+    assert run_excess([(5, 1), (9, 0)], [(5, 1), (0, 1)]) is None
 
 
 def test_run_excess_on_fixed_cases():
@@ -123,6 +141,17 @@ def test_initial_set_reads_the_reference_cells():
         assert got == want, (g, params)
         kinds.add(_error_kind(got))
     assert kinds == {None, "breakpoint", "range", "value grid"}
+
+
+def test_cell_units_match_the_reference_walk():
+    rng = random.Random(17_000)
+    for _ in range(1500):
+        f, params = _random_marginal(rng)
+        exp = params.depth + params.subres
+        for bounded in (True, False):
+            got = _outcome(lambda: _cell_units(f, params.depth, exp, bounded))
+            want = _outcome(lambda: reference_cell_units(f, params.depth, exp, bounded))
+            assert got == want, (f, params, bounded)
 
 
 def test_work_scales_f_like_the_reference():

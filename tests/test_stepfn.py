@@ -64,6 +64,28 @@ def test_rejects_bad_domains_and_values():
         StepFunction((D(0), D(1)), (D(-1),))
 
 
+def test_runs_read_plateaus_as_integers():
+    f = StepFunction((D(0), D(1, 2), D(3, 3), D(1)), (D(3, 1), D(1), D(0)))
+    assert f.runs(3, 1) == [(3, 2), (2, 1), (0, 5)]
+    assert f.runs(4, 2) == [(6, 4), (4, 2), (0, 10)]
+    assert StepFunction.constant(0).runs(0, 0) == [(0, 1)]
+    with pytest.raises(ValueError):
+        f.runs(2, 1)  # 3/8 is not a multiple of 1/4
+    with pytest.raises(ValueError):
+        f.runs(3, 0)  # 3/2 is not an integer
+
+
+def test_from_grid_breaks_only_where_the_value_changes():
+    f = StepFunction.from_grid([D(1), D(1), D(0), D(0), D(0), D(1, 1), D(1, 1), D(1, 1)], 3)
+    assert f.breakpoints == (D(0), D(1, 2), D(5, 3), D(1))
+    assert f.values == (D(1), D(0), D(1, 1))
+    assert StepFunction.from_grid([D(2)], 0) == StepFunction.constant(2)
+    with pytest.raises(ValueError):
+        StepFunction.from_grid([D(1), D(-1)], 1)
+    with pytest.raises(ValueError):
+        StepFunction.from_grid([D(1)], 1)
+
+
 def test_value_at_is_right_continuous():
     f = StepFunction.from_grid([D(2), D(5)], 1)
     assert f.value_at(D(0)) == D(2)
