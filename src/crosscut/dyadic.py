@@ -143,6 +143,8 @@ class Dyadic:
         return (a > b) - (a < b)
 
     def __eq__(self, other):
+        if isinstance(other, Dyadic):  # canonical, so equal values are equal pairs
+            return self.num == other.num and self.exp == other.exp
         c = self._cmp(other)
         return NotImplemented if c is None else c == 0
 

@@ -47,11 +47,12 @@ def test_check_continuous(files, capsys):
 @pytest.mark.xfail(
     strict=True,
     reason="each marginal is rounded to the 2**-(N+K) grid on its own, "
-    "so a realizable pair can lose its equal totals (ROADMAP item 4)",
+    "so a realizable pair can lose its equal totals",
 )
 def test_check_keeps_a_realizable_pair_feasible_after_quantization(files, capsys):
-    # f = 1/3 throughout, g = 2/3 on [0, 1/2): both integrate to 1/3 and g
-    # rearranged dominates, so the pair is realizable
+    # f = 1/3 throughout, g = 2/3 on [0, 1/2): both integrate to 1/3 and
+    # t/3 <= min(t/2, 1/3) bounds f*'s primitive by lambda_g's, so the raw
+    # pair is realizable
     tmp, write = files
     f = write("f.csv", "breakpoint,value\n0,1/3\n")
     g = write("g.csv", "breakpoint,value\n0,2/3\n1/2,0\n")
