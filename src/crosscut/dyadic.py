@@ -143,10 +143,10 @@ class Dyadic:
         return (a > b) - (a < b)
 
     def __eq__(self, other):
-        if isinstance(other, Dyadic):  # canonical, so equal values are equal pairs
-            return self.num == other.num and self.exp == other.exp
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.exp == o.exp  # canonical form
 
     def __lt__(self, other):
         c = self._cmp(other)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .dyadic import Dyadic
-from .stepfn import StepFunction, _by_value
+from .stepfn import StepFunction, distribution_runs, rearranged_runs
 
 Number = Union[int, Dyadic]
 
@@ -123,21 +123,16 @@ def prefix_excess(
 
     The shorter sequence is padded with zeros.  Callers pass both
     sequences sorted nonincreasing, which makes this the majorization test.
+    It is run_excess on runs of width 1.
     """
-    a = b = m = 0
-    for x, y in zip_longest(lhs, rhs, fillvalue=0):
-        m += 1
-        a += x
-        b += y
-        if a > b:
-            return m, a, b
-    return None
+    return run_excess([(x, 1) for x in lhs], [(y, 1) for y in rhs])
 
 
 def run_excess(
     lhs: Sequence[tuple[Number, Number]], rhs: Sequence[tuple[Number, Number]]
 ) -> Optional[tuple[Number, Number, Number]]:
-    """prefix_excess for step functions given as (value, width) runs from 0.
+    """First run end where the integral of lhs exceeds that of rhs, for
+    step functions given as (value, width) runs from 0.
 
     Each side is zero beyond its last run.  Both primitives are linear
     between consecutive run ends of either side, so the walk goes through
@@ -154,9 +149,14 @@ def run_excess(
         step = min(w for _, w in filter(None, runs))
         t += step
         for i, run in enumerate(runs):
-            if run is not None:
-                sums[i] += run[0] * step
-                runs[i] = (run[0], run[1] - step) if run[1] > step else next(sides[i], None)
+            if run is None:
+                continue
+            value, width = run
+            sums[i] += value * step
+            if width > step:
+                runs[i] = (value, width - step)
+            else:
+                runs[i] = next(sides[i], None)
         if sums[0] > sums[1]:
             return t, sums[0], sums[1]
     return None
@@ -188,17 +188,12 @@ def _hlp_report(left: StepFunction, right: StepFunction, flip: bool) -> Feasibil
     over 2**-(ex+ey).  The totals come in (f, g) order, flipped if flip."""
     ex = max(x.exp for x in (*left.breakpoints, *right.values))
     ey = max(y.exp for y in (*left.values, *right.breakpoints))
-    fstar = _by_value(left.runs(ex, ey))
-    levels = _by_value(right.runs(ey, ex))
-    nl, nr = (Dyadic(sum(h * w for h, w in runs), ex + ey) for runs in (fstar, levels))
+    lruns, rruns = left.runs(ex, ey), right.runs(ey, ex)
+    nl, nr = (Dyadic(sum(v * w for v, w in runs), ex + ey) for runs in (lruns, rruns))
     totals = (nr, nl) if flip else (nl, nr)
     if nl != nr:
         return FeasibilityReport(Verdict.INFEASIBLE_NORM, totals=totals)
-    # lambda_right from 0 up: the i largest levels' summed width on [v_{i+1}, v_i)
-    tops, bottoms = [v for v, _ in levels], [v for v, _ in levels[1:]] + [0]
-    measures = accumulate(w for _, w in levels)
-    lam = [(m, top - bottom) for m, top, bottom in zip(measures, tops, bottoms)]
-    excess = run_excess(fstar, lam[::-1])
+    excess = run_excess(rearranged_runs(lruns), distribution_runs(rruns))
     if excess is not None:
         t, a, b = excess
         witness = Witness(Dyadic(t, ex), Dyadic(a, ex + ey), Dyadic(b, ex + ey))

@@ -266,12 +266,16 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
     multiples of the sub-unit 2**-(N+K).  The resulting vertical cross
     section equals the distribution function of g exactly.
     """
-    side, cap = params.side, params.sub_per_cell
-    rows = (
-        ([cap] * (units // cap) + [units % cap] + [0] * side)[:side]
-        for units in _cell_units(g, params.depth, params.depth + params.subres)
-    )
-    return DyadicSet(params, tuple(map(tuple, rows)))
+    cap = params.sub_per_cell
+    rows = []
+    for units in _cell_units(g, params.depth, params.depth + params.subres):
+        full, rem = divmod(units, cap)
+        row = [cap] * full
+        if rem:
+            row.append(rem)
+        row.extend([0] * (params.side - len(row)))
+        rows.append(tuple(row))
+    return DyadicSet(params, tuple(rows))
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
@@ -886,8 +890,4 @@ def discrete_exact_set(
     if a is None:
         return None
     cap = params.sub_per_cell
-    fill = tuple(
-        tuple(cap * a.entries[i][j] for j in range(params.side))
-        for i in range(params.side)
-    )
-    return DyadicSet(params, fill)
+    return DyadicSet(params, tuple(tuple(cap * x for x in row) for row in a.entries))

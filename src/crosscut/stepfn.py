@@ -131,20 +131,13 @@ class StepFunction:
         return f"StepFunction({parts})"
 
 
-def refine_pair(f: StepFunction, g: StepFunction):
-    """Common refinement: merged breakpoints and per-piece value pairs."""
-    breaks = sorted(set(f.breakpoints) | set(g.breakpoints))
-    fv = [f.value_at(b) for b in breaks[:-1]]
-    gv = [g.value_at(b) for b in breaks[:-1]]
-    return breaks, fv, gv
-
-
 def l1_distance(f: StepFunction, g: StepFunction) -> Dyadic:
-    """Exact L1 distance, integral of |f - g| over [0,1]."""
-    breaks, fv, gv = refine_pair(f, g)
+    """Exact L1 distance, integral of |f - g| over [0,1], piece by piece
+    over the merged breakpoints of f and g."""
+    breaks = sorted(set(f.breakpoints) | set(g.breakpoints))
     total = ZERO
-    for i in range(len(fv)):
-        total = total + abs(fv[i] - gv[i]) * (breaks[i + 1] - breaks[i])
+    for lo, hi in zip(breaks, breaks[1:]):
+        total = total + abs(f.value_at(lo) - g.value_at(lo)) * (hi - lo)
     return total
 
 
@@ -159,34 +152,41 @@ def distribution(f: StepFunction, s: Dyadic) -> Dyadic:
     return total
 
 
-def distribution_steps(f: StepFunction):
-    """The distribution function as plateaus (s_lo, s_hi, measure).
-
-    Covers [0, max f); lambda_f is zero from max f on.  Empty for f == 0.
-    The transpose of f*: with f* taking the values v_1 > v_2 > ... on its
-    plateaus, lambda_f on [v_{i+1}, v_i) is the measure of the first i.
-    """
-    fstar = rearrange(f)
-    levels = fstar.values if fstar.values[-1] == ZERO else fstar.values + (ZERO,)
-    return tuple(
-        (levels[i], levels[i - 1], fstar.breakpoints[i])
-        for i in range(len(levels) - 1, 0, -1)
-    )
-
-
-def _by_value(runs):
-    """(value, width) runs grouped by value: each distinct value once,
-    largest first, with the widths of its runs summed."""
+def rearranged_runs(runs):
+    """The runs of f* from f's (value, width) runs: each distinct value
+    once, largest first, with the widths of its runs summed."""
     widths = {}
     for v, w in runs:
         widths[v] = widths.get(v, 0) + w
     return sorted(widths.items(), reverse=True)
 
 
+def distribution_runs(runs):
+    """The runs of lambda_f from f's (value, width) runs, as (measure,
+    width) from 0 up, on ints and Dyadics alike; empty for f == 0.
+
+    The transpose of f*: with f* taking the values v_1 > v_2 > ... on its
+    runs, lambda_f on [v_{i+1}, v_i) is the summed width of the first i
+    (v_{i+1} = 0 below the last).
+    """
+    levels = rearranged_runs(runs)
+    bottoms = [v for v, _ in levels[1:]] + [0]
+    measures = accumulate(w for _, w in levels)
+    return [(m, v - low) for m, (v, _), low in zip(measures, levels, bottoms) if v][::-1]
+
+
+def distribution_steps(f: StepFunction):
+    """The distribution function as plateaus (s_lo, s_hi, measure), from
+    s = 0 up over [0, max f); empty for f == 0."""
+    lam = distribution_runs((v, hi - lo) for lo, hi, v in f.intervals())
+    ends = [*accumulate((w for _, w in lam), initial=ZERO)]
+    return tuple(zip(ends, ends[1:], (m for m, _ in lam)))
+
+
 def rearrange(f: StepFunction) -> StepFunction:
     """Nonincreasing rearrangement: the plateaus grouped by value, largest
     first."""
-    groups = _by_value((v, hi - lo) for lo, hi, v in f.intervals())
+    groups = rearranged_runs((v, hi - lo) for lo, hi, v in f.intervals())
     breaks = (ZERO, *accumulate(w for _, w in groups))
     return StepFunction(breaks, tuple(v for v, _ in groups))
 

@@ -19,13 +19,18 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def step_points(fn) -> list[tuple[float, float]]:
-    """Polyline vertices tracing a StepFunction's staircase."""
+def _staircase(plateaus) -> list[tuple[float, float]]:
+    """Polyline vertices tracing (lo, hi, value) plateaus."""
     pts = []
-    for lo, hi, v in fn.intervals():
+    for lo, hi, v in plateaus:
         pts.append((float(lo), float(v)))
         pts.append((float(hi), float(v)))
     return pts
+
+
+def step_points(fn) -> list[tuple[float, float]]:
+    """Polyline vertices tracing a StepFunction's staircase."""
+    return _staircase(fn.intervals())
 
 
 def distribution_points(fn) -> list[tuple[float, float]]:
@@ -33,10 +38,7 @@ def distribution_points(fn) -> list[tuple[float, float]]:
     steps = distribution_steps(fn)
     if not steps:
         return [(0.0, 0.0), (1.0, 0.0)]
-    pts = []
-    for lo, hi, lam in steps:
-        pts.append((float(lo), float(lam)))
-        pts.append((float(hi), float(lam)))
+    pts = _staircase(steps)
     pts.append((pts[-1][0], 0.0))
     return pts
 

@@ -23,12 +23,14 @@ from crosscut import StepFunction
 from crosscut.dyadic import Dyadic
 from crosscut.stepfn import (
     distribution,
+    distribution_runs,
     distribution_steps,
     l1_distance,
     primitive_dist,
     primitive_rearr,
     rearrange,
     rearrangement_value,
+    rearranged_runs,
 )
 
 D = Dyadic
@@ -197,6 +199,24 @@ def test_distribution_steps_match_the_distribution_per_level():
         levels = sorted(set(f.values) | {D(0)})
         expected = tuple((lo, hi, distribution(f, lo)) for lo, hi in zip(levels, levels[1:]))
         assert distribution_steps(f) == expected
+
+
+def test_run_helpers_agree_on_ints_and_dyadics():
+    # the integer runs of f, scaled back, give f*'s and lambda_f's Dyadic runs
+    rng = random.Random(78)
+    for _ in range(200):
+        f = rand_stepfn(rng, max_pieces=rng.randint(1, 12), max_value_units=rng.choice((1, 8, 64)))
+        we, ve = max(b.exp for b in f.breakpoints), max(v.exp for v in f.values)
+        exact = [(v, hi - lo) for lo, hi, v in f.intervals()]
+        ints = f.runs(we, ve)
+        fstar = rearrange(f)
+        assert rearranged_runs(exact) == [(v, hi - lo) for lo, hi, v in fstar.intervals()]
+        assert [(D(v, ve), D(w, we)) for v, w in rearranged_runs(ints)] == rearranged_runs(exact)
+        lam = [(m, hi - lo) for lo, hi, m in distribution_steps(f)]
+        assert distribution_runs(exact) == lam
+        assert [(D(m, we), D(w, ve)) for m, w in distribution_runs(ints)] == lam
+    assert distribution_runs([(0, 3)]) == []
+    assert distribution_runs([(2, 1), (0, 2), (5, 1)]) == [(2, 2), (1, 3)]
 
 
 # ---------------------------------------------------------------------------
