@@ -41,11 +41,23 @@ sets with a row of two partial cells, which exchanges never create or
 remove (is_swappable and optimize_generation accept them), compare the
 squares cell by cell.
 
-A swap's bookkeeping follows the cells it moves.  A cell of width a that
-takes the place of one of width b raises its column by one cell on the
-sub-columns [b, a) and lowers it on [a, b), so the section, its L1 gap
-to f and the count of sub-columns per height are updated from the
-exchanged cell pairs alone.  Dominance is tested on a window of the
+A swap's bookkeeping follows the cells it moves, run by run.  A cell of
+width a that takes the place of one of width b raises its column by one
+cell on the sub-columns [b, a) and lowers it on [a, b).  The sorted
+widths of the exchanged cells therefore cut a column pair into stretches
+on which the change d is constant: +d on the donor column, -d on the
+receiver's.  A column's section is a staircase, nonincreasing across its
+sub-columns, since sub-column m counts the rows whose fill exceeds m.
+So a stretch splits into runs of equal old height that come in position
+order, largest height first, and a stretch whose two ends have equal
+height is a single run.  The section, its L1 gap to f (f is constant on
+a column) and the count of sub-columns per height are updated one run
+at a time, and a donor's least and a receiver's greatest v - f on a
+column are read at its last and its first sub-column.  A swap's cost
+follows its runs, not the 2**K sub-columns of a cell: only the slice
+that writes a run and the K steps of a bisection see them.  The change
+is computed once per swap, by the probe that tests its dominance, and
+written by apply.  Dominance is tested on a window of the
 sorted section.  Let lo and hi be the least and the greatest height a
 changed sub-column has before or after the move.  The mass above hi, the
 mass below lo and the total stay the same, so the sorted prefix sums can
@@ -88,8 +100,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import neg, sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
@@ -279,20 +291,17 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
-    """v_E(x): total height of the set above x, exact on the sub-unit grid."""
+    """v_E(x): total height of the set above x, exact on the sub-unit grid.
+    The counts stay integers; Dyadics are built only where they change."""
     p = e.params
-    vals = []
-    for j in range(p.side):
-        for count in counts_above([row[j] for row in e.fill], p.sub_per_cell):
-            vals.append(Dyadic(count, p.depth))
-    return StepFunction.from_grid(vals, p.depth + p.subres)
+    counts = [c for col in zip(*e.fill) for c in counts_above(col, p.sub_per_cell)]
+    return StepFunction.from_grid(counts, p.depth + p.subres, p.depth)
 
 
 def horizontal_section(e: DyadicSet) -> StepFunction:
     """h_E(y): width of the set at height y; constant on each band."""
     p = e.params
-    vals = [Dyadic(sum(row), p.depth + p.subres) for row in e.fill]
-    return StepFunction.from_grid(vals, p.depth)
+    return StepFunction.from_grid(map(sum, e.fill), p.depth, p.depth + p.subres)
 
 
 def _squares(side: int, move: SwapMove) -> tuple[slice, slice, slice]:
@@ -353,6 +362,10 @@ class _Work:
     the sorted section's prefix sums bound f's, and saved holds each band
     row as it was before the generation first touched it.
 
+    Within a cell column fu is constant and vu a nonincreasing staircase.
+    probe holds the last section change a dominance test computed, runs
+    of sub-columns, with its move, for apply to write.
+
     The search reads each grid row as two bitmasks over its columns, the
     full cells and the nonempty ones.  They are built by the first search
     and kept current by apply, so a replay that never searches never
@@ -386,6 +399,7 @@ class _Work:
         self.nonempty: Optional[list[int]] = None
         self.twin = False  # some row has two partial (nonempty, not full) cells
         self.scan: Optional[_Scan] = None
+        self.probe: Optional[tuple[SwapMove, tuple]] = None
         self.saved: dict[int, list[int]] = {}
         self.dominated = self.majorized()
 
@@ -393,47 +407,60 @@ class _Work:
 
     def _section_change(self, rows: slice, donor: slice, receiver: slice):
         """The section change of exchanging the two squares, read off their
-        cells: (sub-column, change in cells) pairs, and the net change of
-        the number of sub-columns at each height.
+        cells: runs (start, stop, old value, change in cells) of
+        sub-columns, and the net change of the number of sub-columns at
+        each height.
 
         A donor cell a replaced by the receiver's b adds one cell to the
         donor column on [a, b) and takes one off on [b, a): a difference
-        array with +1 at a and -1 at b.  The receiver column changes the
-        other way.
+        list with +1 at a and -1 at b, kept only at those cut points.
+        Between two cuts the change d is constant, and the receiver column
+        changes by -d.  On such a stretch each column's old section is a
+        nonincreasing staircase, so it splits into runs of equal height
+        found by bisection; a stretch whose two ends are equal is one run.
         """
         subs, w, vu, shift = self.subs, self.subs + 1, self.vu, self.shift
         span = donor.stop - donor.start
-        diff = [0] * (span * w)
+        diff: dict[int, int] = {}
         for row in self.fill[rows]:
             for at, a, b in zip(range(0, span * w, w), row[donor], row[receiver]):
                 if a != b:
-                    diff[at + a] += 1
-                    diff[at + b] -= 1
-        changes: list[tuple[int, int]] = []
+                    diff[at + a] = diff.get(at + a, 0) + 1
+                    diff[at + b] = diff.get(at + b, 0) - 1
+        cuts = sorted((p, n) for p, n in diff.items() if n)
+        changes: list[tuple[int, int, int, int]] = []
         heights: dict[int, int] = {}
-        for c in range(span):
-            at = c * w
-            if any(diff[at : at + w]):
-                j, k = (donor.start + c) * subs, (receiver.start + c) * subs
-                for m, d in enumerate(accumulate(diff[at : at + subs])):
-                    if d:
-                        for i, e in ((j + m, d), (k + m, -d)):
-                            h = vu[i] >> shift
-                            heights[h] = heights.get(h, 0) - 1
-                            heights[h + e] = heights.get(h + e, 0) + 1
-                            changes.append((i, e))
+        d = 0
+        # d returns to 0 at each column's last cut, so a stretch never
+        # crosses columns
+        for (p, n), (q, _) in zip(cuts, cuts[1:]):
+            d += n
+            if not d:
+                continue
+            c, s = divmod(p, w)
+            for base, e in (((donor.start + c) * subs, d), ((receiver.start + c) * subs, -d)):
+                i, end = base + s, base + q - c * w
+                while i < end:
+                    v = vu[i]
+                    stop = end if vu[end - 1] == v else bisect_right(vu, -v, i, end, key=neg)
+                    h = v >> shift
+                    heights[h] = heights.get(h, 0) - (stop - i)
+                    heights[h + e] = heights.get(h + e, 0) + (stop - i)
+                    changes.append((i, stop, v, e))
+                    i = stop
         return changes, heights
 
-    def _write_section(self, changes: list[tuple[int, int]], heights: dict[int, int]) -> int:
+    def _write_section(self, changes: list[tuple[int, int, int, int]], heights: dict[int, int]) -> int:
         """Apply a section change; returns the drop of |f - v|_1 in
-        residual units.  above and mass change only above the least height
-        touched, as the moved sub-columns keep their number and total."""
-        fu, vu, shift = self.fu, self.vu, self.shift
+        residual units, f being constant on each run's column.  above and
+        mass change only above the least height touched, as the moved
+        sub-columns keep their number and total."""
+        fu, shift = self.fu, self.shift
         drop = 0
-        for i, d in changes:
-            f, v = fu[i], vu[i]
-            vu[i] = w = v + (d << shift)
-            drop += abs(f - v) - abs(f - w)
+        for i, stop, v, d in changes:
+            f, w = fu[i], v + (d << shift)
+            self.vu[i:stop] = repeat(w, stop - i)
+            drop += (stop - i) * (abs(f - v) - abs(f - w))
         count = total = 0
         for c in range(max(heights, default=0), min(heights, default=0), -1):
             dc = heights.get(c, 0)
@@ -504,17 +531,19 @@ class _Work:
 
     # -- swap conditions -------------------------------------------------------
 
-    def _excess(self, gen: int, idx: int):
-        """v - f on each sub-column of the column class."""
+    def _excess_at(self, gen: int, idx: int, at: int):
+        """v - f on sub-column at of each cell column of the class.  f is
+        constant and v nonincreasing on a column, so v - f is least on its
+        last sub-column and greatest on its first."""
         width = (self.side >> gen) * self.subs
-        cols = slice((idx - 1) * width, idx * width)
+        cols = slice((idx - 1) * width + at, idx * width, self.subs)
         return map(sub, self.vu[cols], self.fu[cols])
 
     def _donor_ok(self, gen: int, j: int) -> bool:
-        return min(self._excess(gen, j)) >= 1 << (self.D - gen)
+        return min(self._excess_at(gen, j, self.subs - 1)) >= 1 << (self.D - gen)
 
     def _receiver_ok(self, gen: int, k: int) -> bool:
-        return max(self._excess(gen, k)) <= -(1 << (self.D - gen))
+        return max(self._excess_at(gen, k, 0)) <= -(1 << (self.D - gen))
 
     def _contained_pairs(self, gen: int, band: int, donors, receivers):
         """(donor, receiver) pairs, donor-major in the given orders, whose
@@ -565,8 +594,10 @@ class _Work:
 
     def _dominance_after(self, move: SwapMove) -> bool:
         """Prefix dominance of the section the move would leave, read off
-        the move's cells; nothing is changed."""
-        return self._dominates(self._section_change(*_squares(self.side, move))[1])
+        the move's cells.  Only the probe is kept, for apply."""
+        change = self._section_change(*_squares(self.side, move))
+        self.probe = move, change
+        return self._dominates(change[1])
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -617,12 +648,18 @@ class _Work:
 
     def apply(self, move: SwapMove) -> SwapRecord:
         """Exchange the move's squares and update the section, the L1 drop
-        and the height counts from the exchanged cells.  The move the last
-        search found keeps dominance, as its probe showed, and keeps the
-        generation's search state, less a donor or receiver that lost its
-        margin; any other move is tested and drops the search state."""
+        and the height counts from the exchanged cells.  The section change
+        is the last probe's when that probe was of this move, nothing
+        having changed since; any other move computes it.  The move the
+        last search found keeps dominance, as its probe showed, and keeps
+        the generation's search state, less a donor or receiver that lost
+        its margin; any other move is tested and drops the search state."""
         rows, donor, receiver = _squares(self.side, move)
-        changes, heights = self._section_change(rows, donor, receiver)
+        probe, self.probe = self.probe, None
+        if probe is not None and probe[0] == move:
+            changes, heights = probe[1]
+        else:
+            changes, heights = self._section_change(rows, donor, receiver)
         scan = self.scan
         found = scan is not None and move == scan.found
         self.dominated = found or self._dominates(heights)

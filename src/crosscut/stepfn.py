@@ -68,14 +68,18 @@ class StepFunction:
         return cls((ZERO, ONE), (v,))
 
     @classmethod
-    def from_grid(cls, values, exp: int) -> "StepFunction":
+    def from_grid(cls, values, exp: int, value_exp: int = 0) -> "StepFunction":
         """Uniform grid of 2**exp plateaus of width 2**-exp, with breakpoints
-        only where the value changes."""
-        vals = [v if isinstance(v, Dyadic) else Dyadic(v) for v in values]
+        only where the value changes.  Values are Dyadics or ints, an int
+        counting units of 2**-value_exp; only the kept ones are converted."""
+        vals = list(values)
         if len(vals) != (1 << exp):
             raise ValueError(f"expected {1 << exp} values")
         keep = _starts(vals)
-        return cls((*(Dyadic(i, exp) for i in keep), ONE), tuple(vals[i] for i in keep))
+        return cls(
+            (*(Dyadic(i, exp) for i in keep), ONE),
+            tuple(v if isinstance(v, Dyadic) else Dyadic(v, value_exp) for v in (vals[i] for i in keep)),
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -132,13 +136,21 @@ class StepFunction:
 
 
 def l1_distance(f: StepFunction, g: StepFunction) -> Dyadic:
-    """Exact L1 distance, integral of |f - g| over [0,1], piece by piece
-    over the merged breakpoints of f and g."""
-    breaks = sorted(set(f.breakpoints) | set(g.breakpoints))
-    total = ZERO
-    for lo, hi in zip(breaks, breaks[1:]):
-        total = total + abs(f.value_at(lo) - g.value_at(lo)) * (hi - lo)
-    return total
+    """Exact L1 distance, integral of |f - g| over [0,1]: one walk through
+    the integer runs of f and g on a common scale, piece by piece between
+    consecutive run ends of either."""
+    we = max(b.exp for b in (*f.breakpoints, *g.breakpoints))
+    ve = max(v.exp for v in (*f.values, *g.values))
+    runs = f.runs(we, ve), g.runs(we, ve)
+    ends = [[*accumulate(w for _, w in side)] for side in runs]
+    i = j = pos = total = 0
+    while pos < 1 << we:
+        end = min(ends[0][i], ends[1][j])
+        total += abs(runs[0][i][0] - runs[1][j][0]) * (end - pos)
+        pos = end
+        i += ends[0][i] == end
+        j += ends[1][j] == end
+    return Dyadic(total, we + ve)
 
 
 def distribution(f: StepFunction, s: Dyadic) -> Dyadic:

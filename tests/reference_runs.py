@@ -12,15 +12,21 @@ reference_plateau_values walks f once per grid cell and returns its
 Dyadic value there.  reference_cell_units scales those values to
 integers with the checks, and in the order, that initial_set,
 _Work.__init__ and discrete_exact_set made them.
+
+reference_l1_distance merges the two Dyadic breakpoint sets and sums
+Dyadic products piece by piece, evaluating both functions by bisection
+on each piece.  reference_vertical_section builds one Dyadic per
+sub-column of a set and lets from_grid merge them.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from crosscut.dyadic import Dyadic
-from crosscut.feasibility import prefix_excess
+from crosscut.dyadic import ZERO, Dyadic
+from crosscut.feasibility import counts_above, prefix_excess
 from crosscut.gridset import QuantizationError
+from crosscut.stepfn import StepFunction
 
 
 def reference_run_excess(lhs, rhs):
@@ -77,3 +83,23 @@ def reference_cell_units(f, depth: int, exp: int, bounded: bool = True) -> list[
             raise QuantizationError(f"band value {v} not a multiple of 2**-{exp}")
         out.append(v.num << (exp - v.exp))
     return out
+
+
+def reference_l1_distance(f, g) -> Dyadic:
+    """Exact L1 distance, integral of |f - g| over [0,1], piece by piece
+    over the merged breakpoints of f and g."""
+    breaks = sorted(set(f.breakpoints) | set(g.breakpoints))
+    total = ZERO
+    for lo, hi in zip(breaks, breaks[1:]):
+        total = total + abs(f.value_at(lo) - g.value_at(lo)) * (hi - lo)
+    return total
+
+
+def reference_vertical_section(e) -> StepFunction:
+    """v_E(x): total height of the set above x, exact on the sub-unit grid."""
+    p = e.params
+    vals = []
+    for j in range(p.side):
+        for count in counts_above([row[j] for row in e.fill], p.sub_per_cell):
+            vals.append(Dyadic(count, p.depth))
+    return StepFunction.from_grid(vals, p.depth + p.subres)

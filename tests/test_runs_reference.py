@@ -5,6 +5,8 @@ reference, with the same types, on run lists of ints and of Dyadics.
 gridset._cell_units, and through it initial_set, _Work and
 discrete_exact_set, must read a function's cell values, and raise the
 QuantizationError text, that the per-cell Dyadic walk gave.
+stepfn.l1_distance and gridset.vertical_section must give what the
+Dyadic piece walk and the per-sub-column Dyadic builder gave.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import rand_stepfn
+from conftest import rand_dyadic_set, rand_stepfn
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import run_excess
 from crosscut.gridset import (
@@ -23,13 +25,16 @@ from crosscut.gridset import (
     _Work,
     discrete_exact_set,
     initial_set,
+    vertical_section,
 )
 from crosscut.matrices import realize_exact_margins
-from crosscut.stepfn import StepFunction
+from crosscut.stepfn import StepFunction, l1_distance
 from reference_runs import (
     reference_cell_units,
+    reference_l1_distance,
     reference_plateau_values,
     reference_run_excess,
+    reference_vertical_section,
 )
 
 
@@ -211,3 +216,38 @@ def test_discrete_exact_set_reads_the_reference_cells():
 
 def _grid_fn(counts, depth):
     return StepFunction.from_grid([Dyadic(c, depth) for c in counts], depth)
+
+
+def test_l1_distance_matches_reference_on_random_pairs():
+    rng = random.Random(17_000)
+    seen = {"zero": 0, "equal scales": 0, "unequal scales": 0, "one plateau": 0}
+    for _ in range(5000):
+        f, g = (
+            rand_stepfn(rng, rng.randint(1, 12), rng.randint(1, 7), rng.randint(0, 6), rng.randint(1, 80))
+            for _ in range(2)
+        )
+        if rng.random() < 0.05:
+            g = f
+        got = l1_distance(f, g)
+        assert got == reference_l1_distance(f, g) == l1_distance(g, f), (f, g)
+        seen["zero"] += not got
+        exps = {max(b.exp for b in h.breakpoints) for h in (f, g)}
+        seen["equal scales" if len(exps) == 1 else "unequal scales"] += 1
+        seen["one plateau"] += len(f.values) == 1 or len(g.values) == 1
+    assert all(seen.values()), seen
+
+
+def test_vertical_section_matches_reference_on_random_sets():
+    rng = random.Random(18_000)
+    shapes = [(n, k) for n in (1, 2, 3) for k in (0, 1, 3, 9)] + [(4, 4), (5, 0), (5, 2)]
+    for n, k in shapes:
+        params = GridParams(n, k)
+        cap = params.sub_per_cell
+        sets = [rand_dyadic_set(rng, params) for _ in range(4)]
+        # the hypograph of a random g: long runs of equal counts
+        g = [Dyadic(rng.randrange(params.sub_total + 1), n + k) for _ in range(params.side)]
+        sets.append(initial_set(StepFunction.from_grid(g, n), params))
+        for fill in (0, cap):  # the empty and the full grid
+            sets.append(initial_set(StepFunction.constant(Dyadic(fill, k)), params))
+        for e in sets:
+            assert vertical_section(e) == reference_vertical_section(e), (n, k, e.fill)

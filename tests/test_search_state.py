@@ -4,11 +4,16 @@ a depth the golden outputs do not reach.
 _Work.find_first keeps the donor and receiver lists and a band cursor
 for the length of a generation.  A search must make the move a full
 rescan would make (tests/reference_search.py), and its cost must follow
-the swaps, not the grid.
+the swaps, not the grid.  A swap's section change is a list of runs of
+sub-columns, computed once per swap; their number must not grow with
+the 2**K sub-columns of a cell.
 """
 
 from __future__ import annotations
 
+import random
+
+from conftest import rand_dyadic_set, rand_grid_marginal
 from crosscut import GridParams, StepFunction, audit_trace, gridset, reconstruct
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import SwapMove, _Work, initial_set
@@ -135,3 +140,109 @@ def test_ramp_n8_reconstructs_and_audits():
     assert len(summary.swaps) == 297
     assert summary.final_residual == Dyadic(2115, 19)
     assert audit_trace(summary, f, g, params).ok
+
+
+def _ramp32():
+    """The 32-step ramp (63 - 2j)/128 on [j/32, (j+1)/32) as f and g."""
+    return StepFunction.from_grid([Dyadic(63 - 2 * j, 7) for j in range(32)], 5)
+
+
+def test_section_change_runs_do_not_grow_with_k():
+    # the N=5 ramp at K=9 with every fill x32 is the K=4 state with each
+    # sub-column cut into 32: every move of the K=4 trace must give the
+    # same runs, their ends x32 and their values on the finer scale, and
+    # the same height changes x32.  The 27 swaps change 1,112 sub-columns
+    # at K=4 and 35,584 at K=9, in 149 runs at both.
+    f = _ramp32()
+    p4, p9 = GridParams(5, 4), GridParams(5, 9)
+    _, summary = reconstruct(f, f, p4)
+    assert len(summary.swaps) == 27
+    fill = initial_set(f, p4).fill
+    w4, w9 = _Work(p4, fill, f), _Work(p9, [[32 * w for w in row] for row in fill], f)
+    scale = w9.shift - w4.shift
+    total = 0
+    for rec in summary.swaps:
+        move = SwapMove(rec.gen, rec.band, rec.donor, rec.receiver)
+        squares = gridset._squares(w4.side, move)
+        runs4, heights4 = w4._section_change(*squares)
+        runs9, heights9 = w9._section_change(*squares)
+        assert runs9 == [(32 * i, 32 * j, v << scale, d) for i, j, v, d in runs4], move
+        assert heights9 == {h: 32 * n for h, n in heights4.items()}, move
+        assert w9.apply(move) == w4.apply(move) == rec
+        total += len(runs4)
+    assert w9.vu == [v << scale for v in w4.vu for _ in range(32)]
+    assert total == 149
+
+
+def test_section_change_once_per_swap_on_ramp_n7(monkeypatch):
+    # the search's probe hands its section change to apply; the replay
+    # makes one per swap.  Computing it again in apply made 276 and 138.
+    calls = []
+    original = _Work._section_change
+
+    def counted(self, *squares):
+        calls.append(type(self).__name__)
+        return original(self, *squares)
+
+    monkeypatch.setattr(_Work, "_section_change", counted)
+    f, g, params = _ramp(7)
+    _, summary = reconstruct(f, g, params)
+    # no probe of the ramp is rejected by dominance
+    assert len(summary.swaps) == 138
+    assert calls == ["_Work"] * 138
+    calls.clear()
+    assert audit_trace(summary, f, g, params).ok
+    assert calls == ["ReplayState"] * 138
+
+
+def _state(work: _Work):
+    return work.fill, work.vu, work.above, work.mass, work.dominated
+
+
+def test_apply_reuses_only_the_probe_of_its_own_move():
+    # generation 3 of the N=5 ramp: four swappable moves with different
+    # section changes; whatever was probed last, by swappable or by a
+    # search, apply must give what a fresh state gives
+    f, params = _ramp32(), GridParams(5, 4)
+    fill = initial_set(f, params).fill
+    moves = [SwapMove(3, band, 1, k) for band in (1, 2) for k in (5, 6)]
+    for m1 in moves:
+        for m2 in moves:
+            fresh = _Work(params, fill, f)
+            expected = fresh.apply(m2)
+            work = _Work(params, fill, f)
+            assert work.swappable(m1)
+            assert work.apply(m2) == expected, (m1, m2)
+            assert _state(work) == _state(fresh), (m1, m2)
+            searched = _Work(params, fill, f)
+            assert searched.find_first(3) == moves[0]
+            assert searched.swappable(m1)
+            assert searched.apply(m2) == expected, (m1, m2)
+            assert _state(searched) == _state(fresh), (m1, m2)
+    searched = _Work(params, fill, f)
+    assert searched.find_first(3) == moves[0]
+    assert searched.apply(moves[3]) == _Work(params, fill, f).apply(moves[3])
+
+
+def test_margins_read_one_sub_column_per_column():
+    # each column's section is a staircase and f constant on it, so the
+    # least v - f of a class is at a column's last sub-column and the
+    # greatest at its first; the per-sub-column min and max must agree
+    rng = random.Random(41_000)
+    seen = [0, 0]
+    for _ in range(150):
+        params = GridParams(rng.randint(1, 4), rng.randint(0, 4))
+        e = rand_dyadic_set(rng, params)
+        f = rand_grid_marginal(rng, params)
+        work = _Work(params, e.fill, f)
+        for gen in range(1, params.depth + 1):
+            width = (params.side >> gen) * params.sub_per_cell
+            margin = 1 << (work.D - gen)
+            for idx in range(1, (1 << gen) + 1):
+                cols = slice((idx - 1) * width, idx * width)
+                excess = [v - u for v, u in zip(work.vu[cols], work.fu[cols])]
+                assert work._donor_ok(gen, idx) == (min(excess) >= margin)
+                assert work._receiver_ok(gen, idx) == (max(excess) <= -margin)
+                seen[0] += work._donor_ok(gen, idx)
+                seen[1] += work._receiver_ok(gen, idx)
+    assert all(seen), seen
