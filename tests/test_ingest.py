@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from crosscut import ingest
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import GridParams
 from crosscut.ingest import (
@@ -116,3 +117,34 @@ def test_quantize_ramp_averages_are_exact_at_n4_k4():
     # 64-step staircase averages exactly onto the coarser 16-cell grid
     assert len(q.values) == 16
     assert rep.l1_error < Fraction(1, 64)
+
+
+def _split_cells(depth: int, per_cell: int) -> RawMarginal:
+    """Each cell cut into per_cell equal pieces at non-dyadic points, the
+    values on a non-dyadic grid; per_cell * 2**depth breakpoints."""
+    cells = 1 << depth
+    points = tuple(Fraction(j, cells) + Fraction(i, cells * per_cell) for j in range(cells) for i in range(per_cell))
+    values = tuple(Fraction(1, 2) + Fraction((7 * m) % 13 - 6, 3 << 14) for m in range(len(points)))
+    return RawMarginal(points, values)
+
+
+def test_quantize_builds_a_constant_number_of_fractions(monkeypatch):
+    # the walk runs on integers and builds the two reported distances at
+    # the end; one Fraction per cell or per piece makes the counts differ.
+    # The Fraction walk it replaced built 131 and 1,027.
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "Fraction", Counted)
+    counts = []
+    for depth in (6, 9):
+        raw = _split_cells(depth, 5)
+        assert len(raw.breakpoints) == 5 << depth
+        built.clear()
+        quantize(raw, GridParams(depth, 4))
+        counts.append(len(built))
+    assert counts == [2, 2]
