@@ -106,22 +106,24 @@ def fill_from_pixel(p: int, cap: int) -> int:
     return (2 * p * cap + top) // (2 * top)
 
 
+def _lookup(convert, size: int, cap: int):
+    """convert(x, cap) for x in 0..size-1, indexed by x.  From K = 8 on
+    pixels are the fills, and the table is range(size)."""
+    if image_maxval(cap) == cap:
+        return range(size)
+    return [convert(x, cap) for x in range(size)]
+
+
 def set_to_image(e: DyadicSet) -> str:
     """PBM of a K=0 set, else PGM of gray levels, with a 'K=<k>' comment;
     lossless for K <= 16, ValueError beyond."""
     cap = e.params.sub_per_cell
-    side = e.params.side
     comment = f"K={e.params.subres}"
     # image rows run top-down; band 0 sits at the bottom of the square
     if e.params.subres == 0:
-        bits = [
-            [e.fill[side - 1 - r][c] for c in range(side)] for r in range(side)
-        ]
-        return write_pbm(bits, comments=[comment])
-    pixels = [
-        [pixel_from_fill(e.fill[side - 1 - r][c], cap) for c in range(side)]
-        for r in range(side)
-    ]
+        return write_pbm(reversed(e.fill), comments=[comment])
+    pixel = _lookup(pixel_from_fill, cap + 1, cap)
+    pixels = [[pixel[w] for w in row] for row in reversed(e.fill)]
     return write_pgm(pixels, maxval=image_maxval(cap), comments=[comment])
 
 
@@ -156,8 +158,6 @@ def set_from_image(text: str, override_subres=None) -> DyadicSet:
     cap = params.sub_per_cell
     if maxval != image_maxval(cap):
         raise ValueError(f"expected a PGM with maxval {image_maxval(cap)} for K={subres}")
-    fill = tuple(
-        tuple(fill_from_pixel(rows[height - 1 - i][j], cap) for j in range(width))
-        for i in range(height)
-    )
+    fill_of = _lookup(fill_from_pixel, maxval + 1, cap).__getitem__
+    fill = tuple(tuple(map(fill_of, row)) for row in reversed(rows))
     return DyadicSet(params, fill)

@@ -8,7 +8,7 @@ from conftest import rand_dyadic_set
 from crosscut import GridParams, vertical_section
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import DyadicSet, SwapMove, horizontal_section, swap
-from crosscut.netpbm import pixel_from_fill, set_from_image, set_to_image
+from crosscut.netpbm import fill_from_pixel, pixel_from_fill, set_from_image, set_to_image
 
 
 def test_round_trip_is_identity_for_small_subres():
@@ -101,3 +101,25 @@ def test_pixel_quantization_rounds_to_nearest():
     assert pixel_from_fill(8, 8) == 255
     assert pixel_from_fill(1, 8) == 32  # 255/8 = 31.875 rounds up
     assert pixel_from_fill(4, 8) == 128  # 127.5 rounds half up
+
+
+
+def test_image_samples_are_the_per_cell_mappings():
+    # a 16 x 16 grid holds every fill and every gray level up to K = 7,
+    # so the lookup tables are read at each entry; beyond, a sample
+    rng = random.Random(77)
+    for k in range(17):
+        cap = 1 << k
+        top = max(255, cap)
+        fills = [min(w, cap) for w in range(256)] if k < 8 else [rng.randint(0, cap) for _ in range(256)]
+        grid = tuple(tuple(fills[r * 16 : (r + 1) * 16]) for r in range(16))
+        text = set_to_image(DyadicSet(GridParams(4, k), grid))
+        # after the magic, the K comment, the size and, for PGM, maxval
+        samples = [int(t) for t in text.split()[6 if k else 5 :]]
+        assert samples == [pixel_from_fill(w, cap) if k else w for row in reversed(grid) for w in row]
+        if k:
+            levels = list(range(256)) if k < 8 else [rng.randint(0, top) for _ in range(256)]
+            body = "\n".join(" ".join(map(str, levels[r * 16 : (r + 1) * 16])) for r in range(16))
+            back = set_from_image(f"P2\n# K={k}\n16 16\n{top}\n{body}\n")
+            want = [fill_from_pixel(p, cap) for p in levels]
+            assert [w for row in reversed(back.fill) for w in row] == want
