@@ -395,6 +395,7 @@ class _Work:
             heights[v >> self.shift] += 1
         self.above = [*accumulate(reversed(heights))][::-1] + [0]
         self.mass = [*accumulate(c * heights[c] for c in range(self.side, -1, -1))][::-1] + [0]
+        self.residual = self.residual_units()  # carried: apply lowers it by each drop
         self.full: Optional[list[int]] = None
         self.nonempty: Optional[list[int]] = None
         self.twin = False  # some row has two partial (nonempty, not full) cells
@@ -491,11 +492,12 @@ class _Work:
     # -- exact quantities ----------------------------------------------------
 
     def residual_units(self) -> int:
-        """|f - v|_1 in residual units."""
+        """|f - v|_1 in residual units, counted over every sub-column."""
         return sum(map(abs, map(sub, self.fu, self.vu)))
 
     def residual_dyadic(self) -> Dyadic:
-        return Dyadic(self.residual_units(), self.D + self.N + self.K)
+        """The carried |f - v|_1."""
+        return Dyadic(self.residual, self.D + self.N + self.K)
 
     def _dominates(self, heights: dict[int, int], whole: bool = False) -> bool:
         """Whether the sorted section, with the number of sub-columns at
@@ -668,6 +670,7 @@ class _Work:
                 self.saved[r] = self.fill[r][:]
         moved = _exchange(self.fill, rows, donor, receiver)
         drop = self._write_section(changes, heights)
+        self.residual -= drop
         if self.full is not None:
             self._exchange_masks(rows, donor, receiver)
         if found:
@@ -717,7 +720,8 @@ class _Work:
         rows each one touched, and return the trace that carries the given
         feasibility report; each executed swap is also passed to on_swap.
         An exchange only permutes a row's cells, so rows it never touched
-        keep the shape they started with."""
+        keep the shape they started with.  The residual is carried from
+        swap to swap and recounted once, at the end."""
         initial = self.residual_dyadic()
         swaps: list[SwapRecord] = []
 
@@ -732,6 +736,8 @@ class _Work:
             gens.append(self.run_generation(gen, record))
             if any(sum(1 for w in self.fill[r] if 0 < w < cap) > 1 for r in self.saved):
                 raise InvariantViolation(f"generation {gen} left a band with two partial cells")
+        if self.residual_units() != self.residual:
+            raise InvariantViolation("the carried residual differs from its recount")
         return TraceSummary(
             tuple(gens), tuple(swaps), initial, self.residual_dyadic(), feasibility
         )

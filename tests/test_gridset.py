@@ -322,6 +322,37 @@ def test_generation_loop_stops_on_a_swap_that_lowers_nothing():
         Stuck(e.params, e.fill, StepFunction.constant(0)).run_generation(1)
 
 
+def _ramp_16() -> StepFunction:
+    return StepFunction.from_grid([D(31 - 2 * j, 6) for j in range(16)], 4)
+
+
+def test_sweep_counts_the_residual_twice(monkeypatch):
+    # once when the state is built and once at the end of the sweep;
+    # the generations and the summary read the carried value
+    calls = []
+    count = _Work.residual_units
+
+    def counted(self):
+        calls.append(self)
+        return count(self)
+
+    monkeypatch.setattr(_Work, "residual_units", counted)
+    _, summary = reconstruct(_ramp_16(), _ramp_16(), GridParams(4, 4))
+    assert summary.final_residual < summary.initial_residual
+    assert len(calls) == 2
+
+
+def test_sweep_raises_when_the_carried_residual_drifts():
+    class Misreporting(_Work):
+        def _write_section(self, changes, heights):
+            return super()._write_section(changes, heights) + 1
+
+    f, params = _ramp_16(), GridParams(4, 4)
+    work = Misreporting(params, initial_set(f, params).fill, f)
+    with pytest.raises(InvariantViolation, match="carried residual"):
+        work.sweep(None)
+
+
 def test_optimize_generation_validates_generation():
     e = initial_set(StepFunction.constant(0), GridParams(1, 0))
     with pytest.raises(ValueError):
