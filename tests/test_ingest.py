@@ -131,7 +131,7 @@ def _split_cells(depth: int, per_cell: int) -> RawMarginal:
 def test_quantize_builds_a_constant_number_of_fractions(monkeypatch):
     # the walk runs on integers and builds the two reported distances at
     # the end; one Fraction per cell or per piece makes the counts differ.
-    # The Fraction walk it replaced built 131 and 1,027.
+    # A walk that builds its cell edges as Fractions builds 131 and 1,027.
     built = []
 
     class Counted(Fraction):
