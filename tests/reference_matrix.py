@@ -10,11 +10,15 @@ fires the same first-found move: rows top-down, then the leftmost
 surplus donor column holding a 1, then the leftmost deficit receiver
 column holding a 0 whose move keeps the sorted column sums dominating q.
 Each candidate is tested cell by cell from row 0 on every move.
+
+reference_realize_exact_margins sorts both targets, fills the sorted
+instance with reference_ryser_construct and copies it entry by entry
+into input order.
 """
 
 from __future__ import annotations
 
-from crosscut.feasibility import Partition, prefix_excess
+from crosscut.feasibility import Partition, check_gale_ryser, prefix_excess
 from crosscut.matrices import BinaryMatrix
 
 
@@ -64,4 +68,27 @@ def reference_ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
         for r in sorted(range(nrows), key=lambda r: (-need[r], r))[: q.parts[c]]:
             grid[r][c] = 1
             need[r] -= 1
+    return BinaryMatrix.from_rows(grid)
+
+
+def reference_realize_exact_margins(row_targets, col_targets):
+    """The matrix realize_exact_margins builds: both targets sorted
+    nonincreasing, ties by index, the sorted instance filled by
+    reference_ryser_construct, then every entry copied to its row and
+    column in input order.  None when the sorted pair is infeasible."""
+    rt = [int(v) for v in row_targets]
+    ct = [int(v) for v in col_targets]
+    p, q = Partition(tuple(rt)), Partition(tuple(ct))
+    if not check_gale_ryser(p, q).feasible:
+        return None
+    sorted_entries = reference_ryser_construct(p, q).entries
+    row_order = sorted(range(len(rt)), key=lambda i: (-rt[i], i))
+    col_order = sorted(range(len(ct)), key=lambda j: (-ct[j], j))
+    grid = [[0] * len(ct) for _ in range(len(rt))]
+    for si, i in enumerate(row_order):
+        for sj, j in enumerate(col_order):
+            grid[i][j] = sorted_entries[si][sj]
+    if not rt:
+        # from_rows cannot tell the width of a matrix without rows
+        return BinaryMatrix(0, len(ct), ())
     return BinaryMatrix.from_rows(grid)

@@ -17,8 +17,18 @@ import pytest
 from crosscut import Partition, matrices, ryser_construct, swap_construct
 from crosscut.gridset import _cell_units
 from crosscut.ingest import quantize
-from crosscut.matrices import BinaryMatrix, _ColumnSums, col_sums, row_sums
-from reference_matrix import reference_ryser_construct, reference_swap_construct
+from crosscut.matrices import (
+    BinaryMatrix,
+    _ColumnSums,
+    col_sums,
+    realize_exact_margins,
+    row_sums,
+)
+from reference_matrix import (
+    reference_realize_exact_margins,
+    reference_ryser_construct,
+    reference_swap_construct,
+)
 from test_golden import CASES
 
 
@@ -123,3 +133,81 @@ def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow(monkeypatch):
     bound = 2 * len(moves) + len(p)
     assert bound == 2816
     assert len(calls) <= bound
+
+
+def _unsorted_pair(rng: random.Random):
+    """Row and column targets in input order: the shuffled margins of a
+    random 0/1 matrix, with tied rows, inserted zero rows and columns, an
+    empty side, or a perturbation that is mostly infeasible."""
+    kind = rng.randrange(5)
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+    if kind == 4:
+        # 0 x c or r x 0
+        return ([], [0] * ncols) if rng.random() < 0.5 else ([0] * nrows, [])
+    if kind == 1:
+        # every row a rotation of one pattern: all row sums tie
+        pattern = [int(rng.random() < 0.5) for _ in range(ncols)]
+        grid = [pattern[s:] + pattern[:s] for s in (rng.randrange(ncols) for _ in range(nrows))]
+    else:
+        density = rng.random()
+        grid = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+    a = BinaryMatrix.from_rows(grid)
+    rt, ct = list(row_sums(a)), list(col_sums(a))
+    if kind == 2:
+        for _ in range(rng.randint(1, 3)):
+            rt.insert(rng.randint(0, len(rt)), 0)
+            ct.insert(rng.randint(0, len(ct)), 0)
+    if kind == 3:
+        side = rt if rng.random() < 0.5 else ct
+        how = rng.randrange(3)
+        if how == 0:
+            # the totals differ
+            side[rng.randrange(len(side))] += 1
+        elif how == 1:
+            # one target larger than the other side's length
+            side[rng.randrange(len(side))] = len(ct if side is rt else rt) + 1
+        else:
+            # one unit moved between two targets: dominance may break
+            i, j = rng.randrange(len(side)), rng.randrange(len(side))
+            if side[i]:
+                side[i] -= 1
+                side[j] += 1
+    rng.shuffle(rt)
+    rng.shuffle(ct)
+    return rt, ct
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_realize_exact_margins_matches_reference_on_unsorted_pairs(chunk):
+    infeasible = empty = 0
+    for seed in range(chunk * 500, chunk * 500 + 500):
+        rt, ct = _unsorted_pair(random.Random(71_000 + seed))
+        a = realize_exact_margins(rt, ct)
+        assert a == reference_realize_exact_margins(rt, ct), seed
+        if a is None:
+            infeasible += 1
+        else:
+            assert (a.rows, a.cols) == (len(rt), len(ct)), seed
+            assert list(row_sums(a)) == rt and list(col_sums(a)) == ct, seed
+            empty += not (a.rows and a.cols)
+    # each chunk holds both outcomes and both empty shapes
+    assert infeasible >= 50 and empty >= 50
+
+
+def _large_unsorted_pair():
+    """Shuffled margins of a seeded random 256 x 2,048 matrix whose rows
+    have densities from 0 to 1."""
+    rng = random.Random(2048)
+    grid = [[int(rng.random() < r / 255) for _ in range(2048)] for r in range(256)]
+    a = BinaryMatrix.from_rows(grid)
+    rt, ct = list(row_sums(a)), list(col_sums(a))
+    rng.shuffle(rt)
+    rng.shuffle(ct)
+    return rt, ct
+
+
+def test_realize_exact_margins_matches_reference_on_a_256_by_2048_pair():
+    rt, ct = _large_unsorted_pair()
+    a = realize_exact_margins(rt, ct)
+    assert a is not None and a == reference_realize_exact_margins(rt, ct)
+    assert list(row_sums(a)) == rt and list(col_sums(a)) == ct
