@@ -11,13 +11,13 @@ cross-check each other:
 
 All three succeed exactly on the pairs accepted by check_gale_ryser.
 
-The two constructors hold each row as an int mask, bit c for column c,
-and cost what their moves cost.  ryser_construct keeps the rows in
-buckets by remaining need, so a column takes whole buckets and one
-prefix instead of sorting every row.  swap_construct resumes its row
-walk at the first row the last walk found holding a (donor, receiver)
-pair: the surplus and deficit masks only shrink and a row changes only
-when a move fires in it, so an earlier row never holds a pair again.
+A BinaryMatrix holds each row as an int mask, bit c for column c, from
+construction to output, and derives its entries.  The constructors cost
+what their moves cost.  The greedy keeps the rows in buckets by
+remaining need and writes each column to a given bit, so
+realize_exact_margins runs it on unsorted margins with no permutation
+afterwards.  swap_construct resumes its row walk where the last walk
+first met a row holding a (donor, receiver) pair.
 """
 
 from __future__ import annotations
@@ -52,29 +52,44 @@ class ConstructionStuck(RuntimeError):
     """
 
 
+_CELLS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """Immutable 0/1 matrix; row and column sums are always recomputed."""
+    """Immutable 0/1 matrix held as one int mask per row, bit c for column c."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows:
-            raise ValueError("entry grid does not match the declared shape")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged row")
-            for e in row:
-                if e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
+        masks = tuple(self.masks)
+        if self.rows < 0 or self.cols < 0 or len(masks) != self.rows:
+            raise ValueError("row masks do not match the declared shape")
+        limit = 1 << self.cols
+        for m in masks:
+            if not isinstance(m, int) or not 0 <= m < limit:
+                raise ValueError(f"row mask {m!r} is not an int in [0, 2**{self.cols})")
+        object.__setattr__(self, "masks", masks)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as 0/1 tuples, from each mask's binary digits: the bit
+        at cols pads them to cols + 1 and the reversal drops it."""
+        pad = 1 << self.cols
+        return tuple(tuple(format(m | pad, "b")[:0:-1].encode().translate(_CELLS)) for m in self.masks)
 
     @classmethod
     def from_rows(cls, rows) -> "BinaryMatrix":
-        entries = tuple(tuple(int(e) for e in row) for row in rows)
+        entries = [tuple(int(e) for e in row) for row in rows]
         ncols = len(entries[0]) if entries else 0
-        return cls(len(entries), ncols, entries)
+        for row in entries:
+            if len(row) != ncols:
+                raise ValueError("ragged row")
+            if not set(row) <= {0, 1}:
+                raise ValueError("entries must be 0 or 1")
+        return cls(len(entries), ncols, [sum(e << c for c, e in enumerate(row)) for row in entries])
 
     def to_text(self) -> str:
         """One row per line, '0'/'1' characters, no separators."""
@@ -83,51 +98,35 @@ class BinaryMatrix:
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows = []
         for ln in lines:
             if set(ln) - {"0", "1"}:
                 raise ValueError(f"bad matrix line: {ln!r}")
-            rows.append(tuple(int(c) for c in ln))
-        if rows and len({len(r) for r in rows}) != 1:
+        if len({len(ln) for ln in lines}) > 1:
             raise ValueError("rows have differing lengths")
-        return cls.from_rows(rows)
+        return cls.from_rows(lines)
 
 
 def row_sums(a: BinaryMatrix) -> tuple[int, ...]:
-    return tuple(map(sum, a.entries))
+    return tuple(m.bit_count() for m in a.masks)
 
 
 def col_sums(a: BinaryMatrix) -> tuple[int, ...]:
-    if not a.entries:
+    if not a.rows:
         return (0,) * a.cols
     return tuple(map(sum, zip(*a.entries)))
 
 
-_CELLS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _from_masks(rows: Sequence[int], ncols: int) -> BinaryMatrix:
-    """The matrix whose row r holds bit c of rows[r] in column c.
-
-    Each row's entries come from one pass over its binary digits: the
-    bit at ncols pads the digits to ncols + 1 and the reversal drops it.
-    """
-    entries = tuple(
-        tuple(format(row | 1 << ncols, "b")[:0:-1].encode().translate(_CELLS))
-        for row in rows
-    )
-    return BinaryMatrix(len(rows), ncols, entries)
-
-
-def _check_margins(a: BinaryMatrix, p: Partition, q: Partition) -> None:
-    if row_sums(a) != p.parts or col_sums(a) != q.parts:
+def _checked(masks, rows: tuple[int, ...], cols: tuple[int, ...]) -> BinaryMatrix:
+    """The matrix of the row masks, which must have these margins."""
+    a = BinaryMatrix(len(rows), len(cols), masks)
+    if row_sums(a) != rows or col_sums(a) != cols:
         raise ConstructionStuck("constructed matrix misses its margins")
+    return a
 
 
-def ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
-    """Greedy fill: columns in nonincreasing q order, each column's ones
-    placed into the rows with largest remaining need (ties to the lowest
-    row index).  Margins are verified exactly after the fill.
+def _greedy_fill(p: Partition, q: Partition, bits: Sequence[int]) -> list[int]:
+    """The greedy fill of ryser_construct as row masks, one for each of
+    p's parts, with q's column c written to bit bits[c].
 
     The rows are held in buckets by remaining need, each ascending by row
     index, so a column takes whole buckets from the top and a prefix of
@@ -142,14 +141,13 @@ def ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
     report = check_gale_ryser(p, q)
     if not report.feasible:
         raise InfeasibleMargins(report)
-    ncols = len(q)
     rows = [0] * len(p)
     # one empty bucket above the top need, so the shift needs no case
-    buckets: list[list[int]] = [[] for _ in range(ncols + 2)]
+    buckets: list[list[int]] = [[] for _ in range(len(q) + 2)]
     for r, part in enumerate(p.parts):
         buckets[part].append(r)
     top = p.parts[0] if p.parts else 0
-    for c, k in enumerate(q.parts):
+    for c, k in zip(bits, q.parts):
         if not k:
             break
         u = top
@@ -168,9 +166,14 @@ def ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
         buckets[u : top + 1] = [sorted(rest + buckets[u + 1]), *buckets[u + 2 : top + 2]]
         if u < top:
             top -= 1
-    a = _from_masks(rows, ncols)
-    _check_margins(a, p, q)
-    return a
+    return rows
+
+
+def ryser_construct(p: Partition, q: Partition) -> BinaryMatrix:
+    """Greedy fill: columns in nonincreasing q order, each column's ones
+    placed into the rows with largest remaining need (ties to the lowest
+    row index).  Margins are verified exactly after the fill."""
+    return _checked(_greedy_fill(p, q, range(len(q))), p.parts, q.parts)
 
 
 def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
@@ -187,7 +190,7 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
         return None
     target = q.parts
     filled = [0] * ncols
-    rows_out: list[tuple[int, ...]] = []
+    rows_out: list[int] = []
 
     def search(r: int) -> bool:
         if r == nrows:
@@ -206,7 +209,7 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
             for c in cols:
                 filled[c] += 1
             if all(target[c] - filled[c] <= left for c in range(ncols)):
-                rows_out.append(tuple(1 if c in cols else 0 for c in range(ncols)))
+                rows_out.append(sum(1 << c for c in cols))
                 if search(r + 1):
                     return True
                 rows_out.pop()
@@ -215,7 +218,7 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
         return False
 
     if search(0):
-        return BinaryMatrix.from_rows(rows_out)
+        return BinaryMatrix(nrows, ncols, rows_out)
     return None
 
 
@@ -327,33 +330,25 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
             surplus ^= 1 << cj
         if cols[ck] == target[ck]:
             deficit ^= 1 << ck
-    a = _from_masks(rows, ncols)
-    _check_margins(a, p, q)
-    return a
+    return _checked(rows, p.parts, q.parts)
 
 
 def realize_exact_margins(row_targets, col_targets) -> Optional[BinaryMatrix]:
     """Matrix with the given, not necessarily monotone, margins.
 
-    Sorts both targets, builds the sorted instance greedily, then permutes
-    rows and columns back.  Returns None when the sorted pair is
-    infeasible.
+    Fills the sorted instance greedily, writing each sorted column to the
+    bit of the column it came from and putting each sorted row in its
+    place; equal targets keep their input order.  Returns None when the
+    sorted pair is infeasible.
     """
-    rt = [int(v) for v in row_targets]
-    ct = [int(v) for v in col_targets]
-    p = Partition(tuple(rt))
-    q = Partition(tuple(ct))
+    rt = tuple(int(v) for v in row_targets)
+    ct = tuple(int(v) for v in col_targets)
+    col_order = sorted(range(len(ct)), key=ct.__getitem__, reverse=True)
     try:
-        sorted_a = ryser_construct(p, q)
+        sorted_rows = _greedy_fill(Partition(rt), Partition(ct), col_order)
     except InfeasibleMargins:
         return None
-    row_order = sorted(range(len(rt)), key=lambda i: (-rt[i], i))
-    col_order = sorted(range(len(ct)), key=lambda j: (-ct[j], j))
-    entries = [[0] * len(ct) for _ in range(len(rt))]
-    for si, i in enumerate(row_order):
-        for sj, j in enumerate(col_order):
-            entries[i][j] = sorted_a.entries[si][sj]
-    a = BinaryMatrix(len(rt), len(ct), tuple(map(tuple, entries)))
-    if list(row_sums(a)) != rt or list(col_sums(a)) != ct:
-        raise ConstructionStuck("permuted matrix misses its margins")
-    return a
+    rows = [0] * len(rt)
+    for i, row in zip(sorted(range(len(rt)), key=rt.__getitem__, reverse=True), sorted_rows):
+        rows[i] = row
+    return _checked(rows, rt, ct)

@@ -141,7 +141,7 @@ def test_constructors_keep_the_width_of_a_matrix_without_rows():
     # from_rows cannot tell the width of an empty grid; the constructors
     # build from the declared shape
     p, q = Partition(()), Partition((0, 0, 0))
-    for build in (ryser_construct, swap_construct):
+    for build in (ryser_construct, swap_construct, brute_force_realize):
         a = build(p, q)
         assert a == BinaryMatrix(0, 3, ())
         assert row_sums(a) == () and col_sums(a) == (0, 0, 0)

@@ -211,3 +211,40 @@ def test_realize_exact_margins_matches_reference_on_a_256_by_2048_pair():
     a = realize_exact_margins(rt, ct)
     assert a is not None and a == reference_realize_exact_margins(rt, ct)
     assert list(row_sums(a)) == rt and list(col_sums(a)) == ct
+
+
+def _entries_reads(build, *args) -> int:
+    """How often build(*args) reads BinaryMatrix.entries."""
+    reads = []
+    entries = BinaryMatrix.entries
+
+    def counted(a):
+        reads.append(a)
+        return entries.fget(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BinaryMatrix, "entries", property(counted))
+        build(*args)
+    return len(reads)
+
+
+@pytest.mark.parametrize("pair", ["ramp_shadow", "256x2048"])
+def test_matrices_read_entries_only_for_the_column_sums(pair):
+    # a BinaryMatrix holds row masks, and entries is built from them for
+    # output and for col_sums alone: a constructor's one margin check
+    # reads it once.  Validating entries on construction, or permuting
+    # unsorted margins through them, reads it more often.
+    if pair == "ramp_shadow":
+        p, q = _ramp_shadow()
+        rt, ct = list(p.parts), list(q.parts)
+        random.Random(128).shuffle(rt)
+        random.Random(129).shuffle(ct)
+    else:
+        rt, ct = _large_unsorted_pair()
+        p, q = Partition(tuple(rt)), Partition(tuple(ct))
+    a = realize_exact_margins(rt, ct)
+    assert _entries_reads(col_sums, a) == 1
+    assert _entries_reads(BinaryMatrix, a.rows, a.cols, a.masks) == 0
+    assert _entries_reads(realize_exact_margins, rt, ct) <= 1
+    assert _entries_reads(ryser_construct, p, q) <= 1
+    assert _entries_reads(swap_construct, p, q) <= 1
