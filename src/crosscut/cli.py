@@ -253,9 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built once: parsing leaves the tree unchanged, so every call reuses it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "check" and not args.discrete:
         if args.depth is None or args.subres is None:
             print("check --continuous requires -N and -K", file=sys.stderr)

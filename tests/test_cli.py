@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from crosscut import cli
 from crosscut.cli import main
 from crosscut.matrices import BinaryMatrix, col_sums, row_sums
 from crosscut.netpbm import read_netpbm
@@ -177,3 +178,43 @@ def test_error_exit_on_missing_file(files, capsys):
     tmp, write = files
     assert main(["check", "--discrete", str(tmp / "nope.txt"),
                  str(tmp / "nope.txt")]) == 2
+
+
+def test_main_reuses_the_parser_built_at_import(files, capsys, monkeypatch):
+    # main parses with the tree built once at import: commands in a row,
+    # usage errors and help among them, print and exit as each does on a
+    # freshly built parser
+    tmp, write = files
+    p = write("p.txt", "3 2\n")
+    q = write("q.txt", "2 2 1\n")
+    commands = [
+        ["check", "--discrete", p, q],
+        ["realize-matrix", p, q, "-o", str(tmp / "a.txt"), "--method", "swap"],
+        ["check", "--discrete", "--continuous", p, q],
+        ["realize-matrix", p],
+        ["verify", "--help"],
+        ["render"],
+        ["nonsense"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh.append(run(argv))
+    monkeypatch.undo()
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 2, 2]
+
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    for _ in range(2):
+        assert [run(argv) for argv in commands] == fresh
