@@ -290,12 +290,16 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
     return DyadicSet(params, tuple(rows))
 
 
+def _sub_counts(fill, subs: int) -> list[int]:
+    """Per finest sub-column, the cells of its column whose fill reaches past it."""
+    return [c for col in zip(*fill) for c in counts_above(col, subs)]
+
+
 def vertical_section(e: DyadicSet) -> StepFunction:
     """v_E(x): total height of the set above x, exact on the sub-unit grid.
     The counts stay integers; Dyadics are built only where they change."""
     p = e.params
-    counts = [c for col in zip(*e.fill) for c in counts_above(col, p.sub_per_cell)]
-    return StepFunction.from_grid(counts, p.depth + p.subres, p.depth)
+    return StepFunction.from_grid(_sub_counts(e.fill, p.sub_per_cell), p.depth + p.subres, p.depth)
 
 
 def horizontal_section(e: DyadicSet) -> StepFunction:
@@ -386,10 +390,7 @@ class _Work:
         self.f_top = [0, *accumulate(reversed(ranked))]
         self.f_over = [self.V - bisect_right(ranked, c << self.shift) for c in range(self.side + 1)]
         self.fill = [list(row) for row in fill]
-        self.vu = []
-        for j in range(self.side):
-            counts = counts_above([row[j] for row in self.fill], self.subs)
-            self.vu.extend(c << self.shift for c in counts)
+        self.vu = [c << self.shift for c in _sub_counts(self.fill, self.subs)]
         heights = [0] * (self.side + 1)
         for v in self.vu:
             heights[v >> self.shift] += 1
