@@ -9,6 +9,10 @@ section before undoing the exchange.  Everything else (margins, the
 section update of a swap, the generation loop) is the engine's own, so a
 trace of ReferenceWork differs from the engine's exactly when the fast
 search or its bookkeeping does.
+
+PairwiseWork is the engine with only its band scan replaced: every
+(donor, receiver) pair of a band is tested on its block masks, which is
+fast enough to follow the engine to N=9.
 """
 
 from __future__ import annotations
@@ -105,3 +109,38 @@ class ReferenceWork(_Work):
         drop = Dyadic(before - self.residual_units(), self.D + self.N + self.K)
         return replace(rec, l1_drop=drop)
 
+
+
+class PairwiseWork(_Work):
+    """The engine with the band scan that tests every (donor, receiver)
+    pair of a band on its block masks, one pair at a time.  Everything else
+    is the engine's, so a trace of PairwiseWork differs from the engine's
+    exactly when grouping the pairs by block changes which pairs a band
+    yields or their order."""
+
+    def _contained_pairs(self, gen: int, band: int, donors, receivers):
+        span = self.side >> gen
+        r0 = (band - 1) * span
+        full, nonempty = self._row_masks()
+        bf = bne = stride = 0
+        for i in range(span):
+            at = i * self.side
+            bf |= full[r0 + i] << at
+            bne |= nonempty[r0 + i] << at
+            stride |= ((1 << span) - 1) << at
+
+        def block(c: int) -> tuple[int, int]:
+            at = (c - 1) * span
+            return (bf >> at) & stride, (bne >> at) & stride
+
+        recv = [(k, *block(k)) for k in receivers]
+        for j in donors:
+            fj, nej = block(j)
+            not_fj = ~fj
+            for k, fk, nek in recv:
+                if nek & not_fj:
+                    if not (self.twin and self._nests_by_fill(SwapMove(gen, band, j, k))):
+                        continue
+                elif nej == fk:
+                    continue
+                yield j, k
