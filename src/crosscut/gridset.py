@@ -35,11 +35,20 @@ each row as two bitmasks over its columns, the full cells and the
 nonempty ones, and packs a block of a band into one int per mask.  A
 receiver block then fits in a donor block when no receiver cell is
 nonempty where the donor's is not full, and it is a proper subset when
-the masks differ: two big-int operations per candidate.  Only cells that
-are partial in both blocks escape the masks.  Reachable sets have none;
-sets with a row of two partial cells, which exchanges never create or
-remove (is_swappable and optimize_generation accept them), compare the
-squares cell by cell.
+the masks differ: two big-int operations per test.  Blocks with equal
+masks answer alike, so a band scan groups its receivers by block and
+tests each distinct donor block once against each group.  The fitting
+groups merged in ascending order are the receivers a test of every pair
+keeps, in the order it keeps them, so the pairs a band yields and the
+first swappable move do not change.  At generation N a block is one
+cell: a full donor takes every receiver that is not full, a partial
+donor only the empty ones, an empty donor none.  The band row's two
+masks and the search's donor and receiver class masks then give the
+pairs, and reject a band without one, in a few big-int operations.
+Only cells that are partial in both blocks escape the masks.  Reachable
+sets have none; sets with a row of two partial cells, which exchanges
+never create or remove (is_swappable and optimize_generation accept
+them), test every pair and compare such squares cell by cell.
 
 A swap's bookkeeping follows the cells it moves, run by run.  A cell of
 width a that takes the place of one of width b raises its column by one
@@ -100,7 +109,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import neg, sub
 from typing import Callable, Optional, Sequence
 
@@ -339,17 +348,50 @@ def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
     return DyadicSet(p, tuple(tuple(row) for row in grid))
 
 
+def _class_mask(classes) -> int:
+    """The classes as a bitmask, bit c - 1 for class c."""
+    return sum(1 << (c - 1) for c in classes)
+
+
+def _classes(mask: int):
+    """The classes of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def _block_fits(fj: int, nej: int, fk: int, nek: int) -> bool:
+    """Whether the receiver block with full and nonempty masks fk, nek is
+    a proper subset of the donor block fj, nej, when no cell is partial
+    in both: no receiver cell is nonempty where the donor's is not full,
+    and the masks differ."""
+    return not nek & ~fj and nej != fk
+
+
 @dataclass
 class _Scan:
     """Search state of one generation: the classes still passing the
-    donor and the receiver margin, ascending, the first band that a
-    search scans and the move the last search found."""
+    donor and the receiver margin, ascending and as class masks, the
+    first band that a search scans and the move the last search found."""
 
     gen: int
     donors: list[int]
     receivers: list[int]
     band: int = 1
     found: Optional[SwapMove] = None
+
+    def __post_init__(self):
+        self.donor_mask = _class_mask(self.donors)
+        self.receiver_mask = _class_mask(self.receivers)
+
+    def drop_donor(self, j: int) -> None:
+        self.donors.remove(j)
+        self.donor_mask ^= 1 << (j - 1)
+
+    def drop_receiver(self, k: int) -> None:
+        self.receivers.remove(k)
+        self.receiver_mask ^= 1 << (k - 1)
 
 
 class _Work:
@@ -549,19 +591,31 @@ class _Work:
         return max(self._excess_at(gen, k, 0)) <= -(1 << (self.D - gen))
 
     def _contained_pairs(self, gen: int, band: int, donors, receivers):
-        """(donor, receiver) pairs, donor-major in the given orders, whose
-        receiver block in the band is contained in the donor block cell by
-        cell and differs from it.
+        """(donor, receiver) pairs, donor-major in the order of donors and
+        receivers ascending, whose receiver block in the band is contained
+        in the donor block cell by cell and differs from it.
 
         A block packs its span rows' masks side by side.  A receiver
         nonempty cell where the donor's is not full escapes the masks:
         sets with a row of two partial cells, which exchanges never create
-        or remove, compare the squares cell by cell.  Otherwise the block
-        fits, and it is a proper subset when the masks differ.
+        or remove, test every pair and compare such squares cell by cell.
+        Otherwise the block fits, and it is a proper subset when the
+        masks differ.
+
+        Two blocks with the same masks answer every test alike, so the
+        receivers are grouped by block and each distinct donor block is
+        tested once against each group.  Its fitting groups, merged in
+        ascending order, are the receivers a pairwise loop would keep,
+        in the order it would keep them, so the pairs and their order are
+        the pairwise loop's.  At generation N a block is one cell, and
+        the test needs no loop over the classes at all (_cell_pairs).
         """
-        span = self.side >> gen
-        r0 = (band - 1) * span
         full, nonempty = self._row_masks()
+        span = self.side >> gen
+        if span == 1 and not self.twin:
+            yield from self._cell_pairs(band, donors, receivers)
+            return
+        r0 = (band - 1) * span
         bf = bne = stride = 0
         for i in range(span):
             at = i * self.side
@@ -573,16 +627,51 @@ class _Work:
             at = (c - 1) * span
             return (bf >> at) & stride, (bne >> at) & stride
 
-        recv = [(k, *block(k)) for k in receivers]
-        for j in donors:
-            fj, nej = block(j)
-            not_fj = ~fj
-            for k, fk, nek in recv:
-                if nek & not_fj:
-                    if not (self.twin and self._nests_by_fill(SwapMove(gen, band, j, k))):
+        if self.twin:
+            recv = [(k, *block(k)) for k in receivers]
+            for j in donors:
+                fj, nej = block(j)
+                not_fj = ~fj
+                for k, fk, nek in recv:
+                    if nek & not_fj:
+                        if not self._nests_by_fill(SwapMove(gen, band, j, k)):
+                            continue
+                    elif nej == fk:
                         continue
-                elif nej == fk:
-                    continue
+                    yield j, k
+            return
+        groups: dict[tuple[int, int], list[int]] = {}
+        for k in receivers:
+            groups.setdefault(block(k), []).append(k)
+        fitting: dict[tuple[int, int], list[int]] = {}
+        for j in donors:
+            key = block(j)
+            ks = fitting.get(key)
+            if ks is None:
+                fits = [g for (fk, nek), g in groups.items() if _block_fits(*key, fk, nek)]
+                # each group is ascending, so sorting their concatenation merges them
+                ks = fitting[key] = fits[0] if len(fits) == 1 else sorted(chain.from_iterable(fits))
+            for k in ks:
+                yield j, k
+
+    def _cell_pairs(self, band: int, donors, receivers):
+        """_contained_pairs at generation N, on a set with no row of two
+        partial cells.  A block is one cell, full, partial or empty.  A
+        full donor takes every receiver that is not full, a partial donor
+        only the empty ones, an empty donor none; so the band row's two
+        masks and the class masks give the pairs, and a band without one
+        costs a few big-int operations.  The search's lists come with
+        their masks; other lists are masked here."""
+        full, nonempty = self.full[band - 1], self.nonempty[band - 1]
+        scan = self.scan
+        if scan is not None and donors is scan.donors and receivers is scan.receivers:
+            dm, rm = scan.donor_mask, scan.receiver_mask
+        else:
+            dm, rm = _class_mask(donors), _class_mask(receivers)
+        not_full, empty = rm & ~full, rm & ~nonempty
+        dm &= (full if not_full else 0) | (nonempty & ~full if empty else 0)
+        for j in _classes(dm):
+            for k in _classes(not_full if full >> (j - 1) & 1 else empty):
                 yield j, k
 
     def _nests_by_fill(self, move: SwapMove) -> bool:
@@ -677,9 +766,9 @@ class _Work:
         if found:
             scan.found = None
             if not self._donor_ok(move.gen, move.donor):
-                scan.donors.remove(move.donor)
+                scan.drop_donor(move.donor)
             if not self._receiver_ok(move.gen, move.receiver):
-                scan.receivers.remove(move.receiver)
+                scan.drop_receiver(move.receiver)
         else:
             # the facts behind the kept state hold only for the move found
             self.scan = None

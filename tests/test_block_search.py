@@ -15,7 +15,7 @@ import random
 import pytest
 
 from conftest import rand_dyadic_set, rand_feasible_pair
-from crosscut import DyadicSet, GridParams
+from crosscut import DyadicSet, GridParams, gridset, reconstruct
 from crosscut.gridset import _Work, initial_set, optimize_generation
 from crosscut.ingest import quantize
 from reference_search import PairwiseWork
@@ -124,3 +124,47 @@ def test_band_scans_yield_the_pairwise_pairs_in_order(seed):
                 got = list(fast._contained_pairs(gen, band, donors, receivers))
                 assert got == list(ref._contained_pairs(gen, band, donors, receivers)), (gen, band)
 
+
+def test_band_scans_test_each_distinct_block_pair_once_on_ramp_n9(monkeypatch):
+    # a band scan tests each distinct donor block once against each
+    # distinct receiver block, and merging the fitting groups costs what
+    # it yields; at generation N it tests nothing per class.  The pairwise
+    # scan made 4,042,633 tests at generation 9 alone.
+    tests = [0]
+    scans: list[list[int]] = []  # gen, donor blocks, receiver blocks, tests, pairs
+    block_fits, contained_pairs = gridset._block_fits, _Work._contained_pairs
+
+    def counted_fits(*masks):
+        tests[0] += 1
+        return block_fits(*masks)
+
+    def counted_scan(self, gen, band, donors, receivers):
+        span = self.side >> gen
+        rows = range((band - 1) * span, band * span)
+        low = (1 << span) - 1
+
+        def blocks(classes):
+            at = [(c - 1) * span for c in classes]
+            return len({tuple((m[r] >> a) & low for m in (self.full, self.nonempty) for r in rows) for a in at})
+
+        self._row_masks()
+        scan = [gen, blocks(donors), blocks(receivers), 0, 0]
+        scans.append(scan)
+        start = tests[0]
+        for pair in contained_pairs(self, gen, band, donors, receivers):
+            scan[4] += 1
+            scan[3] = tests[0] - start
+            yield pair
+        scan[3] = tests[0] - start
+
+    monkeypatch.setattr(gridset, "_block_fits", counted_fits)
+    monkeypatch.setattr(_Work, "_contained_pairs", counted_scan)
+    f, g, params = _ramp(256, 9)
+    _, summary = reconstruct(f, g, params)
+    assert len(summary.swaps) == 586
+    for gen, donor_blocks, receiver_blocks, made, pairs in scans:
+        assert made <= donor_blocks * receiver_blocks + pairs, (gen, donor_blocks, receiver_blocks, made, pairs)
+    last = [made for gen, *_, made, _ in scans if gen == params.depth]
+    assert len(last) > 500 and not any(last)
+    print(len(last), len(scans), sum(made for *_, made, _ in scans), sum(d * r for _, d, r, *_ in scans), max(s[1]*s[2] for s in scans))
+    assert 0 < sum(made for *_, made, _ in scans) < 20_000
