@@ -378,20 +378,10 @@ class _Scan:
     gen: int
     donors: list[int]
     receivers: list[int]
+    donor_mask: int
+    receiver_mask: int
     band: int = 1
     found: Optional[SwapMove] = None
-
-    def __post_init__(self):
-        self.donor_mask = _class_mask(self.donors)
-        self.receiver_mask = _class_mask(self.receivers)
-
-    def drop_donor(self, j: int) -> None:
-        self.donors.remove(j)
-        self.donor_mask ^= 1 << (j - 1)
-
-    def drop_receiver(self, k: int) -> None:
-        self.receivers.remove(k)
-        self.receiver_mask ^= 1 << (k - 1)
 
 
 class _Work:
@@ -724,7 +714,8 @@ class _Work:
             donors = [j for j in range(1, top + 1) if self._donor_ok(gen, j)]
             # a receiver is never a donor: the margins have opposite signs
             receivers = [k for k in range(1, top + 1) if self._receiver_ok(gen, k)]
-            scan = self.scan = _Scan(gen, donors, receivers)
+            masks = _class_mask(donors), _class_mask(receivers)
+            scan = self.scan = _Scan(gen, donors, receivers, *masks)
         if not (scan.donors and scan.receivers):
             return None
         resume = top + 1
@@ -766,9 +757,11 @@ class _Work:
         if found:
             scan.found = None
             if not self._donor_ok(move.gen, move.donor):
-                scan.drop_donor(move.donor)
+                scan.donors.remove(move.donor)
+                scan.donor_mask ^= 1 << (move.donor - 1)
             if not self._receiver_ok(move.gen, move.receiver):
-                scan.drop_receiver(move.receiver)
+                scan.receivers.remove(move.receiver)
+                scan.receiver_mask ^= 1 << (move.receiver - 1)
         else:
             # the facts behind the kept state hold only for the move found
             self.scan = None
