@@ -581,9 +581,10 @@ class _Work:
         return max(self._excess_at(gen, k, 0)) <= -(1 << (self.D - gen))
 
     def _contained_pairs(self, gen: int, band: int, donors, receivers):
-        """(donor, receiver) pairs, donor-major in the order of donors and
-        receivers ascending, whose receiver block in the band is contained
-        in the donor block cell by cell and differs from it.
+        """(donor, receiver) pairs from the ascending lists donors and
+        receivers, donor-major with receivers ascending, whose receiver
+        block in the band is contained in the donor block cell by cell
+        and differs from it.
 
         A block packs its span rows' masks side by side.  A receiver
         nonempty cell where the donor's is not full escapes the masks:
