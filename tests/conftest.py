@@ -112,6 +112,22 @@ def rand_dyadic_set(rng: random.Random, params: GridParams) -> DyadicSet:
     return DyadicSet(params, fill)
 
 
+def rand_shaped_set(rng: random.Random, params: GridParams) -> DyadicSet:
+    """A random set whose rows have the hypograph's shape, full cells, at
+    most one partial cell and empty cells, in a random order.  Rows near
+    full or near empty are common, so big blocks fit often."""
+    side, cap = params.side, params.sub_per_cell
+    rows = []
+    for _ in range(side):
+        full = rng.choice((rng.randint(0, side), rng.randint(side - 1, side), rng.randint(0, 1)))
+        partial = [rng.randrange(1, cap)] if cap > 1 else []
+        row = [cap] * full + partial * (full < side and rng.random() < 0.7)
+        row += [0] * (side - len(row))
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    return DyadicSet(params, tuple(rows))
+
+
 def rand_grid_marginal(rng: random.Random, params: GridParams) -> StepFunction:
     """Random band-constant function with sub-unit values in [0, 1]."""
     nk = params.depth + params.subres

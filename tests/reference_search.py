@@ -1,14 +1,16 @@
 """The scalar swap search, kept as the reference for gridset._Work.
 
 ReferenceWork is the engine with its search and bookkeeping done the
-direct way: every candidate (band, donor, receiver) is tested cell by
-cell, the L1 drop of a swap is the difference of two whole-section
-residual sums, and prefix dominance exchanges the squares, recounts the
-two classes' whole columns and tests the histogram of the whole vertical
-section before undoing the exchange.  Everything else (margins, the
-section update of a swap, the generation loop) is the engine's own, so a
-trace of ReferenceWork differs from the engine's exactly when the fast
-search or its bookkeeping does.
+direct way, on a cell grid of its own that apply exchanges cell by cell:
+every candidate (band, donor, receiver) is tested cell by cell, the L1
+drop of a swap is the difference of two whole-section residual sums, the
+symmetric differences of a swap and of a generation are summed cell by
+cell, and prefix dominance exchanges the squares, recounts the two
+classes' whole columns and tests the histogram of the whole vertical
+section.  Everything else (margins, the section update of a swap, the
+generation loop) is the engine's own, so a trace of ReferenceWork
+differs from the engine's exactly when the fast search, its bookkeeping
+or its row masks do.
 
 PairwiseWork is the engine with only its band scan replaced: every
 (donor, receiver) pair of a band is tested on its block masks, which is
@@ -23,7 +25,7 @@ from typing import Optional
 
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
-from crosscut.gridset import SwapMove, SwapRecord, _Work
+from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _Work
 
 
 def section_dominates(work: _Work, vu) -> bool:
@@ -32,33 +34,55 @@ def section_dominates(work: _Work, vu) -> bool:
     return run_excess(f_runs, sorted(Counter(vu).items(), reverse=True)) is None
 
 
-def recounted_columns(work: _Work, vu, columns) -> list[int]:
-    """vu with the given cell columns recounted from all their cells."""
+def cell_grid(work: _Work) -> list[list[int]]:
+    """A ReferenceWork's own cells, or the engine's set written out from
+    its rows."""
+    if isinstance(work, ReferenceWork):
+        return work.cells
+    return [list(row) for row in work.to_set().fill]
+
+
+def exchange_cells(cells: list[list[int]], move: SwapMove) -> int:
+    """Exchange the move's squares in the grid cell by cell; returns the
+    sub-units that change hands, sum |donor - receiver|."""
+    span = len(cells) >> move.gen
+    r0, j0, k0 = (move.band - 1) * span, (move.donor - 1) * span, (move.receiver - 1) * span
+    moved = 0
+    for row in cells[r0 : r0 + span]:
+        for c in range(span):
+            moved += abs(row[j0 + c] - row[k0 + c])
+            row[j0 + c], row[k0 + c] = row[k0 + c], row[j0 + c]
+    return moved
+
+
+def recounted_columns(work: _Work, vu, columns, cells=None) -> list[int]:
+    """vu with the given cell columns recounted from all their cells, those
+    of the work's grid unless cells are given."""
+    cells = cell_grid(work) if cells is None else cells
     vu = list(vu)
     for j in columns:
-        counts = counts_above([row[j] for row in work.fill], work.subs)
+        counts = counts_above([row[j] for row in cells], work.subs)
         vu[j * work.subs : (j + 1) * work.subs] = [c << work.shift for c in counts]
     return vu
 
 
 def dominance_after_by_recount(work: _Work, move: SwapMove) -> bool:
-    """Exchange the squares cell by cell, recount every column of both
-    classes from all its cells, test the whole section, then undo."""
+    """Exchange the squares cell by cell in a copy of the work's grid,
+    recount every column of both classes from all its cells and test the
+    whole section."""
+    cells = [row[:] for row in cell_grid(work)]
+    exchange_cells(cells, move)
     span = work.side >> move.gen
-    r0, j0, k0 = (move.band - 1) * span, (move.donor - 1) * span, (move.receiver - 1) * span
-
-    def exchange():
-        for row in work.fill[r0 : r0 + span]:
-            for c in range(span):
-                row[j0 + c], row[k0 + c] = row[k0 + c], row[j0 + c]
-
-    exchange()
-    vu = recounted_columns(work, work.vu, (*range(j0, j0 + span), *range(k0, k0 + span)))
-    exchange()
+    j0, k0 = (move.donor - 1) * span, (move.receiver - 1) * span
+    vu = recounted_columns(work, work.vu, (*range(j0, j0 + span), *range(k0, k0 + span)), cells)
     return section_dominates(work, vu)
 
 
 class ReferenceWork(_Work):
+    def __init__(self, params, fill, f):
+        self.cells = [list(row) for row in fill]
+        super().__init__(params, fill, f)
+
     def residual_units(self) -> int:
         return sum(abs(a - b) for a, b in zip(self.fu, self.vu))
 
@@ -74,7 +98,7 @@ class ReferenceWork(_Work):
         r0, j0, k0 = (band - 1) * span, (j - 1) * span, (k - 1) * span
         strict = False
         for r in range(r0, r0 + span):
-            row = self.fill[r]
+            row = self.cells[r]
             for c in range(span):
                 wj, wk = row[j0 + c], row[k0 + c]
                 if wk > wj:
@@ -106,8 +130,19 @@ class ReferenceWork(_Work):
     def apply(self, move: SwapMove) -> SwapRecord:
         before = self.residual_units()
         rec = super().apply(move)
+        moved = exchange_cells(self.cells, move)
         drop = Dyadic(before - self.residual_units(), self.D + self.N + self.K)
-        return replace(rec, l1_drop=drop)
+        return replace(rec, l1_drop=drop, sym_diff=Dyadic(2 * moved, 2 * self.N + self.K))
+
+    def run_generation(self, gen: int, on_swap=None) -> GenerationRecord:
+        start = [row[:] for row in self.cells]
+        rec = super().run_generation(gen, on_swap)
+        sym = sum(abs(a - b) for old, new in zip(start, self.cells) for a, b in zip(old, new))
+        return replace(rec, sym_diff=Dyadic(sym, 2 * self.N + self.K))
+
+    def grid_set(self) -> DyadicSet:
+        """The own cell grid as a set."""
+        return DyadicSet(self.params, tuple(map(tuple, self.cells)))
 
 
 
@@ -121,7 +156,7 @@ class PairwiseWork(_Work):
     def _contained_pairs(self, gen: int, band: int, donors, receivers):
         span = self.side >> gen
         r0 = (band - 1) * span
-        full, nonempty = self._row_masks()
+        full, nonempty = self.full, self.nonempty
         bf = bne = stride = 0
         for i in range(span):
             at = i * self.side
@@ -138,9 +173,5 @@ class PairwiseWork(_Work):
             fj, nej = block(j)
             not_fj = ~fj
             for k, fk, nek in recv:
-                if nek & not_fj:
-                    if not (self.twin and self._nests_by_fill(SwapMove(gen, band, j, k))):
-                        continue
-                elif nej == fk:
-                    continue
-                yield j, k
+                if not nek & not_fj and nej != fk:
+                    yield j, k

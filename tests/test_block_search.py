@@ -4,8 +4,8 @@ _Work._contained_pairs tests a band's blocks, not its (donor, receiver)
 pairs.  PairwiseWork (tests/reference_search.py) keeps the scan that
 tests every pair; the engine must yield the same pairs in the same order,
 and so make the same moves, records and sets, on the deep ramps, on
-random feasible pairs and on arbitrary sets, rows of two partial cells
-included.
+random feasible pairs and on arbitrary sets whose rows have the
+hypograph's shape.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from conftest import rand_dyadic_set, rand_feasible_pair
-from crosscut import DyadicSet, GridParams, gridset, reconstruct
+from conftest import rand_feasible_pair, rand_shaped_set
+from crosscut import GridParams, gridset, reconstruct
 from crosscut.gridset import _Work, initial_set, optimize_generation
 from crosscut.ingest import quantize
 from reference_search import PairwiseWork
@@ -42,7 +42,7 @@ def assert_same_as_pairwise(f, g, params) -> int:
         assert fast.run_generation(gen, got.append) == ref.run_generation(gen, want.append), gen
         assert got == want, f"generation {gen}"
         swaps += len(got)
-    assert fast.fill == ref.fill and fast.vu == ref.vu
+    assert fast.to_set() == ref.to_set() and fast.vu == ref.vu
     return swaps
 
 
@@ -62,34 +62,11 @@ def test_random_pairs_match_pairwise(chunk):
     assert swaps > 0
 
 
-def _shaped(rng, params) -> DyadicSet:
-    """A random set whose rows have the hypograph's shape, full cells, at
-    most one partial cell and empty cells, in a random order.  Rows near
-    full or near empty are common, so big blocks fit often."""
-    side, cap = params.side, params.sub_per_cell
-    rows = []
-    for _ in range(side):
-        full = rng.choice((rng.randint(0, side), rng.randint(side - 1, side), rng.randint(0, 1)))
-        row = [cap] * full + [rng.randrange(1, cap)] * (full < side and rng.random() < 0.7)
-        row += [0] * (side - len(row))
-        rng.shuffle(row)
-        rows.append(tuple(row))
-    return DyadicSet(params, tuple(rows))
-
-
-def _twin(rng, params) -> DyadicSet:
-    """A shaped set whose first band row holds two partial cells."""
-    fill = [list(row) for row in _shaped(rng, params).fill]
-    cap = params.sub_per_cell
-    fill[0][0], fill[0][-1] = rng.randrange(1, cap), rng.randrange(1, cap)
-    return DyadicSet(params, tuple(map(tuple, fill)))
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_optimize_generation_matches_pairwise_on_arbitrary_sets(seed):
     rng = random.Random(89_000 + seed)
     params = GridParams(rng.randint(1, 4), rng.randint(1, 3))
-    for e in (_shaped(rng, params), _twin(rng, params), rand_dyadic_set(rng, params)):
+    for e in [rand_shaped_set(rng, params) for _ in range(3)]:
         for f in _targets(rng, e):
             for gen in range(1, params.depth + 1):
                 ref = PairwiseWork(params, e.fill, f)
@@ -109,13 +86,12 @@ def _classes(rng, top: int, disjoint: bool) -> tuple[list[int], list[int]]:
 @pytest.mark.parametrize("seed", range(30))
 def test_band_scans_yield_the_pairwise_pairs_in_order(seed):
     # every band of every generation: the same pairs, donor-major,
-    # receivers ascending.  A class in both lists is never paired with
-    # itself; only sets with a row of two partial cells need the lists
-    # disjoint, for their cell compare
+    # receivers ascending, with disjoint lists, as the search's are, and
+    # with lists that share classes, which no scan pairs with themselves
     rng = random.Random(97_000 + seed)
     params = GridParams(rng.randint(1, 4), rng.randint(1, 3))
     f = rand_feasible_pair(rng, params)[0]
-    for e, disjoint in ((_shaped(rng, params), False), (_twin(rng, params), True)):
+    for e, disjoint in ((rand_shaped_set(rng, params), False), (rand_shaped_set(rng, params), True)):
         fast, ref = _Work(params, e.fill, f), PairwiseWork(params, e.fill, f)
         for gen in range(1, params.depth + 1):
             top = 1 << gen
@@ -147,7 +123,6 @@ def test_band_scans_test_each_distinct_block_pair_once_on_ramp_n9(monkeypatch):
             at = [(c - 1) * span for c in classes]
             return len({tuple((m[r] >> a) & low for m in (self.full, self.nonempty) for r in rows) for a in at})
 
-        self._row_masks()
         scan = [gen, blocks(donors), blocks(receivers), 0, 0]
         scans.append(scan)
         start = tests[0]

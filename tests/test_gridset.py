@@ -31,8 +31,10 @@ from crosscut import (
 import crosscut
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import (
+    DyadicSet,
     InvariantViolation,
     MoveOutOfRange,
+    ReplayState,
     SwapMove,
     _Work,
     horizontal_section,
@@ -276,6 +278,54 @@ def test_dominance_hypothesis_raises_under_python_O():
         "except InvariantViolation:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
+    )
+    src = str(pathlib.Path(crosscut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# the engine's domain: rows of full cells, at most one partial cell and
+# empty cells.  Rows 1 and 2 of this N=2, K=2 fill hold two partial cells.
+_TWO_PARTIAL = ((4, 1, 0, 0), (1, 4, 0, 3), (2, 0, 1, 0), (0, 0, 0, 0))
+_ENGINE_CALLS = {
+    "_Work": lambda e, f, move: _Work(e.params, e.fill, f),
+    "ReplayState": lambda e, f, move: ReplayState(e.params, e.fill, f, ()),
+    "is_swappable": lambda e, f, move: is_swappable(e, f, move),
+    "optimize_generation": lambda e, f, move: optimize_generation(e, f, move.gen),
+    "swap": lambda e, f, move: swap(e, move),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_CALLS))
+def test_engine_rejects_a_row_of_two_partial_cells(name):
+    e = DyadicSet(GridParams(2, 2), _TWO_PARTIAL)
+    f = StepFunction.constant(e.measure())
+    with pytest.raises(ValueError, match="fill row 1 holds two partial cells"):
+        _ENGINE_CALLS[name](e, f, SwapMove(1, 1, 1, 2))
+    # the set and its sections stay valid
+    assert vertical_section(e).integral() == horizontal_section(e).integral() == e.measure()
+
+
+def test_engine_rejects_a_row_of_two_partial_cells_under_python_O():
+    code = (
+        "from crosscut.gridset import *\n"
+        "from crosscut.gridset import _Work\n"
+        f"e = DyadicSet(GridParams(2, 2), {_TWO_PARTIAL!r})\n"
+        "f, move = StepFunction.constant(e.measure()), SwapMove(1, 1, 1, 2)\n"
+        "calls = [lambda: _Work(e.params, e.fill, f), lambda: ReplayState(e.params, e.fill, f, ()),\n"
+        "         lambda: is_swappable(e, f, move), lambda: optimize_generation(e, f, 1),\n"
+        "         lambda: swap(e, move)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        if 'fill row 1 holds two partial cells' not in str(exc):\n"
+        "            raise\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
     )
     src = str(pathlib.Path(crosscut.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

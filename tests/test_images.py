@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import rand_dyadic_set
+from conftest import rand_dyadic_set, rand_shaped_set
 from crosscut import GridParams, vertical_section
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import DyadicSet, SwapMove, horizontal_section, swap
@@ -74,7 +74,7 @@ def test_swap_is_an_involution_and_preserves_rows():
     rng = random.Random(345)
     for _ in range(80):
         params = GridParams(rng.randint(1, 4), rng.randint(0, 3))
-        e = rand_dyadic_set(rng, params)
+        e = rand_shaped_set(rng, params)
         gen = rng.randint(1, params.depth)
         top = 1 << gen
         pair = rng.sample(range(1, top + 1), 2)

@@ -1,7 +1,8 @@
 """The replay's per-swap checks on hand-built states and injected faults.
 
-ReplayState accepts any fill, so a move whose receiver lies left of its
-donor, or whose corridors both break, is built directly.  Three checks
+ReplayState accepts any fill whose rows hold at most one partial cell, so
+a move whose receiver lies left of its donor, or whose corridors both
+break, is built directly.  Three checks
 ("horizontal section changed", "symmetric difference bookkeeping
 mismatch", "untouched column changed") hold for every real exchange, so
 no trace reaches them; they are reached by corrupting the state after
@@ -10,11 +11,13 @@ the exchange.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
-from crosscut import GridParams, StepFunction, SwapRecord, gridset
+from crosscut import GridParams, StepFunction, SwapRecord
 from crosscut.dyadic import Dyadic
-from crosscut.gridset import ReplayState, ReplayViolation, SwapMove, initial_set
+from crosscut.gridset import ReplayState, ReplayViolation, SwapMove, _Work, initial_set
 from test_report import run_fixture
 
 D = Dyadic
@@ -59,25 +62,45 @@ def test_receiver_left_of_donor_replays_ok():
     assert got == record
 
 
+def _broken_corridors(fill, f, params, move) -> tuple[bool, bool]:
+    """Whether the move leaves the donor's and the receiver's corridor."""
+    work = _Work(params, fill, f)
+    before = work.vu[:]
+    work.apply(move)
+    span = params.side >> move.gen
+    width = span * params.sub_per_cell
+
+    def left(cls, low, high):
+        cols = range((cls - 1) * width, cls * width)
+        return not all(low[i] <= work.vu[i] <= high[i] for i in cols)
+
+    return left(move.donor, work.fu, before), left(move.receiver, before, work.fu)
+
+
 def test_both_corridors_broken_reports_the_left_one_first():
-    # K=2: the exchange moves one sub-unit per cell, changing only the
-    # second sub-column of each class.  The receiver's first sub-column
-    # stays above f = 1/2 and the donor's third below it, while the L1
-    # drop still equals the symmetric difference.
-    params = GridParams(1, 2)
-    f = StepFunction.constant(D(1, 1))
-    fill = ((1, 2), (1, 2))
-    record = SwapRecord(1, 1, 2, 1, D(1, 3), D(1, 3))
-    assert _violation(fill, f, params, SwapMove(1, 1, 2, 1), record) == (
-        0,
-        "receiver column left the v_before .. f corridor",
-    )
-    mirrored = tuple(row[::-1] for row in fill)
-    record = SwapRecord(1, 1, 1, 2, D(1, 3), D(1, 3))
-    assert _violation(mirrored, f, params, SwapMove(1, 1, 1, 2), record) == (
-        0,
-        "donor column left the f .. v_before corridor",
-    )
+    # N=2, K=1, rows of full cells, at most one partial cell and empty
+    # cells: both corridors break while the L1 drop still equals the
+    # symmetric difference, 1/8, and the left class is reported
+    params = GridParams(2, 1)
+    cases = [
+        (
+            ((1, 2, 0, 2), (1, 0, 0, 0), (1, 2, 0, 2), (0, 0, 1, 2)),
+            (1, 5, 7, 1),
+            SwapMove(1, 1, 1, 2),
+            "donor column left the f .. v_before corridor",
+        ),
+        (
+            ((0, 0, 1, 2), (2, 1, 0, 2), (2, 0, 2, 1), (2, 1, 2, 2)),
+            (3, 8, 6, 3),
+            SwapMove(1, 2, 2, 1),
+            "receiver column left the v_before .. f corridor",
+        ),
+    ]
+    for fill, f_cells, move, violation in cases:
+        f = StepFunction.from_grid([D(u, 3) for u in f_cells], 2)
+        assert _broken_corridors(fill, f, params, move) == (True, True)
+        record = SwapRecord(*astuple(move), D(1, 3), D(1, 3))
+        assert _violation(fill, f, params, move, record) == (0, violation)
 
 
 # N=3, K=0, f = 1/8: band 1 moves one cell from column 6 (two cells tall)
@@ -130,21 +153,27 @@ def _sweep_violation(state):
 
 
 def _on_second_exchange(monkeypatch, corrupt):
-    """Runs corrupt(fill, rows, moved) -> moved after the second exchange."""
-    exchange, calls = gridset._exchange, []
+    """Runs corrupt(state, rows, moved) -> moved after the second exchange."""
+    exchange, calls = _Work._exchange, []
 
-    def patched(fill, rows, donor, receiver):
-        moved = exchange(fill, rows, donor, receiver)
+    def patched(self, rows, donor, receiver):
+        moved = exchange(self, rows, donor, receiver)
         calls.append(rows)
-        return corrupt(fill, rows, moved) if len(calls) == 2 else moved
+        return corrupt(self, rows, moved) if len(calls) == 2 else moved
 
-    monkeypatch.setattr(gridset, "_exchange", patched)
+    monkeypatch.setattr(_Work, "_exchange", patched)
 
 
 def test_injected_row_change_is_flagged(monkeypatch):
-    def leak(fill, rows, moved):
-        row = fill[rows.start]
-        row[0] = row[0] - 1 if row[0] else 1
+    def leak(state, rows, moved):
+        # the band's first cell turns empty, or full when it was empty
+        r = rows.start
+        if state.nonempty[r] & 1:
+            state.full[r] &= ~1
+            state.nonempty[r] &= ~1
+        else:
+            state.full[r] |= 1
+            state.nonempty[r] |= 1
         return moved
 
     state = _fixture_state()
@@ -154,7 +183,7 @@ def test_injected_row_change_is_flagged(monkeypatch):
 
 def test_injected_miscount_is_flagged(monkeypatch):
     state = _fixture_state()
-    _on_second_exchange(monkeypatch, lambda fill, rows, moved: moved + 1)
+    _on_second_exchange(monkeypatch, lambda state, rows, moved: moved + 1)
     assert _sweep_violation(state) == (1, "symmetric difference bookkeeping mismatch")
 
 

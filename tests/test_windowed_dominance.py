@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import rand_dyadic_set, rand_feasible_pair
+from conftest import rand_feasible_pair, rand_shaped_set
 from crosscut import GridParams, StepFunction, audit_trace, reconstruct
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import prefix_excess
@@ -87,7 +87,7 @@ def test_whole_order_matches_recount_on_arbitrary_sets(monkeypatch):
     for seed in range(20):
         rng = random.Random(67_000 + seed)
         params = GridParams(rng.randint(1, 3), rng.randint(1, 2))
-        e = rand_dyadic_set(rng, params)
+        e = rand_shaped_set(rng, params)
         for f in _targets(rng, e):
             for gen in range(1, params.depth + 1):
                 optimize_generation(e, f, gen)
@@ -128,7 +128,7 @@ def test_dominance_fails_inside_a_run_of_equal_heights():
     assert not dominance_after_by_recount(work, move)
     assert not work._dominance_after(move)
     # the probe changed nothing
-    assert work.fill == [[1, 0], [1, 0]] and work.dominated
+    assert work.to_set().fill == ((1, 0), (1, 0)) and work.dominated
 
 
 def _check_sums(monkeypatch) -> tuple[Counter, list[int]]:
