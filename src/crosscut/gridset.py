@@ -111,7 +111,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import eq, mul, neg, sub
+from operator import eq, le, mul, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
@@ -288,21 +288,14 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
     multiples of the sub-unit 2**-(N+K).  The resulting vertical cross
     section equals the distribution function of g exactly.
     """
-    cap = params.sub_per_cell
-    rows = []
-    for units in _cell_units(g, params.depth, params.depth + params.subres):
-        full, rem = divmod(units, cap)
-        row = [cap] * full
-        if rem:
-            row.append(rem)
-        row.extend([0] * (params.side - len(row)))
-        rows.append(tuple(row))
-    return DyadicSet(params, tuple(rows))
+    units = _cell_units(g, params.depth, params.depth + params.subres)
+    return _Rows.of_bands(params, units).to_set()
 
 
-def _sub_counts(fill, subs: int) -> list[int]:
-    """Per finest sub-column, the cells of its column whose fill reaches past it."""
-    return [c for col in zip(*fill) for c in counts_above(col, subs)]
+def _sub_counts(fill, subs: int):
+    """Per finest sub-column, the cells of its column whose fill reaches
+    past it; an iterator, read when the caller gets to it."""
+    return (c for col in zip(*fill) for c in counts_above(col, subs))
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
@@ -348,9 +341,7 @@ class _Rows:
     A fill with a row of two partial cells raises ValueError naming it."""
 
     def __init__(self, params: GridParams, fill):
-        self.params = params
-        self.side, self.subs = params.side, params.sub_per_cell
-        self.full, self.nonempty, self.part = [], [], []
+        self._hold(params, [], [], [])
         for r, row in enumerate(fill):
             full, nonempty = _mask(map(eq, row, repeat(self.subs))), _mask(map(bool, row))
             partial = nonempty & ~full
@@ -359,6 +350,28 @@ class _Rows:
             self.full.append(full)
             self.nonempty.append(nonempty)
             self.part.append(row[partial.bit_length() - 1] if partial else 0)
+
+    def _hold(self, params: GridParams, full: list[int], nonempty: list[int], part: list[int]) -> None:
+        self.params = params
+        self.side, self.subs = params.side, params.sub_per_cell
+        self.full, self.nonempty, self.part = full, nonempty, part
+
+    @classmethod
+    def of_bands(cls, params: GridParams, units: Sequence[int]):
+        """The hypograph's rows, read off its band values in sub-units and
+        not through a cell grid: a band of u = k * 2**K + rem sub-units
+        holds k full cells and then, when rem > 0, a partial cell of
+        width rem.  The instance is made without __init__, so a subclass
+        sets up the rest of its state itself."""
+        full, nonempty, part = [], [], []
+        for u in units:
+            k, rem = divmod(u, params.sub_per_cell)
+            full.append((1 << k) - 1)
+            nonempty.append((1 << (k + (rem > 0))) - 1)
+            part.append(rem)
+        rows = cls.__new__(cls)
+        rows._hold(params, full, nonempty, part)
+        return rows
 
     def _exchange(self, rows: slice, donor: slice, receiver: slice) -> int:
         """Exchange the two squares in place, columnwise; returns the number
@@ -435,9 +448,10 @@ class _Scan:
 class _Work(_Rows):
     """Mutable integer-scaled state for the swap search.
 
-    The grid is held as rows (_Rows), built here from the fill as vu is;
-    touched holds the masks of each band row the generation has touched,
-    as they were before it.
+    The grid is held as rows (_Rows).  __init__ builds them and vu from
+    a fill grid; hypograph builds both from g's band values, the start
+    reconstruct and audit_trace take.  touched holds the masks of each
+    band row the generation has touched, as they were before it.
 
     fu/vu hold the target and the vertical section per finest sub-column,
     both in units of 2**-D where D >= N + K also covers the denominators
@@ -456,6 +470,25 @@ class _Work(_Rows):
 
     def __init__(self, params: GridParams, fill, f: StepFunction):
         super().__init__(params, fill)
+        self._start(f, _sub_counts(fill, self.subs))
+
+    @classmethod
+    def hypograph(cls, params: GridParams, g: StepFunction, f: StepFunction):
+        """The engine started from the hypograph of g, built from g's band
+        values alone: the rows by _Rows.of_bands, and the section, g's
+        distribution function, as the count of bands whose value exceeds
+        each sub-column.  Both cost O(2**N + 2**(N+K)); no cell grid is
+        built.  g's values are checked before f's, as _Work's are when it
+        is given initial_set(g, params).fill."""
+        units = _cell_units(g, params.depth, params.depth + params.subres)
+        work = cls.of_bands(params, units)
+        work._start(f, counts_above(units, params.sub_total))
+        return work
+
+    def _start(self, f: StepFunction, counts) -> None:
+        """The state both starts share, from f and the section's height in
+        cells per sub-column; counts is read after f's values are checked."""
+        params = self.params
         self.N, self.K = params.depth, params.subres
         self.V = params.sub_total
         self.D = max(self.N + self.K, *(v.exp for v in f.values))
@@ -465,7 +498,7 @@ class _Work(_Rows):
         ranked = sorted(self.fu)
         self.f_top = [0, *accumulate(reversed(ranked))]
         self.f_over = [self.V - bisect_right(ranked, c << self.shift) for c in range(self.side + 1)]
-        self.vu = [c << self.shift for c in _sub_counts(fill, self.subs)]
+        self.vu = [c << self.shift for c in counts]
         heights = [0] * (self.side + 1)
         for v in self.vu:
             heights[v >> self.shift] += 1
@@ -878,7 +911,7 @@ def reconstruct(
     rep = check_hlp(f, g)
     if not rep.feasible:
         raise InfeasibleInput(rep)
-    work = _Work(params, initial_set(g, params).fill, f)
+    work = _Work.hypograph(params, g, f)
     if not work.dominated:
         raise InvariantViolation("feasible start must dominate the target")
     summary = work.sweep(rep, on_swap)
@@ -888,12 +921,29 @@ def reconstruct(
 class ReplayState(_Work):
     """The swap engine running the moves of a recorded trace: find_first
     hands out the next record instead of searching, and apply re-derives
-    every per-swap invariant of it."""
+    every per-swap invariant of it.
+
+    checked is a copy of the section as the last replayed swap left it,
+    made when the state is built: a swap reads its two classes' old values
+    there and writes their new ones back, so that copy and vu agree unless
+    some other sub-column changed, by the swap or between two swaps."""
 
     def __init__(self, params: GridParams, fill, f: StepFunction, records: Sequence[SwapRecord]):
         super().__init__(params, fill, f)
+        self._load(records)
+
+    @classmethod
+    def hypograph(
+        cls, params: GridParams, g: StepFunction, f: StepFunction, records: Sequence[SwapRecord]
+    ):
+        state = super().hypograph(params, g, f)
+        state._load(records)
+        return state
+
+    def _load(self, records: Sequence[SwapRecord]) -> None:
         self.records = tuple(records)
         self.next = 0  # index of the next record to replay
+        self.checked = self.vu[:]
 
     def find_first(self, gen: int) -> Optional[SwapMove]:
         """The next recorded move when it belongs to generation gen, None
@@ -929,7 +979,6 @@ class ReplayState(_Work):
         rows, donor, receiver = _squares(self.side, move)
         band = range(rows.start, rows.stop)
         before = [(self.full[r], self.nonempty[r]) for r in band]
-        vu_before = self.vu[:]
 
         rec = super().apply(move)
 
@@ -947,8 +996,10 @@ class ReplayState(_Work):
             gained += _units(s, width, f1 & ~f0 & blocks, ne1 & ~ne0 & blocks)
         donor_cols = slice(donor.start * s, donor.stop * s)
         recv_cols = slice(receiver.start * s, receiver.stop * s)
-        drop_d = sum(vu_before[donor_cols]) - sum(self.vu[donor_cols])
-        rise_k = sum(self.vu[recv_cols]) - sum(vu_before[recv_cols])
+        old_d, new_d = self.checked[donor_cols], self.vu[donor_cols]
+        old_k, new_k = self.checked[recv_cols], self.vu[recv_cols]
+        drop_d = sum(old_d) - sum(new_d)
+        rise_k = sum(new_k) - sum(old_k)
         # lost cell units are areas 2**-(2N+K); section sums are in units
         # 2**-(D+N+K): lost * 2**(D-N) must equal the section-change sum
         if lost << (self.D - self.N) != drop_d:
@@ -966,20 +1017,23 @@ class ReplayState(_Work):
             raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
 
         # the donor stays between f and its old section and the receiver
-        # between its old section and f, checked left to right; every other
-        # column is unchanged
+        # between its old section and f, checked left to right
         corridors = [
-            (donor_cols, self.fu, vu_before, "donor column left the f .. v_before corridor"),
-            (recv_cols, vu_before, self.fu, "receiver column left the v_before .. f corridor"),
+            (self.fu[donor_cols], new_d, old_d, "donor column left the f .. v_before corridor"),
+            (old_k, new_k, self.fu[recv_cols], "receiver column left the v_before .. f corridor"),
         ]
         if move.receiver < move.donor:
             corridors.reverse()
-        for cols, low, high, what in corridors:
-            if not all(lo <= v <= hi for lo, v, hi in zip(low[cols], self.vu[cols], high[cols])):
+        for low, v, high, what in corridors:
+            if not (all(map(le, low, v)) and all(map(le, v, high))):
                 raise ReplayViolation(idx, what)
-        left, right = corridors[0][0], corridors[1][0]
-        rest = slice(None, left.start), slice(left.stop, right.start), slice(right.stop, None)
-        if any(self.vu[cols] != vu_before[cols] for cols in rest):
+        # every other column is as the last swap left it: with the two
+        # classes written back, the copy equals vu.  Entries that no swap
+        # since the copy wrote are the same objects in both lists, so the
+        # comparison mostly compares pointers and allocates nothing.
+        self.checked[donor_cols] = new_d
+        self.checked[recv_cols] = new_k
+        if self.checked != self.vu:
             raise ReplayViolation(idx, "untouched column changed")
 
         if not self.dominated:

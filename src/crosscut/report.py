@@ -21,11 +21,11 @@ from .dyadic import Dyadic
 from .gridset import (
     GridParams,
     MalformedTrace,
+    QuantizationError,
     ReplayState,
     ReplayViolation,
     SwapRecord,
     TraceSummary,
-    initial_set,
 )
 from .stepfn import StepFunction
 
@@ -163,8 +163,8 @@ def audit_trace(
     summary = trace if isinstance(trace, TraceSummary) else None
     records = trace.swaps if summary is not None else trace
     try:
-        state = ReplayState(params, initial_set(g, params).fill, f, records)
-    except ValueError as exc:  # QuantizationError, or a DyadicSet range error
+        state = ReplayState.hypograph(params, g, f, records)
+    except QuantizationError as exc:
         raise MalformedTrace(f"cannot rebuild initial state: {exc}") from exc
 
     if not state.dominated:

@@ -31,6 +31,7 @@ import pytest
 from conftest import rand_feasible_pair
 from crosscut import GridParams, MalformedTrace, SwapRecord, audit_trace, reconstruct
 from crosscut.dyadic import Dyadic
+from crosscut.gridset import ReplayState
 from crosscut.ingest import quantize
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -44,6 +45,13 @@ def _sweep_module():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _ramp(n: int):
+    """The 2**n-step ramp of scripts/residual_sweep.py, quantized at depth
+    n and K=4, with its grid."""
+    params = GridParams(n, 4)
+    return quantize(_sweep_module().ramp(1 << n), params)[0], params
 
 
 def cases() -> dict:
@@ -153,6 +161,31 @@ def test_golden_outcomes_cover_every_kind(golden):
     failures = [v for v in values if isinstance(v, list) and not v[0]]
     assert any(v[2] is not None for v in failures)
     assert any(v[2] is None for v in failures)
+
+
+def _cut_short():
+    """The 64-step ramp at N=6, K=4, its full run, and the summary that
+    replaying only the first 30 of its 61 swaps returns."""
+    f, params = _ramp(6)
+    _, full = reconstruct(f, f, params)
+    cut = ReplayState.hypograph(params, f, f, full.swaps[:30]).sweep(full.feasibility)
+    return f, params, full, cut
+
+
+def test_a_run_cut_short_replays_to_a_worse_residual():
+    _, _, full, cut = _cut_short()
+    assert (len(full.swaps), str(full.final_residual)) == (61, "539/32768")
+    assert (len(cut.swaps), str(cut.final_residual)) == (30, "971/32768")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="audit_trace checks each recorded swap, not that each generation "
+    "ran until no swappable move was left, so a run cut short passes",
+)
+def test_audit_rejects_a_run_cut_short():
+    f, params, _, cut = _cut_short()
+    assert not audit_trace(cut, f, f, params).ok
 
 
 if __name__ == "__main__":

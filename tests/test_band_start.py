@@ -3,7 +3,11 @@
 initial_set must give the reference's cell grid on seeded g at N <= 6
 and K = 0..4, on g = 0 and g = 1 and on band values that end exactly on
 a cell boundary, and raise the reference's QuantizationError text on g
-off the cell grid, off the value grid or above 1.
+off the cell grid, off the value grid or above 1.  The engine's band
+start, _Work.hypograph and ReplayState.hypograph, must give every field
+of the fill start built on the reference grid, raise what that start
+raises (g's values checked before f's), and be the start reconstruct and
+audit_trace take, with no cell grid built on the way.
 """
 
 from __future__ import annotations
@@ -13,10 +17,20 @@ import random
 import pytest
 
 from conftest import rand_grid_marginal, rand_stepfn
+from crosscut import gridset
 from crosscut.dyadic import Dyadic
-from crosscut.gridset import GridParams, QuantizationError, initial_set
+from crosscut.gridset import (
+    GridParams,
+    MalformedTrace,
+    QuantizationError,
+    ReplayState,
+    _Work,
+    initial_set,
+)
+from crosscut.report import audit_trace
 from crosscut.stepfn import StepFunction
 from reference_start import reference_initial_set
+from test_audit_golden import _ramp
 
 
 def _corpus():
@@ -79,3 +93,83 @@ def test_initial_set_raises_the_reference_errors():
         assert got == _outcome(lambda: reference_initial_set(g, params)), (g, params)
         texts.add(got[1].split()[0] + (" outside" if "outside" in got[1] else ""))
     assert texts == {"breakpoint", "band", "band outside"}
+
+
+_FIELDS = ("full", "nonempty", "part", "vu", "above", "mass", "f_top", "f_over",
+           "residual", "dominated", "D", "fu")
+
+
+def _state(work) -> dict:
+    return {name: getattr(work, name) for name in _FIELDS}
+
+
+def _targets(rng: random.Random, g: StepFunction, params: GridParams):
+    """f = g, a seeded band-constant f, and one on a finer value grid."""
+    n, k = params.depth, params.subres
+    return (
+        g,
+        rand_grid_marginal(rng, params),
+        rand_stepfn(rng, grid_exp=rng.randint(1, n), value_exp=n + k + 3, max_value_units=9 << (n + k)),
+    )
+
+
+def test_band_start_is_the_fill_start():
+    rng = random.Random(19_500)
+    dominated = set()
+    for g, params in CORPUS:
+        fill = reference_initial_set(g, params).fill
+        for f in _targets(rng, g, params):
+            want = _state(_Work(params, fill, f))
+            assert _state(_Work.hypograph(params, g, f)) == want, (g, f, params)
+            records = ()
+            replay = ReplayState.hypograph(params, g, f, records)
+            assert _state(replay) == want
+            assert (replay.records, replay.next, replay.checked) == (records, 0, want["vu"])
+            dominated.add(want["dominated"])
+    assert dominated == {True, False}
+
+
+def test_band_start_raises_what_the_fill_start_raises():
+    # f_bad breaks inside a column at every N <= 6; with g off the grid
+    # too, g's error is the one raised, its values being checked first
+    f_bad = StepFunction.from_grid([Dyadic(1, 2), Dyadic(0)] * 64, 7)
+    errors = []
+    for g, params in OFF_GRID + CORPUS[::7]:
+        for f in (g, f_bad):
+            want = _outcome(lambda: _Work(params, reference_initial_set(g, params).fill, f))
+            got = _outcome(lambda: _Work.hypograph(params, g, f))
+            if isinstance(want, tuple):
+                errors.append(want[1].split()[0])
+                assert got == want, (g, f, params)
+                assert _outcome(lambda: ReplayState.hypograph(params, g, f, ())) == want
+                with pytest.raises(MalformedTrace) as err:
+                    audit_trace((), f, g, params)
+                assert str(err.value) == f"cannot rebuild initial state: {want[1]}"
+            else:
+                assert _state(got) == _state(want)
+    assert errors.count("band") == len(OFF_GRID) + len(OFF_GRID) // 2
+    assert errors.count("breakpoint") == len(OFF_GRID) // 2 + len(CORPUS[::7])
+
+
+def test_reconstruct_and_audit_build_no_cell_grid(monkeypatch):
+    # the fill path's three steps are never taken; to_set may still
+    # build the returned set
+    calls = {"initial_set": 0, "_sub_counts": 0, "_Rows.__init__": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(gridset, "initial_set", counted("initial_set", gridset.initial_set))
+    monkeypatch.setattr(gridset, "_sub_counts", counted("_sub_counts", gridset._sub_counts))
+    monkeypatch.setattr(gridset._Rows, "__init__", counted("_Rows.__init__", gridset._Rows.__init__))
+    f, params = _ramp(7)
+    e, summary = gridset.reconstruct(f, f, params)
+    assert audit_trace(summary, f, f, params).ok
+    assert calls == {"initial_set": 0, "_sub_counts": 0, "_Rows.__init__": 0}
+    assert len(summary.swaps) > 100
+    # the hooks count: the fill path takes all three
+    _Work(params, gridset.initial_set(f, params).fill, f)
+    assert calls == {"initial_set": 1, "_sub_counts": 1, "_Rows.__init__": 1}

@@ -6,7 +6,7 @@ break, is built directly.  Three checks
 ("horizontal section changed", "symmetric difference bookkeeping
 mismatch", "untouched column changed") hold for every real exchange, so
 no trace reaches them; they are reached by corrupting the state after
-the exchange.
+the exchange, or, for the section, between two exchanges.
 """
 
 from __future__ import annotations
@@ -15,27 +15,36 @@ from dataclasses import astuple
 
 import pytest
 
-from crosscut import GridParams, StepFunction, SwapRecord
+from crosscut import GridParams, StepFunction, SwapRecord, reconstruct
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import ReplayState, ReplayViolation, SwapMove, _Work, initial_set
+from test_audit_golden import _ramp
 from test_report import run_fixture
 
 D = Dyadic
 
 
 class _Drifting(ReplayState):
-    """Raises the section at sub-column `at` after exchange number `nth`."""
+    """Raises the section at sub-column `at` after exchange number `nth`,
+    or, with between set, when the sweep next asks for a move, so that
+    the drift falls between two replayed swaps."""
 
-    def __init__(self, *args, at: int, nth: int = 1):
+    def __init__(self, *args, at: int, nth: int = 1, between: bool = False):
         super().__init__(*args)
-        self.at, self.nth = at, nth
+        self.at, self.nth, self.between = at, nth, between
 
     def _write_section(self, changes, heights):
         drop = super()._write_section(changes, heights)
         self.nth -= 1
-        if self.nth == 0:
+        if self.nth == 0 and not self.between:
             self.vu[self.at] += 1
         return drop
+
+    def find_first(self, gen):
+        if self.nth == 0 and self.between:
+            self.vu[self.at] += 1
+            self.nth = -1
+        return super().find_first(gen)
 
 
 def _replay_one(fill, f, params, move, record, state_cls=ReplayState, **kw):
@@ -193,3 +202,40 @@ def test_injected_section_drift_is_flagged():
     state = _fixture_state(_Drifting, at=4, nth=2)
     assert (state.records[1].donor, state.records[1].receiver) == (1, 6)
     assert _sweep_violation(state) == (1, "untouched column changed")
+
+
+@pytest.mark.parametrize("at", (4, 12, 31))
+def test_drift_between_two_swaps_is_flagged_at_the_next(at):
+    # drift made after the first swap, when the sweep asks for the second
+    # move, at sub-columns the second swap does not touch: the replay
+    # checks the section against its copy from the first swap
+    state = _fixture_state(_Drifting, at=at, between=True)
+    assert _sweep_violation(state) == (1, "untouched column changed")
+
+
+class _Reads(list):
+    """A list that records the length of every slice read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.slices = []
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.slices.append(len(got))
+        return got
+
+
+def test_replay_reads_no_whole_section_per_swap():
+    # the 64-step ramp at N=6, K=4 (61 swaps); the copy that the running
+    # check starts from is made when the state is built, before vu is
+    # swapped for the counting list
+    f, params = _ramp(6)
+    _, summary = reconstruct(f, f, params)
+    state = ReplayState.hypograph(params, f, f, summary.swaps)
+    state.vu = _Reads(state.vu)
+    replayed = state.sweep(None)
+    assert replayed.final_residual == summary.final_residual
+    assert state.next == len(summary.swaps) == 61
+    assert state.vu.slices and params.sub_total not in state.vu.slices
