@@ -39,6 +39,13 @@ The engine (is_swappable, optimize_generation, swap, the replay) thus
 takes only such sets and raises ValueError on a row of two partial
 cells; DyadicSet, the sections, the images and verify take any set.
 
+reconstruct and audit_trace start the engine from g's 2**N band values,
+without a cell grid.  A band of u = k * 2**K + rem sub-units is the
+full mask 2**k - 1, the nonempty mask 2**(k + [rem > 0]) - 1 and the
+partial width rem, and the section at sub-column m counts the bands with
+u > m, g's distribution function: O(2**N + 2**(N+K)) work where the
+grid costs O(4**N).  initial_set is the same rows written out as a set.
+
 The search packs a band's block into one int per mask.  No cell being
 partial in both, a receiver block is a proper subset of a donor block
 when no receiver cell is nonempty where the donor's is not full and the
@@ -103,7 +110,12 @@ and builds the trace.  Replay is the same sweep running recorded moves:
 ReplayState's find_first hands out the next record of a trace instead of
 searching, and its apply re-derives every invariant of that swap, so
 report.audit_trace only compares the recorded summary with the replayed
-one.
+one.  The replay keeps one copy of the section, made at the start: each
+swap reads its two classes' old values there and writes their new ones
+back, and the copy must then equal the section.  The copy holds the
+section's own objects, so that comparison costs a pointer walk, and it
+catches a column changed outside a swap's classes, by the swap or
+between two swaps.
 """
 
 from __future__ import annotations
@@ -1028,9 +1040,9 @@ class ReplayState(_Work):
             if not (all(map(le, low, v)) and all(map(le, v, high))):
                 raise ReplayViolation(idx, what)
         # every other column is as the last swap left it: with the two
-        # classes written back, the copy equals vu.  Entries that no swap
-        # since the copy wrote are the same objects in both lists, so the
-        # comparison mostly compares pointers and allocates nothing.
+        # classes written back, the copy equals vu.  The copy takes its
+        # entries from vu, so they are the same objects in both lists and
+        # the comparison compares pointers and allocates nothing.
         self.checked[donor_cols] = new_d
         self.checked[recv_cols] = new_k
         if self.checked != self.vu:

@@ -141,16 +141,20 @@ def audit_trace(
 ) -> AuditResult:
     """Replay a trace from the initial hypograph set and verify every swap.
 
-    The replay is the engine's own generation sweep running the recorded
-    moves (gridset.ReplayState), which checks, per executed swap, with
-    exact arithmetic:
+    The start is read off g's band values (gridset._Work.hypograph): the
+    rows' masks and g's distribution function as the section, with no
+    cell grid built.  The replay is the engine's own generation sweep
+    running the recorded moves (gridset.ReplayState), which checks, per
+    executed swap, with exact arithmetic:
       * row cross sections and total measure unchanged,
       * the one-sided set differences equal the column integrals of the
         vertical-section changes,
       * the L1 error against f drops by exactly the symmetric difference,
         and both recorded values match the recomputed ones,
       * per column class, the move only shrinks the gap to f on the two
-        touched columns and leaves every other column unchanged,
+        touched columns, and every other column is as the previous swap
+        left it: the replay keeps a copy of the section, writes the two
+        classes' new values into it and requires it to equal the section,
       * prefix dominance of f's rearrangement primitive is preserved.
 
     For a full TraceSummary, its generation list must be 1..N in order,
