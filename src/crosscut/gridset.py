@@ -306,7 +306,7 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
 
 def _sub_counts(fill, subs: int):
     """Per finest sub-column, the cells of its column whose fill reaches
-    past it; an iterator, read when the caller gets to it."""
+    past it, as an iterator, which _Work reads only after f's checks."""
     return (c for col in zip(*fill) for c in counts_above(col, subs))
 
 
