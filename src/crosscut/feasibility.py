@@ -128,6 +128,9 @@ def prefix_excess(
     return run_excess([(x, 1) for x in lhs], [(y, 1) for y in rhs])
 
 
+_SPENT = (0, None)
+
+
 def run_excess(
     lhs: Sequence[tuple[Number, Number]], rhs: Sequence[tuple[Number, Number]]
 ) -> Optional[tuple[Number, Number, Number]]:
@@ -141,24 +144,39 @@ def run_excess(
     exceeds that of rhs, as (t, lhs integral, rhs integral); None when
     rhs dominates throughout.  A run of zero width adds nothing.
     """
-    sides = iter(lhs), iter(rhs)
-    # each side's current run as (value, width still to walk), None once spent
-    runs = [next(side, None) for side in sides]
-    t, sums = 0, [0, 0]
-    while runs != [None, None]:
-        step = min(w for _, w in filter(None, runs))
+    left, right = iter(lhs), iter(rhs)
+    # each side's current value and width still to walk; width None once spent
+    x, u = next(left, _SPENT)
+    y, v = next(right, _SPENT)
+    t = a = b = 0
+    while u is not None and v is not None:
+        step = v if v < u else u
         t += step
-        for i, run in enumerate(runs):
-            if run is None:
-                continue
-            value, width = run
-            sums[i] += value * step
-            if width > step:
-                runs[i] = (value, width - step)
-            else:
-                runs[i] = next(sides[i], None)
-        if sums[0] > sums[1]:
-            return t, sums[0], sums[1]
+        a += x * step
+        b += y * step
+        if u > step:
+            u -= step
+        else:
+            x, u = next(left, _SPENT)
+        if v > step:
+            v -= step
+        else:
+            y, v = next(right, _SPENT)
+        if a > b:
+            return t, a, b
+    # one side is spent and keeps its integral
+    while u is not None:
+        t += u
+        a += x * u
+        if a > b:
+            return t, a, b
+        x, u = next(left, _SPENT)
+    while v is not None:
+        t += v
+        b += y * v
+        if a > b:
+            return t, a, b
+        y, v = next(right, _SPENT)
     return None
 
 
