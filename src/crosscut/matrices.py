@@ -73,12 +73,17 @@ class BinaryMatrix:
                 raise ValueError(f"row mask {m!r} is not an int in [0, 2**{self.cols})")
         object.__setattr__(self, "masks", masks)
 
+    def _digits(self) -> list[str]:
+        """Each row as a string of '0' and '1', column 0 first, from the
+        mask's binary digits: the bit at cols pads them to cols + 1 and
+        the reversal drops it."""
+        pad = 1 << self.cols
+        return [format(m | pad, "b")[:0:-1] for m in self.masks]
+
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as 0/1 tuples, from each mask's binary digits: the bit
-        at cols pads them to cols + 1 and the reversal drops it."""
-        pad = 1 << self.cols
-        return tuple(tuple(format(m | pad, "b")[:0:-1].encode().translate(_CELLS)) for m in self.masks)
+        """The rows as 0/1 tuples."""
+        return tuple(tuple(row.encode().translate(_CELLS)) for row in self._digits())
 
     @classmethod
     def from_rows(cls, rows) -> "BinaryMatrix":
@@ -93,7 +98,7 @@ class BinaryMatrix:
 
     def to_text(self) -> str:
         """One row per line, '0'/'1' characters, no separators."""
-        return "\n".join("".join(str(e) for e in row) for row in self.entries) + "\n"
+        return "\n".join(self._digits()) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
@@ -111,9 +116,10 @@ def row_sums(a: BinaryMatrix) -> tuple[int, ...]:
 
 
 def col_sums(a: BinaryMatrix) -> tuple[int, ...]:
-    if not a.rows:
-        return (0,) * a.cols
-    return tuple(map(sum, zip(*a.entries)))
+    """Each column's ones, counted on the rows' digits laid end to end,
+    where column c is every cols-th digit from c."""
+    digits = "".join(a._digits())
+    return tuple(digits[c :: a.cols].count("1") for c in range(a.cols))
 
 
 def _checked(masks, rows: tuple[int, ...], cols: tuple[int, ...]) -> BinaryMatrix:
@@ -232,27 +238,59 @@ def _bits(mask: int):
 
 class _ColumnSums:
     """Column sums whose sorted prefix sums bound q's, with the slack
-    that tells which single moves keep them so (see swap_construct)."""
+    that tells which single moves keep them so (see swap_construct).
+
+    The slack is held packed in one int, fields: slack[t] in field t,
+    bits [w*t, w*t + w).  Every slack lies between -sum(q) and sum(cols),
+    so w, one bit more than the larger total needs, leaves each field's
+    top bit spare as a guard: zero while the slack is nonnegative, which
+    every move of swap_construct keeps.  A move adds or subtracts a 1 in
+    every field of a window with one big-int operation.  A probe sets the
+    window's guard bits and subtracts a 1 from each of its fields: no
+    field borrows from the next, and a guard bit survives iff its field
+    was at least 1.  A negative field, which only a move that breaks
+    dominance makes, borrows from the field above; slack decodes the
+    fields as signed digits and still reads the true values.
+    """
 
     def __init__(self, cols: list[int], q: Sequence[int], nrows: int):
         self.cols = cols
         self.ge = [len(cols)] + counts_above(cols, nrows)
-        self.slack = [0, *map(sub, accumulate(sorted(cols, reverse=True)), accumulate(q))]
+        slack = [0, *map(sub, accumulate(sorted(cols, reverse=True)), accumulate(q))]
+        self.width = w = max(sum(cols), sum(q)).bit_length() + 1
+        self.ones = sum(1 << (w * t) for t in range(len(slack)))
+        self.fields = sum(s << (w * t) for t, s in enumerate(slack))
+
+    @property
+    def slack(self) -> list[int]:
+        """slack[t] for t = 0..len(cols), decoded from the fields: adding
+        half a field's range to each makes every digit nonnegative."""
+        w = self.width
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        biased = self.fields + (self.ones << (w - 1))
+        return [(biased >> (w * t) & mask) - half for t in range(len(self.cols) + 1)]
+
+    def _window(self, lo: int, hi: int) -> int:
+        """A 1 in each of the fields lo .. hi - 1."""
+        w = self.width
+        return self.ones >> (w * (len(self.cols) + 1 - hi + lo)) << (w * lo)
 
     def keeps_dominance(self, cj: int, ck: int) -> bool:
         a, b = self.cols[cj], self.cols[ck]
-        return a <= b + 1 or min(self.slack[self.ge[a] : self.ge[b + 1] + 1]) >= 1
+        if a <= b + 1:
+            return True
+        ones = self._window(self.ge[a], self.ge[b + 1] + 1)
+        guards = ones << (self.width - 1)
+        return ((self.fields | guards) - ones) & guards == guards
 
     def move(self, cj: int, ck: int) -> None:
         """One unit from column cj to column ck."""
-        cols, ge, slack = self.cols, self.ge, self.slack
+        cols, ge = self.cols, self.ge
         a, b = cols[cj], cols[ck]
         if a >= b + 2:
-            lo, hi = ge[a], ge[b + 1] + 1
-            slack[lo:hi] = [s - 1 for s in slack[lo:hi]]
+            self.fields -= self._window(ge[a], ge[b + 1] + 1)
         elif a <= b:
-            lo, hi = ge[b + 1] + 1, ge[a]
-            slack[lo:hi] = [s + 1 for s in slack[lo:hi]]
+            self.fields += self._window(ge[b + 1] + 1, ge[a])
         ge[a] -= 1
         ge[b + 1] += 1
         cols[cj] -= 1
@@ -292,7 +330,12 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     a >= b + 2 the prefix sums drop by exactly 1 on the lengths
     #{sums >= a} .. #{sums > b} and nowhere else, so the move keeps
     dominance iff slack is at least 1 there.  ge[v] = #{sums >= v} finds
-    both ends (_ColumnSums).
+    both ends.  The slack is packed one field per length into an int,
+    each field w = (total ones).bit_length() + 1 bits wide, so its top
+    bit is a guard that nonnegative slack never reaches: a move adds or
+    subtracts the window's ones at once, and a probe sets the window's
+    guard bits, subtracts its ones and keeps the move iff every guard
+    bit survives (_ColumnSums).
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:

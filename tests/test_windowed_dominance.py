@@ -13,12 +13,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
+
 from conftest import rand_feasible_pair, rand_shaped_set
-from crosscut import GridParams, StepFunction, audit_trace, reconstruct
+from crosscut import GridParams, Partition, StepFunction, audit_trace, reconstruct
 from crosscut.dyadic import Dyadic
-from crosscut.feasibility import prefix_excess
+from crosscut.feasibility import counts_above, prefix_excess
 from crosscut.gridset import SwapMove, _Work, optimize_generation
-from crosscut.matrices import _ColumnSums, swap_construct
+from crosscut.matrices import _ColumnSums, col_sums, row_sums, swap_construct
 from reference_search import dominance_after_by_recount, recounted_columns, section_dominates
 from test_matrix_reference import _random_margins
 from test_search_state import _ramp
@@ -213,3 +215,91 @@ def test_slack_rejects_a_move_between_sums_two_apart():
     assert not sums.keeps_dominance(0, 1)
 
 
+
+
+# margins whose packed slack sits at an edge: no fields to pack beyond
+# slack[0], one row or one column, every cell 1 or 0, and one 1 per row
+# that starts all in column 0, where slack[1] = total - 1, the largest a
+# feasible pair reaches (15 = 2**4 - 1 leaves only the lowest value bit
+# of its field clear, 16 fills its field's value bits but the top one)
+EXTREME_MARGINS = {
+    "0x0": ((), ()),
+    "0x5": ((), (0,) * 5),
+    "5x0": ((0,) * 5, ()),
+    "1x5": ((3,), (1, 1, 1, 0, 0)),
+    "5x1": ((1, 1, 1, 0, 0), (3,)),
+    "all_ones": ((4,) * 3, (3,) * 4),
+    "all_zero": ((0,) * 3, (0,) * 4),
+    "largest_slack_15": ((1,) * 15, (1,) * 15),
+    "largest_slack_16": ((1,) * 16, (1,) * 16),
+}
+
+
+@pytest.mark.parametrize("shape", EXTREME_MARGINS)
+def test_packed_slack_at_its_extremes(shape, monkeypatch):
+    p, q = (Partition(parts) for parts in EXTREME_MARGINS[shape])
+    nrows, ncols = len(p), len(q)
+
+    def check(sums):
+        # the fields hold the slack of the definition, equal a fresh
+        # build's, and leave every guard bit clear; each probe is
+        # prefix_excess on the sorted candidate sums
+        cols = list(sums.cols)
+        w = q.total.bit_length() + 1
+        desc = sorted(cols, reverse=True)
+        want = [sum(desc[:t]) - sum(q.parts[:t]) for t in range(ncols + 1)]
+        assert sums.width == w and sums.slack == want
+        assert sums.fields == sum(s << w * t for t, s in enumerate(want))
+        fresh = _ColumnSums(cols, q.parts, nrows)
+        assert (sums.fields, sums.ge) == (fresh.fields, fresh.ge)
+        assert sums.fields & (sums.ones << (w - 1)) == 0
+        for cj in range(ncols):
+            for ck in range(ncols):
+                if cj != ck and cols[cj] and cols[ck] < nrows:
+                    cand = list(cols)
+                    cand[cj] -= 1
+                    cand[ck] += 1
+                    keeps = prefix_excess(q.parts, sorted(cand, reverse=True)) is None
+                    assert sums.keeps_dominance(cj, ck) == keeps, (cols, cj, ck)
+        return want
+
+    start = check(_ColumnSums(counts_above(p.parts, ncols), q.parts, nrows))
+    moves = []
+    move = _ColumnSums.move
+
+    def checked_move(self, cj, ck):
+        move(self, cj, ck)
+        moves.append(check(self))
+
+    monkeypatch.setattr(_ColumnSums, "move", checked_move)
+    a = swap_construct(p, q)
+    assert (row_sums(a), col_sums(a)) == (p.parts, q.parts)
+    if shape.startswith("largest_slack"):
+        # slack[1] falls by one per move, from total - 1 to 0
+        assert max(start) == start[1] == q.total - 1
+        assert [m[1] for m in moves] == list(range(q.total - 2, -1, -1))
+    else:
+        assert not moves and not any(start)
+
+
+def test_packed_slack_reads_negative_fields():
+    # a move that breaks dominance, which swap_construct never makes,
+    # leaves a negative field that borrows from the one above; slack must
+    # still read the definition's values, as must a build on such sums
+    rng = random.Random(73)
+    negative = 0
+    for _ in range(300):
+        n, nrows = rng.randint(1, 8), rng.randint(1, 6)
+        cols = [rng.randint(0, nrows) for _ in range(n)]
+        q = sorted((rng.randint(0, nrows) for _ in range(n)), reverse=True)
+        sums = _ColumnSums(list(cols), q, nrows)
+        for _ in range(rng.randint(0, 6)):
+            want = [
+                sum(sorted(sums.cols, reverse=True)[:t]) - sum(q[:t]) for t in range(n + 1)
+            ]
+            assert sums.slack == want, (sums.cols, q)
+            negative += min(want) < 0
+            cj, ck = rng.randrange(n), rng.randrange(n)
+            if cj != ck and sums.cols[cj] and sums.cols[ck] < nrows:
+                sums.move(cj, ck)
+    assert negative > 100
