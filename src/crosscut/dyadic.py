@@ -123,10 +123,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def scale_pow2(self, k: int) -> "Dyadic":
-        """Multiply by 2**k (k may be negative)."""
-        return Dyadic(self.num, self.exp - k)
-
     def __neg__(self):
         return Dyadic(-self.num, self.exp)
 

@@ -73,8 +73,9 @@ at a time, and a donor's least and a receiver's greatest v - f on a
 column are read at its last and its first sub-column.  A swap's cost
 follows its runs, not the 2**K sub-columns of a cell: only the slice
 that writes a run and the K steps of a bisection see them.  The change
-is computed once per swap, by the probe that tests its dominance, and
-written by apply.  Dominance is tested on a window of the
+is computed once per swap, by the probe that tests its dominance; the
+search hands it to apply with the move it found, and apply writes it.
+Dominance is tested on a window of the
 sorted section.  Let lo and hi be the least and the greatest height a
 changed sub-column has before or after the move.  The mass above hi, the
 mass below lo and the total stay the same, so the sorted prefix sums can
@@ -92,15 +93,17 @@ equal heights the gap between the two prefix sums is convex, so each run
 is tested once, where f's values fall to its height.
 
 A search keeps its state for the length of a generation: the donor and
-receiver lists and the band it resumes at.  Three facts keep the first
-swappable move in (band, donor, receiver) order the one it finds:
+receiver classes as masks, one bit per class, and the band it resumes
+at.  Three facts keep the first swappable move in (band, donor,
+receiver) order the one it finds:
 
   * a swap changes the section only on its donor and receiver classes,
     and by at most the margin, so the donor stays at or above f and the
-    receiver at or below it: no class joins a list, and only the two
-    touched classes are tested again;
+    receiver at or below it: no class joins a mask, and only the two
+    touched classes are tested again, a class that lost its margin
+    leaving its mask;
   * a swap writes only the rows of its own band, so a band that held no
-    contained pair holds none after it, the lists having only shrunk;
+    contained pair holds none after it, the masks having only shrunk;
   * dominance can change anywhere, so a band that held a pair rejected
     by dominance may fire later, and the next search resumes at the
     first band that held any pair, never past it.
@@ -128,7 +131,7 @@ from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
-from .matrices import realize_exact_margins
+from .matrices import _bits, _flags, _mask, realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -331,15 +334,6 @@ def _squares(side: int, move: SwapMove) -> tuple[slice, slice, slice]:
     return slice(r0, r0 + span), slice(j0, j0 + span), slice(k0, k0 + span)
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _mask(flags) -> int:
-    """The flags as a bitmask, bit c set when flag c is true."""
-    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
-
-
 def _units(cap: int, width: int, full: int, nonempty: int) -> int:
     """Sub-units in the cells a row's masks mark, cap per full cell and
     width, the row's partial width, per partial one; given the bits where
@@ -402,7 +396,7 @@ class _Rows:
     def to_set(self) -> DyadicSet:
         side, cap, rows = self.side, self.subs, []
         for f, ne, width in zip(self.full, self.nonempty, self.part):
-            row = [*map(mul, f"{f:0{side}b}"[::-1].encode().translate(_FLAGS), repeat(cap))]
+            row = [*map(mul, _flags(f, side), repeat(cap))]
             if width:
                 row[(ne & ~f).bit_length() - 1] = width
             rows.append(tuple(row))
@@ -421,19 +415,6 @@ def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
     return rows.to_set()
 
 
-def _class_mask(classes) -> int:
-    """The classes as a bitmask, bit c - 1 for class c."""
-    return sum(1 << (c - 1) for c in classes)
-
-
-def _classes(mask: int):
-    """The classes of a bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
 def _block_fits(fj: int, nej: int, fk: int, nek: int) -> bool:
     """Whether the receiver block with full and nonempty masks fk, nek is
     a proper subset of the donor block fj, nej, when no cell is partial
@@ -445,16 +426,15 @@ def _block_fits(fj: int, nej: int, fk: int, nek: int) -> bool:
 @dataclass
 class _Scan:
     """Search state of one generation: the classes still passing the
-    donor and the receiver margin, ascending and as class masks, the
-    first band that a search scans and the move the last search found."""
+    donor and the receiver margin, as masks with bit c - 1 for class c,
+    the first band that a search scans, and the move the last search
+    found with the section change its probe computed, for apply."""
 
     gen: int
-    donors: list[int]
-    receivers: list[int]
-    donor_mask: int
-    receiver_mask: int
+    donors: int
+    receivers: int
     band: int = 1
-    found: Optional[SwapMove] = None
+    found: Optional[tuple[SwapMove, tuple]] = None
 
 
 class _Work(_Rows):
@@ -476,8 +456,6 @@ class _Work(_Rows):
     the sorted section's prefix sums bound f's.
 
     Within a cell column fu is constant and vu a nonincreasing staircase.
-    probe holds the last section change a dominance test computed, runs
-    of sub-columns, with its move, for apply to write.
     """
 
     def __init__(self, params: GridParams, fill, f: StepFunction):
@@ -518,7 +496,6 @@ class _Work(_Rows):
         self.mass = [*accumulate(c * heights[c] for c in range(self.side, -1, -1))][::-1] + [0]
         self.residual = self.residual_units()  # carried: apply lowers it by each drop
         self.scan: Optional[_Scan] = None
-        self.probe: Optional[tuple[SwapMove, tuple]] = None
         self.touched: dict[int, tuple[int, int]] = {}
         self.dominated = self.majorized()
 
@@ -546,11 +523,8 @@ class _Work(_Rows):
         for r in range(rows.start, rows.stop):
             f, ne, width = self.full[r], self.nonempty[r], self.part[r]
             fj, nej, fk, nek = (f >> j0) & low, (ne >> j0) & low, (f >> k0) & low, (ne >> k0) & low
-            differ = (fj ^ fk) | (nej ^ nek)
-            while differ:
-                bit = differ & -differ
-                differ ^= bit
-                at = (bit.bit_length() - 1) * w
+            for c in _bits((fj ^ fk) | (nej ^ nek)):
+                bit, at = 1 << c, c * w
                 a = at + (subs if fj & bit else width if nej & bit else 0)
                 b = at + (subs if fk & bit else width if nek & bit else 0)
                 diff[a] = diff.get(a, 0) + 1
@@ -656,11 +630,11 @@ class _Work(_Rows):
     def _receiver_ok(self, gen: int, k: int) -> bool:
         return max(self._excess_at(gen, k, 0)) <= -(1 << (self.D - gen))
 
-    def _contained_pairs(self, gen: int, band: int, donors, receivers):
-        """(donor, receiver) pairs from the ascending lists donors and
-        receivers, donor-major with receivers ascending, whose receiver
-        block in the band is contained in the donor block cell by cell
-        and differs from it.
+    def _contained_pairs(self, gen: int, band: int, donors: int, receivers: int):
+        """(donor, receiver) pairs from the class masks donors and
+        receivers (bit c - 1 for class c), donor-major with receivers
+        ascending, whose receiver block in the band is contained in the
+        donor block cell by cell and differs from it.
 
         A block packs its span rows' masks side by side.  No cell is
         partial in both blocks, a row holding at most one partial cell,
@@ -690,14 +664,15 @@ class _Work(_Rows):
             stride |= ((1 << span) - 1) << at
 
         def block(c: int) -> tuple[int, int]:
-            at = (c - 1) * span
+            at = c * span
             return (bf >> at) & stride, (bne >> at) & stride
 
+        # classes are 1-based, bits 0-based
         groups: dict[tuple[int, int], list[int]] = {}
-        for k in receivers:
-            groups.setdefault(block(k), []).append(k)
+        for k in _bits(receivers):
+            groups.setdefault(block(k), []).append(k + 1)
         fitting: dict[tuple[int, int], list[int]] = {}
-        for j in donors:
+        for j in _bits(donors):
             key = block(j)
             ks = fitting.get(key)
             if ks is None:
@@ -705,37 +680,29 @@ class _Work(_Rows):
                 # each group is ascending, so sorting their concatenation merges them
                 ks = fitting[key] = fits[0] if len(fits) == 1 else sorted(chain.from_iterable(fits))
             for k in ks:
-                yield j, k
+                yield j + 1, k
 
-    def _cell_pairs(self, band: int, donors, receivers):
+    def _cell_pairs(self, band: int, donors: int, receivers: int):
         """_contained_pairs at generation N, where a block is one cell,
         full, partial or empty.  A full donor takes every receiver that is
         not full, a partial donor only the empty ones, an empty donor
         none; so the band row's two masks and the class masks give the
-        pairs, and a band without one costs a few big-int operations.  The
-        search's lists come with their masks; other lists are masked
-        here."""
+        pairs, and a band without one costs a few big-int operations."""
         full, nonempty = self.full[band - 1], self.nonempty[band - 1]
-        scan = self.scan
-        if scan is not None and donors is scan.donors and receivers is scan.receivers:
-            dm, rm = scan.donor_mask, scan.receiver_mask
-        else:
-            dm, rm = _class_mask(donors), _class_mask(receivers)
-        not_full, empty = rm & ~full, rm & ~nonempty
-        dm &= (full if not_full else 0) | (nonempty & ~full if empty else 0)
-        for j in _classes(dm):
-            for k in _classes(not_full if full >> (j - 1) & 1 else empty):
-                yield j, k
+        not_full, empty = receivers & ~full, receivers & ~nonempty
+        donors &= (full if not_full else 0) | (nonempty & ~full if empty else 0)
+        for j in _bits(donors):
+            for k in _bits(not_full if full >> j & 1 else empty):
+                yield j + 1, k + 1
 
     def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
-        return any(self._contained_pairs(gen, band, (j,), (k,)))
+        return any(self._contained_pairs(gen, band, 1 << (j - 1), 1 << (k - 1)))
 
-    def _dominance_after(self, move: SwapMove) -> bool:
-        """Prefix dominance of the section the move would leave, read off
-        the move's cells.  Only the probe is kept, for apply."""
+    def _dominance_after(self, move: SwapMove) -> Optional[tuple]:
+        """The section change of the move, read off its cells, when the
+        section it would leave keeps prefix dominance; None when not."""
         change = self._section_change(*_squares(self.side, move))
-        self.probe = move, change
-        return self._dominates(change[1])
+        return change if self._dominates(change[1]) else None
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -744,19 +711,20 @@ class _Work(_Rows):
             self._donor_ok(move.gen, move.donor)
             and self._receiver_ok(move.gen, move.receiver)
             and self._proper_subset(move.gen, move.band, move.donor, move.receiver)
-            and self._dominance_after(move)
+            and self._dominance_after(move) is not None
         )
 
     def find_first(self, gen: int) -> Optional[SwapMove]:
         """First swappable move in (band, donor, receiver) ascending order.
 
-        The donor and receiver lists and the band to resume at are built
+        The donor and receiver masks and the band to resume at are built
         by the generation's first search (self.scan) and kept current by
-        apply.  This finds the move a rescan of every band would, because
+        apply, which also takes the found move's section change from its
+        probe.  This finds the move a rescan of every band would, because
         a swap of the generation
           * moves the section only on its donor and receiver classes and
             leaves them at or above and at or below f, so no class joins
-            a list and only those two are tested again;
+            a mask and only those two are tested again;
           * writes only its own band's rows, so a band that yielded no
             contained pair yields none after it;
           * can change dominance anywhere, so a band where dominance
@@ -767,11 +735,13 @@ class _Work(_Rows):
         top = 1 << gen
         scan = self.scan
         if scan is None or scan.gen != gen:
-            donors = [j for j in range(1, top + 1) if self._donor_ok(gen, j)]
+            classes = range(1, top + 1)
             # a receiver is never a donor: the margins have opposite signs
-            receivers = [k for k in range(1, top + 1) if self._receiver_ok(gen, k)]
-            masks = _class_mask(donors), _class_mask(receivers)
-            scan = self.scan = _Scan(gen, donors, receivers, *masks)
+            scan = self.scan = _Scan(
+                gen,
+                _mask(self._donor_ok(gen, j) for j in classes),
+                _mask(self._receiver_ok(gen, k) for k in classes),
+            )
         if not (scan.donors and scan.receivers):
             return None
         resume = top + 1
@@ -779,28 +749,28 @@ class _Work(_Rows):
             for j, k in self._contained_pairs(gen, band, scan.donors, scan.receivers):
                 resume = min(resume, band)
                 move = SwapMove(gen, band, j, k)
-                if self._dominance_after(move):
-                    scan.band, scan.found = resume, move
+                change = self._dominance_after(move)
+                if change is not None:
+                    scan.band, scan.found = resume, (move, change)
                     return move
         scan.band = resume
         return None
 
     def apply(self, move: SwapMove) -> SwapRecord:
         """Exchange the move's squares and update the section, the L1 drop
-        and the height counts from the exchanged cells.  The section change
-        is the last probe's when that probe was of this move, nothing
-        having changed since; any other move computes it.  The move the
-        last search found keeps dominance, as its probe showed, and keeps
+        and the height counts from the exchanged cells.  The move the last
+        search found comes with its probe's section change, nothing having
+        changed since, and keeps dominance, as that probe showed; it keeps
         the generation's search state, less a donor or receiver that lost
-        its margin; any other move is tested and drops the search state."""
+        its margin.  Any other move computes its change, is tested and
+        drops the search state."""
         rows, donor, receiver = _squares(self.side, move)
-        probe, self.probe = self.probe, None
-        if probe is not None and probe[0] == move:
-            changes, heights = probe[1]
+        scan = self.scan
+        found = scan is not None and scan.found is not None and scan.found[0] == move
+        if found:
+            changes, heights = scan.found[1]
         else:
             changes, heights = self._section_change(rows, donor, receiver)
-        scan = self.scan
-        found = scan is not None and move == scan.found
         self.dominated = found or self._dominates(heights)
         for r in range(rows.start, rows.stop):
             if r not in self.touched:
@@ -811,11 +781,9 @@ class _Work(_Rows):
         if found:
             scan.found = None
             if not self._donor_ok(move.gen, move.donor):
-                scan.donors.remove(move.donor)
-                scan.donor_mask ^= 1 << (move.donor - 1)
+                scan.donors ^= 1 << (move.donor - 1)
             if not self._receiver_ok(move.gen, move.receiver):
-                scan.receivers.remove(move.receiver)
-                scan.receiver_mask ^= 1 << (move.receiver - 1)
+                scan.receivers ^= 1 << (move.receiver - 1)
         else:
             # the facts behind the kept state hold only for the move found
             self.scan = None

@@ -18,6 +18,9 @@ remaining need and writes each column to a given bit, so
 realize_exact_margins runs it on unsorted margins with no permutation
 afterwards.  swap_construct resumes its row walk where the last walk
 first met a row holding a (donor, receiver) pair.
+
+The row codec (_digits, _flags and _mask, between a mask and its 0/1
+cells) and the set-bit walk (_bits) serve gridset's row masks as well.
 """
 
 from __future__ import annotations
@@ -52,7 +55,32 @@ class ConstructionStuck(RuntimeError):
     """
 
 
-_CELLS = bytes.maketrans(b"01", b"\x00\x01")
+_CELLS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _digits(mask: int, n: int) -> str:
+    """Bits 0 .. n - 1 of mask as '0' and '1', bit 0 first: the bit at n
+    pads the binary digits to n + 1 and the reversal drops it."""
+    return format(mask | 1 << n, "b")[:0:-1]
+
+
+def _flags(mask: int, n: int) -> bytes:
+    """Bits 0 .. n - 1 of mask as 0/1 bytes, bit 0 first."""
+    return _digits(mask, n).encode().translate(_CELLS)
+
+
+def _mask(flags) -> int:
+    """The 0/1 flags as a bitmask, bit c set when flag c is 1."""
+    return int(bytes(flags).translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -73,17 +101,10 @@ class BinaryMatrix:
                 raise ValueError(f"row mask {m!r} is not an int in [0, 2**{self.cols})")
         object.__setattr__(self, "masks", masks)
 
-    def _digits(self) -> list[str]:
-        """Each row as a string of '0' and '1', column 0 first, from the
-        mask's binary digits: the bit at cols pads them to cols + 1 and
-        the reversal drops it."""
-        pad = 1 << self.cols
-        return [format(m | pad, "b")[:0:-1] for m in self.masks]
-
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The rows as 0/1 tuples."""
-        return tuple(tuple(row.encode().translate(_CELLS)) for row in self._digits())
+        return tuple(tuple(_flags(m, self.cols)) for m in self.masks)
 
     @classmethod
     def from_rows(cls, rows) -> "BinaryMatrix":
@@ -94,11 +115,11 @@ class BinaryMatrix:
                 raise ValueError("ragged row")
             if not set(row) <= {0, 1}:
                 raise ValueError("entries must be 0 or 1")
-        return cls(len(entries), ncols, [sum(e << c for c, e in enumerate(row)) for row in entries])
+        return cls(len(entries), ncols, [*map(_mask, entries)])
 
     def to_text(self) -> str:
         """One row per line, '0'/'1' characters, no separators."""
-        return "\n".join(self._digits()) + "\n"
+        return "\n".join(_digits(m, self.cols) for m in self.masks) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
@@ -118,7 +139,7 @@ def row_sums(a: BinaryMatrix) -> tuple[int, ...]:
 def col_sums(a: BinaryMatrix) -> tuple[int, ...]:
     """Each column's ones, counted on the rows' digits laid end to end,
     where column c is every cols-th digit from c."""
-    digits = "".join(a._digits())
+    digits = "".join(_digits(m, a.cols) for m in a.masks)
     return tuple(digits[c :: a.cols].count("1") for c in range(a.cols))
 
 
@@ -228,14 +249,6 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
     return None
 
 
-def _bits(mask: int):
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _ColumnSums:
     """Column sums whose sorted prefix sums bound q's, with the slack
     that tells which single moves keep them so (see swap_construct).
@@ -244,13 +257,14 @@ class _ColumnSums:
     bits [w*t, w*t + w).  Every slack lies between -sum(q) and sum(cols),
     so w, one bit more than the larger total needs, leaves each field's
     top bit spare as a guard: zero while the slack is nonnegative, which
-    every move of swap_construct keeps.  A move adds or subtracts a 1 in
-    every field of a window with one big-int operation.  A probe sets the
-    window's guard bits and subtracts a 1 from each of its fields: no
-    field borrows from the next, and a guard bit survives iff its field
-    was at least 1.  A negative field, which only a move that breaks
-    dominance makes, borrows from the field above; slack decodes the
-    fields as signed digits and still reads the true values.
+    every move keeps.  A move adds or subtracts a 1 in every field of a
+    window with one big-int operation.  Before it subtracts, try_move
+    probes the same window: it sets the window's guard bits and subtracts
+    a 1 from each of its fields, so no field borrows from the next, and
+    a guard bit survives iff its field was at least 1.  A negative field,
+    which only a build on sums that do not dominate q holds, borrows from
+    the field above; slack decodes the fields as signed digits and still
+    reads the true values.
     """
 
     def __init__(self, cols: list[int], q: Sequence[int], nrows: int):
@@ -275,26 +289,25 @@ class _ColumnSums:
         w = self.width
         return self.ones >> (w * (len(self.cols) + 1 - hi + lo)) << (w * lo)
 
-    def keeps_dominance(self, cj: int, ck: int) -> bool:
-        a, b = self.cols[cj], self.cols[ck]
-        if a <= b + 1:
-            return True
-        ones = self._window(self.ge[a], self.ge[b + 1] + 1)
-        guards = ones << (self.width - 1)
-        return ((self.fields | guards) - ones) & guards == guards
-
-    def move(self, cj: int, ck: int) -> None:
-        """One unit from column cj to column ck."""
+    def try_move(self, cj: int, ck: int) -> bool:
+        """Move one unit from column cj to column ck when that keeps
+        dominance; returns whether it did, and changes nothing when not.
+        The window is built once, for the probe and the move."""
         cols, ge = self.cols, self.ge
         a, b = cols[cj], cols[ck]
         if a >= b + 2:
-            self.fields -= self._window(ge[a], ge[b + 1] + 1)
+            ones = self._window(ge[a], ge[b + 1] + 1)
+            guards = ones << (self.width - 1)
+            if ((self.fields | guards) - ones) & guards != guards:
+                return False
+            self.fields -= ones
         elif a <= b:
             self.fields += self._window(ge[b + 1] + 1, ge[a])
         ge[a] -= 1
         ge[b + 1] += 1
         cols[cj] -= 1
         cols[ck] += 1
+        return True
 
 
 def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
@@ -333,9 +346,9 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     both ends.  The slack is packed one field per length into an int,
     each field w = (total ones).bit_length() + 1 bits wide, so its top
     bit is a guard that nonnegative slack never reaches: a move adds or
-    subtracts the window's ones at once, and a probe sets the window's
-    guard bits, subtracts its ones and keeps the move iff every guard
-    bit survives (_ColumnSums).
+    subtracts the window's ones at once, after a probe of the same window
+    that sets its guard bits, subtracts its ones and lets the move fire
+    iff every guard bit survives (_ColumnSums.try_move).
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:
@@ -360,7 +373,7 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
                     first = r
                 for cj in _bits(donors):
                     for ck in _bits(receivers):
-                        if sums.keeps_dominance(cj, ck):
+                        if sums.try_move(cj, ck):
                             return first, r, cj, ck
         raise ConstructionStuck("no admissible move but margins not met")
 
@@ -368,7 +381,6 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     while surplus:
         start, r, cj, ck = find_move(start)
         rows[r] ^= (1 << cj) | (1 << ck)
-        sums.move(cj, ck)
         if cols[cj] == target[cj]:
             surplus ^= 1 << cj
         if cols[ck] == target[ck]:

@@ -11,31 +11,24 @@ from __future__ import annotations
 from .gridset import DyadicSet, GridParams
 
 
+def _write(magic: str, samples, header: tuple[str, ...], comments) -> str:
+    """The text image: magic number, comments, size, the header lines
+    after it, then one line of samples per row."""
+    rows = [list(r) for r in samples]
+    size = f"{len(rows[0]) if rows else 0} {len(rows)}"
+    lines = [magic, *(f"# {c}" for c in comments), size, *header]
+    lines.extend(" ".join(map(str, map(int, r))) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
 def write_pbm(bits, comments=()) -> str:
     """P1 image from rows of 0/1 ints; 1 renders black."""
-    rows = [list(r) for r in bits]
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    lines = ["P1"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(f"{width} {height}")
-    for r in rows:
-        lines.append(" ".join(str(int(b)) for b in r))
-    return "\n".join(lines) + "\n"
+    return _write("P1", bits, (), comments)
 
 
 def write_pgm(pixels, maxval: int = 255, comments=()) -> str:
     """P2 image from rows of ints in [0, maxval]."""
-    rows = [list(r) for r in pixels]
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    lines = ["P2"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(f"{width} {height}")
-    lines.append(str(maxval))
-    for r in rows:
-        lines.append(" ".join(str(int(p)) for p in r))
-    return "\n".join(lines) + "\n"
+    return _write("P2", pixels, (str(maxval),), comments)
 
 
 def _tokens_and_comments(text: str):
@@ -140,24 +133,19 @@ def set_from_image(text: str, override_subres=None) -> DyadicSet:
             subres = int(c[2:])
     if override_subres is not None:
         subres = override_subres
+    # the fill of each pixel value, by lookup
     if magic == "P1":
+        params = GridParams(depth, 0 if subres is None else subres)
+        fill_of = (0, params.sub_per_cell)
+    else:
         if subres is None:
-            subres = 0
+            raise ValueError(
+                "PGM lacks a 'K=' comment; pass -K to supply the sub-resolution"
+            )
         params = GridParams(depth, subres)
         cap = params.sub_per_cell
-        fill = tuple(
-            tuple(cap * rows[height - 1 - i][j] for j in range(width))
-            for i in range(height)
-        )
-        return DyadicSet(params, fill)
-    if subres is None:
-        raise ValueError(
-            "PGM lacks a 'K=' comment; pass -K to supply the sub-resolution"
-        )
-    params = GridParams(depth, subres)
-    cap = params.sub_per_cell
-    if maxval != image_maxval(cap):
-        raise ValueError(f"expected a PGM with maxval {image_maxval(cap)} for K={subres}")
-    fill_of = _lookup(fill_from_pixel, maxval + 1, cap).__getitem__
-    fill = tuple(tuple(map(fill_of, row)) for row in reversed(rows))
+        if maxval != image_maxval(cap):
+            raise ValueError(f"expected a PGM with maxval {image_maxval(cap)} for K={subres}")
+        fill_of = _lookup(fill_from_pixel, maxval + 1, cap)
+    fill = tuple(tuple(map(fill_of.__getitem__, row)) for row in reversed(rows))
     return DyadicSet(params, fill)

@@ -25,7 +25,8 @@ from typing import Optional
 
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
-from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _Work
+from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _squares, _Work
+from crosscut.matrices import _bits
 
 
 def section_dominates(work: _Work, vu) -> bool:
@@ -89,8 +90,11 @@ class ReferenceWork(_Work):
     def majorized(self) -> bool:
         return section_dominates(self, self.vu)
 
-    def _dominance_after(self, move: SwapMove) -> bool:
-        return dominance_after_by_recount(self, move)
+    def _dominance_after(self, move: SwapMove) -> Optional[tuple]:
+        """The engine's section change, when the recount keeps dominance."""
+        if dominance_after_by_recount(self, move):
+            return self._section_change(*_squares(self.side, move))
+        return None
 
     def _proper_subset(self, gen: int, band: int, j: int, k: int) -> bool:
         """Receiver block <= donor block in every cell, and not equal."""
@@ -153,7 +157,7 @@ class PairwiseWork(_Work):
     exactly when grouping the pairs by block changes which pairs a band
     yields or their order."""
 
-    def _contained_pairs(self, gen: int, band: int, donors, receivers):
+    def _contained_pairs(self, gen: int, band: int, donors: int, receivers: int):
         span = self.side >> gen
         r0 = (band - 1) * span
         full, nonempty = self.full, self.nonempty
@@ -165,13 +169,14 @@ class PairwiseWork(_Work):
             stride |= ((1 << span) - 1) << at
 
         def block(c: int) -> tuple[int, int]:
-            at = (c - 1) * span
+            at = c * span
             return (bf >> at) & stride, (bne >> at) & stride
 
-        recv = [(k, *block(k)) for k in receivers]
-        for j in donors:
+        # the class masks hold class c at bit c - 1
+        recv = [(k + 1, *block(k)) for k in _bits(receivers)]
+        for j in _bits(donors):
             fj, nej = block(j)
             not_fj = ~fj
             for k, fk, nek in recv:
                 if not nek & not_fj and nej != fk:
-                    yield j, k
+                    yield j + 1, k

@@ -18,6 +18,7 @@ from conftest import rand_feasible_pair, rand_shaped_set
 from crosscut import GridParams, gridset, reconstruct
 from crosscut.gridset import _Work, initial_set, optimize_generation
 from crosscut.ingest import quantize
+from crosscut.matrices import _bits
 from reference_search import PairwiseWork
 from test_golden import _sweep_module
 from test_search_reference import _targets
@@ -74,20 +75,20 @@ def test_optimize_generation_matches_pairwise_on_arbitrary_sets(seed):
                 assert optimize_generation(e, f, gen) == ref.to_set(), gen
 
 
-def _classes(rng, top: int, disjoint: bool) -> tuple[list[int], list[int]]:
-    """Random donor and receiver lists, each ascending; disjoint, as the
-    search's are, or each a random subset."""
+def _classes(rng, top: int, disjoint: bool) -> tuple[int, int]:
+    """Random donor and receiver class masks, bit c - 1 for class c;
+    disjoint, as the search's are, or each a random subset."""
     if disjoint:
         side = [rng.randrange(3) for _ in range(top)]
-        return tuple([c for c in range(1, top + 1) if side[c - 1] == s] for s in (0, 1))
-    return tuple(sorted(rng.sample(range(1, top + 1), rng.randint(0, top))) for _ in range(2))
+        return tuple(sum(1 << c for c in range(top) if side[c] == s) for s in (0, 1))
+    return tuple(sum(1 << (c - 1) for c in rng.sample(range(1, top + 1), rng.randint(0, top))) for _ in range(2))
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_band_scans_yield_the_pairwise_pairs_in_order(seed):
     # every band of every generation: the same pairs, donor-major,
-    # receivers ascending, with disjoint lists, as the search's are, and
-    # with lists that share classes, which no scan pairs with themselves
+    # receivers ascending, with disjoint masks, as the search's are, and
+    # with masks that share classes, which no scan pairs with themselves
     rng = random.Random(97_000 + seed)
     params = GridParams(rng.randint(1, 4), rng.randint(1, 3))
     f = rand_feasible_pair(rng, params)[0]
@@ -120,7 +121,7 @@ def test_band_scans_test_each_distinct_block_pair_once_on_ramp_n9(monkeypatch):
         low = (1 << span) - 1
 
         def blocks(classes):
-            at = [(c - 1) * span for c in classes]
+            at = [c * span for c in _bits(classes)]
             return len({tuple((m[r] >> a) & low for m in (self.full, self.nonempty) for r in rows) for a in at})
 
         scan = [gen, blocks(donors), blocks(receivers), 0, 0]

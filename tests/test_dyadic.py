@@ -71,12 +71,6 @@ def test_arithmetic_matches_fraction_oracle(a, ae, b, be):
     assert (x >= y) == (fx >= fy)
 
 
-@given(signed, exps, st.integers(-6, 6))
-def test_scale_pow2(a, ae, k):
-    x = Dyadic(a, ae)
-    assert x.scale_pow2(k).to_fraction() == x.to_fraction() * Fraction(2) ** k
-
-
 @given(signed, exps)
 def test_canonical_invariant(a, ae):
     x = Dyadic(a, ae)

@@ -113,7 +113,7 @@ def test_swap_construct_rejects_infeasible():
 def test_swap_construct_without_admissible_move_raises(monkeypatch):
     # the row walk must end in ConstructionStuck when dominance rejects
     # every pair, not loop or run off the rows
-    monkeypatch.setattr(_ColumnSums, "keeps_dominance", lambda self, cj, ck: False)
+    monkeypatch.setattr(_ColumnSums, "try_move", lambda self, cj, ck: False)
     with pytest.raises(ConstructionStuck):
         swap_construct(Partition((2, 2)), Partition((2, 1, 1)))
 
@@ -122,7 +122,7 @@ def test_swap_construct_without_admissible_move_raises_under_python_O():
     code = (
         "from crosscut import Partition, swap_construct\n"
         "from crosscut.matrices import ConstructionStuck, _ColumnSums\n"
-        "_ColumnSums.keeps_dominance = lambda self, cj, ck: False\n"
+        "_ColumnSums.try_move = lambda self, cj, ck: False\n"
         "try:\n"
         "    swap_construct(Partition((2, 2)), Partition((2, 1, 1)))\n"
         "except ConstructionStuck:\n"

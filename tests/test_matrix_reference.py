@@ -115,18 +115,20 @@ def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow(monkeypatch):
     # one receiver list; the rows term leaves room for rejected pairs.
     # Walking from row 0 on every move makes 30,471 calls.
     calls, moves = [], []
-    bits, move = matrices._bits, _ColumnSums.move
+    bits, try_move = matrices._bits, _ColumnSums.try_move
 
     def counted_bits(mask):
         calls.append(mask)
         return bits(mask)
 
-    def counted_move(self, cj, ck):
-        moves.append((cj, ck))
-        move(self, cj, ck)
+    def counted_try_move(self, cj, ck):
+        ok = try_move(self, cj, ck)
+        if ok:
+            moves.append((cj, ck))
+        return ok
 
     monkeypatch.setattr(matrices, "_bits", counted_bits)
-    monkeypatch.setattr(_ColumnSums, "move", counted_move)
+    monkeypatch.setattr(_ColumnSums, "try_move", counted_try_move)
     p, q = _ramp_shadow()
     swap_construct(p, q)
     assert len(moves) == 1344

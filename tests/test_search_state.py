@@ -1,19 +1,21 @@
 """The swap search's per-generation state: its cost, its resume rule and
 a depth the golden outputs do not reach.
 
-_Work.find_first keeps the donor and receiver lists and a band cursor
-for the length of a generation.  A search must make the move a full
-rescan would make (tests/reference_search.py), and its cost must follow
-the swaps, not the grid.  A swap's section change is a list of runs of
-sub-columns, computed once per swap; their number must not grow with
-the 2**K sub-columns of a cell.
+_Work.find_first keeps the donor and receiver classes as masks and a
+band cursor for the length of a generation; classes only ever leave
+those masks, so they must equal a recount after every swap.  A search
+must make the move a full rescan would make (tests/reference_search.py),
+and its cost must follow the swaps, not the grid.  A swap's section
+change is a list of runs of sub-columns, computed once per swap; their
+number must not grow with the 2**K sub-columns of a cell.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from conftest import rand_grid_marginal, rand_shaped_set
+from conftest import rand_feasible_pair, rand_grid_marginal, rand_shaped_set
 from crosscut import GridParams, StepFunction, audit_trace, gridset, reconstruct
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import SwapMove, _Work, initial_set
@@ -48,6 +50,51 @@ def test_band_scans_follow_the_swaps_on_ramp_n7(monkeypatch):
     bound = sum(1 << gen for gen in range(1, n + 1)) + len(summary.swaps) + n
     assert bound == 399
     assert len(calls) <= bound
+
+
+def _check_scan_masks(monkeypatch) -> Counter:
+    """Wraps apply: after each apply of the move the search found, the
+    scan's donor and receiver masks must be the masks of _donor_ok and
+    _receiver_ok recounted over every class of the generation."""
+    log: Counter = Counter()
+    apply = _Work.apply
+
+    def checked(self, move):
+        scan = self.scan
+        found = scan is not None and scan.found is not None and scan.found[0] == move
+        before = scan.donors | scan.receivers if found else 0
+        rec = apply(self, move)
+        if found:
+            gen, classes = scan.gen, range(1, (1 << scan.gen) + 1)
+            assert self.scan is scan, move
+            assert scan.donors == sum(1 << (c - 1) for c in classes if self._donor_ok(gen, c)), move
+            assert scan.receivers == sum(1 << (c - 1) for c in classes if self._receiver_ok(gen, c)), move
+            log["applies"] += 1
+            log["left"] += before.bit_count() - (scan.donors | scan.receivers).bit_count()
+        return rec
+
+    monkeypatch.setattr(_Work, "apply", checked)
+    return log
+
+
+def test_scan_masks_match_a_recount_on_ramp_n7(monkeypatch):
+    log = _check_scan_masks(monkeypatch)
+    f, g, params = _ramp(7)
+    _, summary = reconstruct(f, g, params)
+    assert len(summary.swaps) == log["applies"] == 138
+    assert log["left"] > 0
+
+
+def test_scan_masks_match_a_recount_on_random_pairs(monkeypatch):
+    log = _check_scan_masks(monkeypatch)
+    swaps = 0
+    for seed in range(50):
+        rng = random.Random(43_000 + seed)
+        params = GridParams(rng.randint(1, 5), rng.randint(0, 3))
+        _, summary = reconstruct(*rand_feasible_pair(rng, params), params)
+        swaps += len(summary.swaps)
+    assert swaps == log["applies"] > 0
+    assert log["left"] > 0
 
 
 class _Walks(list):

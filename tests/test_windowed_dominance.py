@@ -35,12 +35,13 @@ def _check_engine(monkeypatch) -> Counter:
     probe, apply = _Work._dominance_after, _Work.apply
 
     def checked_probe(self, move):
-        ok = probe(self, move)
+        change = probe(self, move)
+        ok = change is not None
         assert ok == dominance_after_by_recount(self, move), move
         log["probes"] += 1
         log["rejected"] += not ok
         log["undominated"] += not self.dominated
-        return ok
+        return change
 
     def checked_apply(self, move):
         rec = apply(self, move)
@@ -134,32 +135,29 @@ def test_dominance_fails_inside_a_run_of_equal_heights():
 
 
 def _check_sums(monkeypatch) -> tuple[Counter, list[int]]:
-    """Wraps _ColumnSums: every dominance answer must be prefix_excess on
+    """Wraps _ColumnSums.try_move: every answer must be prefix_excess on
     the sorted candidate sums against q, the returned list the caller
-    fills, and every move must leave the slack and the counts that a
-    recount gives."""
+    fills, and every call must leave the slack and the counts that a
+    recount gives, of the moved sums or of the unchanged ones."""
     log: Counter = Counter()
-    keeps, move = _ColumnSums.keeps_dominance, _ColumnSums.move
+    try_move = _ColumnSums.try_move
     q: list[int] = []
 
-    def checked_keeps(self, cj, ck):
-        ok = keeps(self, cj, ck)
+    def checked_try_move(self, cj, ck):
         cand = list(self.cols)
         cand[cj] -= 1
         cand[ck] += 1
+        ok = try_move(self, cj, ck)
         assert ok == (prefix_excess(q, sorted(cand, reverse=True)) is None), (cj, ck)
+        assert (self.cols == cand) if ok else (self.cols != cand), (cj, ck)
+        fresh = _ColumnSums(list(self.cols), q, len(self.ge) - 1)
+        assert (self.ge, self.slack) == (fresh.ge, fresh.slack), (cj, ck)
+        assert min(self.slack) >= 0
         log["probes"] += 1
         log["rejected"] += not ok
         return ok
 
-    def checked_move(self, cj, ck):
-        move(self, cj, ck)
-        fresh = _ColumnSums(list(self.cols), q, len(self.ge) - 1)
-        assert (self.ge, self.slack) == (fresh.ge, fresh.slack), (cj, ck)
-        assert min(self.slack) >= 0
-
-    monkeypatch.setattr(_ColumnSums, "keeps_dominance", checked_keeps)
-    monkeypatch.setattr(_ColumnSums, "move", checked_move)
+    monkeypatch.setattr(_ColumnSums, "try_move", checked_try_move)
     return log, q
 
 
@@ -199,11 +197,11 @@ def test_slack_matches_prefix_excess_on_random_states():
                 cand[ck] += 1
                 sums = _ColumnSums(list(cols), q, 6)
                 want = prefix_excess(q, sorted(cand, reverse=True)) is None
-                assert sums.keeps_dominance(cj, ck) == want, (cols, q, cj, ck)
+                assert sums.try_move(cj, ck) == want, (cols, q, cj, ck)
                 near += cols[cj] <= cols[ck] + 1
-                sums.move(cj, ck)
-                fresh = _ColumnSums(cand, q, 6)
-                assert (sums.ge, sums.slack) == (fresh.ge, fresh.slack), (cols, q, cj, ck)
+                # a refused move changes nothing
+                fresh = _ColumnSums(cand if want else list(cols), q, 6)
+                assert (sums.cols, sums.ge, sums.slack) == (fresh.cols, fresh.ge, fresh.slack), (cols, q, cj, ck)
     assert near > 0
 
 
@@ -212,7 +210,8 @@ def test_slack_rejects_a_move_between_sums_two_apart():
     # the second gives (1, 1), whose first prefix sum 1 falls below 2
     sums = _ColumnSums([2, 0], (2, 0), 2)
     assert sums.slack == [0, 0, 0]
-    assert not sums.keeps_dominance(0, 1)
+    assert not sums.try_move(0, 1)
+    assert (sums.cols, sums.ge, sums.slack) == ([2, 0], [2, 1, 1], [0, 0, 0])
 
 
 
@@ -239,11 +238,13 @@ EXTREME_MARGINS = {
 def test_packed_slack_at_its_extremes(shape, monkeypatch):
     p, q = (Partition(parts) for parts in EXTREME_MARGINS[shape])
     nrows, ncols = len(p), len(q)
+    try_move = _ColumnSums.try_move
 
     def check(sums):
         # the fields hold the slack of the definition, equal a fresh
-        # build's, and leave every guard bit clear; each probe is
-        # prefix_excess on the sorted candidate sums
+        # build's, and leave every guard bit clear; each try of a move,
+        # made on a fresh build of these sums, is prefix_excess on the
+        # sorted candidate sums
         cols = list(sums.cols)
         w = q.total.bit_length() + 1
         desc = sorted(cols, reverse=True)
@@ -260,18 +261,20 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
                     cand[cj] -= 1
                     cand[ck] += 1
                     keeps = prefix_excess(q.parts, sorted(cand, reverse=True)) is None
-                    assert sums.keeps_dominance(cj, ck) == keeps, (cols, cj, ck)
+                    trial = _ColumnSums(list(cols), q.parts, nrows)
+                    assert try_move(trial, cj, ck) == keeps, (cols, cj, ck)
         return want
 
     start = check(_ColumnSums(counts_above(p.parts, ncols), q.parts, nrows))
     moves = []
-    move = _ColumnSums.move
 
-    def checked_move(self, cj, ck):
-        move(self, cj, ck)
-        moves.append(check(self))
+    def checked_try_move(self, cj, ck):
+        ok = try_move(self, cj, ck)
+        if ok:
+            moves.append(check(self))
+        return ok
 
-    monkeypatch.setattr(_ColumnSums, "move", checked_move)
+    monkeypatch.setattr(_ColumnSums, "try_move", checked_try_move)
     a = swap_construct(p, q)
     assert (row_sums(a), col_sums(a)) == (p.parts, q.parts)
     if shape.startswith("largest_slack"):
@@ -283,9 +286,10 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
 
 
 def test_packed_slack_reads_negative_fields():
-    # a move that breaks dominance, which swap_construct never makes,
-    # leaves a negative field that borrows from the one above; slack must
-    # still read the definition's values, as must a build on such sums
+    # a build on sums that do not dominate q, which swap_construct never
+    # makes, holds negative fields that borrow from the one above; slack
+    # must still read the definition's values, there and after each move
+    # that try_move makes from there
     rng = random.Random(73)
     negative = 0
     for _ in range(300):
@@ -301,5 +305,5 @@ def test_packed_slack_reads_negative_fields():
             negative += min(want) < 0
             cj, ck = rng.randrange(n), rng.randrange(n)
             if cj != ck and sums.cols[cj] and sums.cols[ck] < nrows:
-                sums.move(cj, ck)
+                sums.try_move(cj, ck)
     assert negative > 100
