@@ -75,22 +75,30 @@ follows its runs, not the 2**K sub-columns of a cell: only the slice
 that writes a run and the K steps of a bisection see them.  The change
 is computed once per swap, by the probe that tests its dominance; the
 search hands it to apply with the move it found, and apply writes it.
-Dominance is tested on a window of the
-sorted section.  Let lo and hi be the least and the greatest height a
-changed sub-column has before or after the move.  The mass above hi, the
-mass below lo and the total stay the same, so the sorted prefix sums can
-change only between positions #{v > hi} and #{v >= lo}.  Along the run
-of height hi they grow by hi a position from that unchanged start, where
-they grew by at most hi before; back along the run of height lo they
-fall by lo a position from that unchanged end, where they fell by at
-least lo before.  Neither run can lose dominance, so only the heights
-strictly between lo and hi need a test.  That is exact when the section
-dominated f before the move.  The induction
-starts at the checked start of reconstruct and audit_trace, and every
-probed or replayed swap keeps it; a state that does not dominate f,
-built on an arbitrary set, tests the whole sorted order.  Along a run of
-equal heights the gap between the two prefix sums is convex, so each run
-is tested once, where f's values fall to its height.
+
+Dominance is tested at thresholds, the form of weak majorization in
+Marshall, Olkin and Arnold, Inequalities: Theory of Majorization and Its
+Applications, ch. 4.  With v the section in whole cells and Phi_x(c) =
+sum_i (x_i - c)^+, the sorted prefix sums P of v bound those F of f
+exactly when Phi_f(c) <= Phi_v(c) at every integer height c in 0..2**N.
+
+  * Necessity: with k = #{f > c}, Phi_f(c) = F(k) - kc <= P(k) - kc <=
+    Phi_v(c).
+  * Sufficiency: for each k let c be the k-th largest v, an integer
+    height; then F(k) <= kc + Phi_f(c) <= kc + Phi_v(c) = P(k).
+
+The engine holds the slacks Phi_v(c) * 2**shift - Phi_f(c), f in units
+2**-D and a cell 2**shift of them, packed in one int, one field per
+height.  Each is biased to a nonnegative digit below the field's top
+guard bit, so no field borrows from or carries into the next, and a
+slack is nonnegative iff its digit's bias bit is set.  A swap that
+changes the number of sub-columns at height h by n_h changes Phi_v(c) by
+sum_h n_h (h - c)^+: one shifted copy of a precomputed staircase per
+changed height.  It keeps the number of sub-columns and their total, so
+the change is 0 at and below its least height, and only the fields from
+there up are built.  The probe adds the change to the fields and reads
+every bias bit, so it is exact from any state, dominated or not; apply
+adds the same change.
 
 A search keeps its state for the length of a generation: the donor and
 receiver classes as masks, one bit per class, and the band it resumes
@@ -124,14 +132,16 @@ between two swaps.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import eq, le, mul, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
-from .matrices import _bits, _flags, _mask, realize_exact_margins
+from .matrices import _bits, _flags, _mask, _ones, _pack, _unpack, realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -423,12 +433,23 @@ def _block_fits(fj: int, nej: int, fk: int, nek: int) -> bool:
     return not nek & ~fj and nej != fk
 
 
+@lru_cache(maxsize=8)
+def _classes(mask: int) -> list[int]:
+    """The set bits of a class mask, ascending.  A generation's searches
+    scan band after band with the same two masks, which change only when
+    a class leaves one, so each mask value is decoded once.  The lists are
+    shared and read only; lists and not tuples, because CPython keeps
+    freed short tuples on free lists that only grow the process."""
+    return [*_bits(mask)]
+
+
 @dataclass
 class _Scan:
     """Search state of one generation: the classes still passing the
     donor and the receiver margin, as masks with bit c - 1 for class c,
     the first band that a search scans, and the move the last search
-    found with the section change its probe computed, for apply."""
+    found with the section and slack change its probe computed, for
+    apply."""
 
     gen: int
     donors: int
@@ -449,11 +470,14 @@ class _Work(_Rows):
     both in units of 2**-D where D >= N + K also covers the denominators
     of f's values; margins 2**-n become the integers 2**(D - n).  A
     sub-column's section is a whole number c of cells, vu = c << (D - N).
-    For each height c in 0..2**N + 1, above[c] counts the sub-columns at
-    height c or more and mass[c] sums their heights in cells; f_top[t]
-    sums the t largest target values and f_over[c] counts the
-    sub-columns whose target exceeds height c.  dominated says whether
-    the sorted section's prefix sums bound f's.
+    fields packs the threshold slack Phi_v(c) * 2**shift - Phi_f(c) of
+    each height c in 0..2**N (module docstring), field c in bits
+    [width*c, width*c + width), plus bias = 2**(width - 2), which exceeds
+    both the largest Phi_v * 2**shift and Phi_f(0) = sum(fu), so every
+    digit lies in (0, 2**(width - 1)) and the top bit of a field, its
+    guard, stays clear.  signs holds each field's bias bit; stair holds
+    2**N - c in field c.  dominated says whether the sorted section's
+    prefix sums bound f's, every slack being nonnegative.
 
     Within a cell column fu is constant and vu a nonincreasing staircase.
     """
@@ -480,20 +504,26 @@ class _Work(_Rows):
         cells per sub-column; counts is read after f's values are checked."""
         params = self.params
         self.N, self.K = params.depth, params.subres
-        self.V = params.sub_total
         self.D = max(self.N + self.K, *(v.exp for v in f.values))
         self.shift = self.D - self.N
+        side, shift, subs = self.side, self.shift, self.subs
         fcells = _cell_units(f, self.N, self.D, bounded=False)
-        self.fu = [u for u in fcells for _ in range(self.subs)]
-        ranked = sorted(self.fu)
-        self.f_top = [0, *accumulate(reversed(ranked))]
-        self.f_over = [self.V - bisect_right(ranked, c << self.shift) for c in range(self.side + 1)]
-        self.vu = [c << self.shift for c in counts]
-        heights = [0] * (self.side + 1)
-        for v in self.vu:
-            heights[v >> self.shift] += 1
-        self.above = [*accumulate(reversed(heights))][::-1] + [0]
-        self.mass = [*accumulate(c * heights[c] for c in range(self.side, -1, -1))][::-1] + [0]
+        self.fu = [u for u in fcells for _ in range(subs)]
+        self.vu = [c << shift for c in counts]
+        # Phi_v(c) for c = 2**N down to 0: each step down adds #{v > c}
+        heights = Counter(self.vu)
+        over = accumulate(heights[c << shift] for c in range(side, 0, -1))
+        phi_v = [0, *accumulate(over)][::-1]
+        # Phi_f(c): the t = #{f > c} largest cell values less t times c, per sub-column
+        ranked = sorted(fcells)
+        top = [0, *accumulate(reversed(ranked))]
+        over_f = [side - bisect_right(ranked, c << shift) for c in range(side + 1)]
+        phi_f = [subs * (top[t] - t * (c << shift)) for c, t in enumerate(over_f)]
+        self.width = w = max(params.sub_total * side << shift, subs * top[-1]).bit_length() + 2
+        bias = 1 << (w - 2)
+        self.fields = _pack([(pv << shift) - pf + bias for pv, pf in zip(phi_v, phi_f)], w)
+        self.signs = _ones(side + 1, w) << (w - 2)
+        self.stair = _pack(range(side, -1, -1), w)
         self.residual = self.residual_units()  # carried: apply lowers it by each drop
         self.scan: Optional[_Scan] = None
         self.touched: dict[int, tuple[int, int]] = {}
@@ -552,25 +582,40 @@ class _Work(_Rows):
                     i = stop
         return changes, heights
 
-    def _write_section(self, changes: list[tuple[int, int, int, int]], heights: dict[int, int]) -> int:
-        """Apply a section change; returns the drop of |f - v|_1 in
-        residual units, f being constant on each run's column.  above and
-        mass change only above the least height touched, as the moved
-        sub-columns keep their number and total."""
+    def _write_section(self, changes: list[tuple[int, int, int, int]], delta: int) -> int:
+        """Apply a section change, its runs and the packed change of the
+        slack (_slack_change); returns the drop of |f - v|_1 in residual
+        units, f being constant on each run's column."""
         fu, shift = self.fu, self.shift
         drop = 0
         for i, stop, v, d in changes:
             f, w = fu[i], v + (d << shift)
             self.vu[i:stop] = repeat(w, stop - i)
             drop += (stop - i) * (abs(f - v) - abs(f - w))
-        count = total = 0
-        for c in range(max(heights, default=0), min(heights, default=0), -1):
-            dc = heights.get(c, 0)
-            count += dc
-            total += c * dc
-            self.above[c] += count
-            self.mass[c] += total
+        self.fields += delta
         return drop
+
+    def _slack_change(self, heights: dict[int, int]) -> int:
+        """The packed change of the slack when the number of sub-columns at
+        each height h changes by heights[h]: sum_h n_h (h - c)^+ << shift
+        in field c.  stair shifted down by 2**N - h fields holds h - c in
+        field c <= h.  The counts and the total of the changed heights do
+        not change, so the sum is 0 at and below the least height lo and
+        is built from field lo up only."""
+        lo = min(heights, default=0)
+        w, top, stair = self.width, self.side + lo, self.stair
+        delta = 0
+        for h, n in heights.items():
+            if n:
+                delta += n * (stair >> (w * (top - h)))
+        return delta << (w * lo + self.shift)
+
+    @property
+    def slack(self) -> list[int]:
+        """Phi_v(c) * 2**shift - Phi_f(c) for c = 0..2**N, decoded from
+        the fields."""
+        bias = 1 << (self.width - 2)
+        return [d - bias for d in _unpack(self.fields, self.side + 1, self.width)]
 
     # -- exact quantities ----------------------------------------------------
 
@@ -582,37 +627,17 @@ class _Work(_Rows):
         """The carried |f - v|_1."""
         return Dyadic(self.residual, self.D + self.N + self.K)
 
-    def _dominates(self, heights: dict[int, int], whole: bool = False) -> bool:
-        """Whether the sorted section, with the number of sub-columns at
-        each height changed by heights, still has prefix sums bounding
-        f's.  A dominating state tests the heights strictly between the
-        least and the greatest changed one (see the module docstring);
-        otherwise, or when whole is set, every height is tested.
-
-        The section is linear along a run of equal heights c and f's
-        prefix sum concave, so their gap is smallest at the run position
-        nearest to f_over[c], where f's values fall to c or below.
-        """
-        if whole or not self.dominated:
-            lo, hi = -1, self.side + 1
-        else:
-            lo, hi = min(heights, default=0), max(heights, default=0)
-        above, f_top, f_over, shift = self.above, self.f_top, self.f_over, self.shift
-        rise = heights.get(hi, 0)
-        pos, total = above[hi] + rise, self.mass[hi] + hi * rise
-        for c in range(hi - 1, lo, -1):
-            n = above[c] - above[c + 1] + heights.get(c, 0)
-            if n:
-                end = pos + n
-                t = min(max(f_over[c], pos), end)
-                if f_top[t] > (total + c * (t - pos)) << shift:
-                    return False
-                pos, total = end, total + c * n
-        return True
+    def _dominates(self, fields: int) -> bool:
+        """Whether the packed slack fields are all nonnegative, that is,
+        whether the section they belong to has sorted prefix sums bounding
+        f's at every height (module docstring).  Every digit is below
+        2 * bias, so it is at least the bias iff its bias bit is set."""
+        return fields & self.signs == self.signs
 
     def majorized(self) -> bool:
-        """Prefix integral of sorted f never exceeds that of sorted v."""
-        return self._dominates({}, whole=True)
+        """Prefix integral of sorted f never exceeds that of sorted v: the
+        held slack is nonnegative at every height."""
+        return self._dominates(self.fields)
 
     # -- swap conditions -------------------------------------------------------
 
@@ -669,10 +694,10 @@ class _Work(_Rows):
 
         # classes are 1-based, bits 0-based
         groups: dict[tuple[int, int], list[int]] = {}
-        for k in _bits(receivers):
+        for k in _classes(receivers):
             groups.setdefault(block(k), []).append(k + 1)
         fitting: dict[tuple[int, int], list[int]] = {}
-        for j in _bits(donors):
+        for j in _classes(donors):
             key = block(j)
             ks = fitting.get(key)
             if ks is None:
@@ -699,10 +724,12 @@ class _Work(_Rows):
         return any(self._contained_pairs(gen, band, 1 << (j - 1), 1 << (k - 1)))
 
     def _dominance_after(self, move: SwapMove) -> Optional[tuple]:
-        """The section change of the move, read off its cells, when the
-        section it would leave keeps prefix dominance; None when not."""
-        change = self._section_change(*_squares(self.side, move))
-        return change if self._dominates(change[1]) else None
+        """The section change of the move, read off its cells, and the
+        packed change of the slack, when the section it would leave keeps
+        prefix dominance; None when not.  Exact from any state."""
+        changes, heights = self._section_change(*_squares(self.side, move))
+        delta = self._slack_change(heights)
+        return (changes, delta) if self._dominates(self.fields + delta) else None
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -758,25 +785,25 @@ class _Work(_Rows):
 
     def apply(self, move: SwapMove) -> SwapRecord:
         """Exchange the move's squares and update the section, the L1 drop
-        and the height counts from the exchanged cells.  The move the last
-        search found comes with its probe's section change, nothing having
-        changed since, and keeps dominance, as that probe showed; it keeps
-        the generation's search state, less a donor or receiver that lost
-        its margin.  Any other move computes its change, is tested and
-        drops the search state."""
+        and the packed slack from the exchanged cells.  The move the last
+        search found comes with its probe's section and slack change,
+        nothing having changed since, and keeps the generation's search
+        state, less a donor or receiver that lost its margin.  Any other
+        move computes its change and drops the search state."""
         rows, donor, receiver = _squares(self.side, move)
         scan = self.scan
         found = scan is not None and scan.found is not None and scan.found[0] == move
         if found:
-            changes, heights = scan.found[1]
+            changes, delta = scan.found[1]
         else:
             changes, heights = self._section_change(rows, donor, receiver)
-        self.dominated = found or self._dominates(heights)
+            delta = self._slack_change(heights)
         for r in range(rows.start, rows.stop):
             if r not in self.touched:
                 self.touched[r] = self.full[r], self.nonempty[r]
         moved = self._exchange(rows, donor, receiver)
-        drop = self._write_section(changes, heights)
+        drop = self._write_section(changes, delta)
+        self.dominated = self._dominates(self.fields)
         self.residual -= drop
         if found:
             scan.found = None

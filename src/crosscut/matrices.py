@@ -20,7 +20,9 @@ afterwards.  swap_construct resumes its row walk where the last walk
 first met a row holding a (donor, receiver) pair.
 
 The row codec (_digits, _flags and _mask, between a mask and its 0/1
-cells) and the set-bit walk (_bits) serve gridset's row masks as well.
+cells) and the set-bit walk (_bits) serve gridset's row masks as well,
+and the field codec (_pack, _ones and _unpack, between a list of digits
+and an int of fixed-width fields) its packed threshold slack.
 """
 
 from __future__ import annotations
@@ -81,6 +83,26 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _pack(digits: Sequence[int], w: int) -> int:
+    """The digits, each in [0, 2**w), packed in fields of w bits: digit t
+    in bits [w*t, w*t + w).  One pass over the binary digits, so the cost
+    is the total bits, not a sum of shifted ints."""
+    spec = f"0{w}b"
+    return int("".join([format(d, spec) for d in reversed(digits)]) or "0", 2)
+
+
+def _ones(n: int, w: int) -> int:
+    """A 1 in each of n fields of w bits: _pack([1] * n, w)."""
+    return int("1".rjust(w, "0") * n or "0", 2)
+
+
+def _unpack(fields: int, n: int, w: int) -> list[int]:
+    """The n digits of w bits packed in the nonnegative fields, digit 0
+    first; one pass over the binary digits, as _pack."""
+    text = format(fields, f"0{n * w}b")
+    return [int(text[i - w : i], 2) for i in range(n * w, 0, -w)]
 
 
 @dataclass(frozen=True)
@@ -272,17 +294,18 @@ class _ColumnSums:
         self.ge = [len(cols)] + counts_above(cols, nrows)
         slack = [0, *map(sub, accumulate(sorted(cols, reverse=True)), accumulate(q))]
         self.width = w = max(sum(cols), sum(q)).bit_length() + 1
-        self.ones = sum(1 << (w * t) for t in range(len(slack)))
-        self.fields = sum(s << (w * t) for t, s in enumerate(slack))
+        self.ones = _ones(len(slack), w)
+        # packed with half a field's range added to each, then taken off
+        half = 1 << (w - 1)
+        self.fields = _pack([s + half for s in slack], w) - (self.ones << (w - 1))
 
     @property
     def slack(self) -> list[int]:
         """slack[t] for t = 0..len(cols), decoded from the fields: adding
         half a field's range to each makes every digit nonnegative."""
-        w = self.width
-        half, mask = 1 << (w - 1), (1 << w) - 1
-        biased = self.fields + (self.ones << (w - 1))
-        return [(biased >> (w * t) & mask) - half for t in range(len(self.cols) + 1)]
+        w, n = self.width, len(self.cols) + 1
+        half = 1 << (w - 1)
+        return [d - half for d in _unpack(self.fields + (self.ones << (w - 1)), n, w)]
 
     def _window(self, lo: int, hi: int) -> int:
         """A 1 in each of the fields lo .. hi - 1."""

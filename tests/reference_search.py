@@ -35,6 +35,18 @@ def section_dominates(work: _Work, vu) -> bool:
     return run_excess(f_runs, sorted(Counter(vu).items(), reverse=True)) is None
 
 
+def recounted_slack(work: _Work) -> list[int]:
+    """Phi_v(c) * 2**shift - Phi_f(c) at each height c = 0..2**N, with
+    Phi_x(c) = sum_i (x_i - c)^+, recounted from the work's vu and fu
+    (both in units of 2**-D, a height c being c << shift of them)."""
+    vs, fs = Counter(work.vu), Counter(work.fu)
+
+    def phi(counts: Counter, at: int) -> int:
+        return sum(n * (x - at) for x, n in counts.items() if x > at)
+
+    return [phi(vs, c << work.shift) - phi(fs, c << work.shift) for c in range(work.side + 1)]
+
+
 def cell_grid(work: _Work) -> list[list[int]]:
     """A ReferenceWork's own cells, or the engine's set written out from
     its rows."""

@@ -95,7 +95,7 @@ def test_initial_set_raises_the_reference_errors():
     assert texts == {"breakpoint", "band", "band outside"}
 
 
-_FIELDS = ("full", "nonempty", "part", "vu", "above", "mass", "f_top", "f_over",
+_FIELDS = ("full", "nonempty", "part", "vu", "fields", "width", "signs", "stair",
            "residual", "dominated", "D", "fu")
 
 

@@ -1,0 +1,151 @@
+"""Prefix dominance as threshold slack, the fact and its packed fields.
+
+With Phi_x(c) = sum_i (x_i - c)^+, the sorted prefix sums of an integer
+vector v bound those of f exactly when Phi_f(c) <= Phi_v(c) at every
+integer c from 0 to the largest value v may take.  gridset._Work holds
+Phi_v(c) * 2**shift - Phi_f(c) for each height c, biased, one field per
+height in one int.  The first test checks the fact without the engine;
+the others run the fields where they sit at an edge: f above 1, so that
+the top field is negative, f on a value grid much finer than the cells,
+so that shift is large, the smallest grid, and states that do not
+dominate f.  Every decode must equal the recount, every probe the
+whole-section recount, and no field may reach its guard bit.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from conftest import rand_shaped_set
+from crosscut import GridParams, StepFunction
+from crosscut.dyadic import Dyadic
+from crosscut.feasibility import run_excess
+from crosscut.gridset import SwapMove, _Work
+from reference_search import dominance_after_by_recount, recounted_slack, section_dominates
+
+
+def _runs(values) -> list:
+    return sorted(Counter(values).items(), reverse=True)
+
+
+def test_thresholds_at_integer_heights_decide_dominance():
+    # v integer in 0..top, f rational on one common length; run_excess
+    # compares the two sorted prefix integrals at every run end
+    rng = random.Random(83_000)
+    seen = Counter()
+    for _ in range(3_000):
+        n, top, den = rng.randint(1, 7), rng.randint(0, 5), rng.randint(1, 9)
+        v = [rng.randint(0, top) for _ in range(n)]
+        if rng.random() < 0.5:
+            f = [Fraction(rng.randint(0, (top + 1) * den), den) for _ in range(n)]
+        else:
+            # a smoothing of v less a little: often dominated, often just not
+            mean = Fraction(sum(v), n)
+            f = [max(mean + Fraction(rng.randint(-2 * den, den), den) * (x - mean), Fraction(0)) for x in v]
+
+        def phi(xs, c):
+            return sum(x - c for x in xs if x > c)
+
+        threshold = all(phi(f, c) <= phi(v, c) for c in range(top + 1))
+        assert threshold == (run_excess(_runs(f), _runs(v)) is None), (v, f)
+        seen[threshold] += 1
+    assert seen[True] > 500 and seen[False] > 500, seen
+
+
+def _check_state(work: _Work) -> bool:
+    """The decoded slack is the recount, no guard bit is set, and the flag
+    says whether the section dominates f; returns that."""
+    slack = work.slack
+    assert slack == recounted_slack(work)
+    assert work.fields & (work.signs << 1) == 0
+    dominated = min(slack) >= 0
+    assert work.dominated == dominated == section_dominates(work, work.vu)
+    return dominated
+
+
+def _check_probes(work: _Work) -> Counter:
+    """Every move of every generation: the probe is the recount's answer
+    and leaves the fields as they were."""
+    fields, seen = work.fields, Counter()
+    for gen in range(1, work.N + 1):
+        top = 1 << gen
+        for band in range(1, top + 1):
+            for j in range(1, top + 1):
+                for k in range(1, top + 1):
+                    if j != k:
+                        move = SwapMove(gen, band, j, k)
+                        keeps = work._dominance_after(move) is not None
+                        assert keeps == dominance_after_by_recount(work, move), move
+                        assert work.fields == fields
+                        seen[keeps] += 1
+    return seen
+
+
+def _fine(rng: random.Random, params: GridParams, extra: int, scale: int) -> StepFunction:
+    """f per column on the value grid 2**-(N + K + extra), up to scale."""
+    exp = params.depth + params.subres + extra
+    values = [Dyadic(rng.randrange(scale << exp), exp) for _ in range(params.side)]
+    return StepFunction.from_grid(values, params.depth)
+
+
+def _cases():
+    """(name, params, fill, f): targets above 1, on a fine value grid,
+    the mean of the set (always dominated) on a fine grid, the smallest
+    grid, and random targets of the cell grid."""
+    rng = random.Random(89_000)
+    for i in range(6):
+        params = GridParams(rng.randint(1, 3), rng.randint(0, 2))
+        e = rand_shaped_set(rng, params)
+        exp = 2 * params.depth + params.subres + 9
+        mean = e.measure() - Dyadic(rng.randint(1, 3), exp)
+        yield f"above_one_{i}", params, e.fill, _fine(rng, params, 0, 2)
+        yield f"fine_values_{i}", params, e.fill, _fine(rng, params, 11, 1)
+        yield f"fine_mean_{i}", params, e.fill, StepFunction.constant(mean)
+        yield f"random_{i}", params, e.fill, _fine(rng, params, 0, 1)
+    fills = (((0, 0), (1, 0)), ((1, 0), (1, 0)), ((1, 1), (1, 0)), ((0, 1), (1, 0)))
+    targets = ((Dyadic(1), Dyadic(0)), (Dyadic(1, 1), Dyadic(1, 1)), (Dyadic(3, 1), Dyadic(0)))
+    for i, (fill, f) in enumerate((fill, f) for fill in fills for f in targets):
+        yield f"n1_k0_{i}", GridParams(1, 0), fill, StepFunction.from_grid(list(f), 1)
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("name, params, fill, f", CASES, ids=[case[0] for case in CASES])
+def test_packed_slack_at_its_extremes(name, params, fill, f):
+    rng = random.Random(name)
+    work = _Work(params, fill, f)
+    if name.startswith("above_one") and max(f.values) > Dyadic(1):
+        # no section reaches above the square, so the top field is negative
+        assert work.slack[-1] < 0 and not work.dominated
+    if name.startswith("fine"):
+        assert work.shift > params.subres + 8
+    if name.startswith("fine_mean"):
+        assert work.dominated
+    probes = Counter()
+    for _ in range(8):
+        _check_state(work)
+        probes += _check_probes(work)
+        # an arbitrary move, kept or not by dominance, then the same checks
+        gen = rng.randint(1, params.depth)
+        top = 1 << gen
+        j, k = rng.sample(range(1, top + 1), 2)
+        work.apply(SwapMove(gen, rng.randint(1, top), j, k))
+    _check_state(work)
+    assert probes[True] + probes[False] > 0
+
+
+def test_the_cases_reach_every_edge():
+    seen = Counter()
+    for name, params, fill, f in CASES:
+        work = _Work(params, fill, f)
+        seen["negative_top"] += work.slack[-1] < 0
+        seen["undominated"] += not work.dominated
+        seen["dominated"] += work.dominated
+        seen["large_shift"] += work.shift > 10
+        seen["n1_k0"] += params == GridParams(1, 0)
+    assert min(seen.values()) > 2, seen

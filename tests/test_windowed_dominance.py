@@ -1,11 +1,12 @@
 """Swap bookkeeping that follows the moved cells, probe by probe.
 
 gridset._Work reads a swap's section change off the exchanged cells and
-tests prefix dominance only on the window of heights the move changes;
-matrices.swap_construct tests it only on the prefix lengths a move
-lowers.  Both windows rest on the state before the move being dominated.
-Every probe here is compared with a whole-section test: the recount of
-tests/reference_search.py, or prefix_excess on the sorted candidate sums.
+tests prefix dominance on its threshold slack, one packed field per
+height, to which a move adds its change at once; matrices.swap_construct
+tests it only on the prefix lengths a move lowers, which rests on the
+state before the move being dominated.  Every probe here is compared with
+a whole-section test: the recount of tests/reference_search.py, or
+prefix_excess on the sorted candidate sums.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, prefix_excess
 from crosscut.gridset import SwapMove, _Work, optimize_generation
 from crosscut.matrices import _ColumnSums, col_sums, row_sums, swap_construct
-from reference_search import dominance_after_by_recount, recounted_columns, section_dominates
+from reference_search import (
+    dominance_after_by_recount,
+    recounted_columns,
+    recounted_slack,
+    section_dominates,
+)
 from test_matrix_reference import _random_margins
 from test_search_state import _ramp
 from test_search_reference import _targets
@@ -29,8 +35,9 @@ from test_search_reference import _targets
 
 def _check_engine(monkeypatch) -> Counter:
     """Wraps the engine's probe and apply: every probe must agree with the
-    whole-section recount, and every apply must leave the section, the
-    height counts and the dominance flag that a recount gives."""
+    whole-section recount, and every apply must leave the section, every
+    field of the packed slack and the dominance flag that a recount
+    gives."""
     log: Counter = Counter()
     probe, apply = _Work._dominance_after, _Work.apply
 
@@ -46,10 +53,8 @@ def _check_engine(monkeypatch) -> Counter:
     def checked_apply(self, move):
         rec = apply(self, move)
         assert self.vu == recounted_columns(self, self.vu, range(self.side)), move
-        heights = Counter(v >> self.shift for v in self.vu)
-        for c in range(self.side + 2):
-            assert self.above[c] == sum(n for h, n in heights.items() if h >= c), (move, c)
-            assert self.mass[c] == sum(h * n for h, n in heights.items() if h >= c), (move, c)
+        assert self.slack == recounted_slack(self), move
+        assert self.fields & (self.signs << 1) == 0, move
         assert self.dominated == section_dominates(self, self.vu), move
         log["applies"] += 1
         return rec
@@ -85,7 +90,7 @@ def test_window_matches_recount_on_ramp_n7(monkeypatch):
 
 def test_whole_order_matches_recount_on_arbitrary_sets(monkeypatch):
     # random targets that the set's section need not dominate: the engine
-    # tests the whole sorted order until a swap makes it dominate
+    # reads every field of the slack, dominated or not
     log = _check_engine(monkeypatch)
     for seed in range(20):
         rng = random.Random(67_000 + seed)
@@ -103,7 +108,8 @@ def test_a_state_that_does_not_dominate_tests_the_whole_order():
     # cell from column 3 to column 4 meets both margins and lowers the
     # residual, but only swaps the heights 1 and 0, whose window holds no
     # height strictly between them, so a window test alone would accept
-    # it.
+    # it.  The probe reads every field of the slack, so forcing the flag
+    # changes nothing.
     params = GridParams(2, 0)
     f = StepFunction.from_grid([Dyadic(1), Dyadic(1, 2), Dyadic(0), Dyadic(1, 2)], 2)
     fill = ((1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0))
@@ -113,8 +119,9 @@ def test_a_state_that_does_not_dominate_tests_the_whole_order():
     assert work._donor_ok(2, 3) and work._receiver_ok(2, 4) and work._proper_subset(2, 1, 3, 4)
     assert not dominance_after_by_recount(work, move)
     assert not work._dominance_after(move)
+    assert min(work.slack) < 0
     work.dominated = True
-    assert work._dominance_after(move)
+    assert not work._dominance_after(move)
 
 
 def test_dominance_fails_inside_a_run_of_equal_heights():
