@@ -76,29 +76,20 @@ that writes a run and the K steps of a bisection see them.  The change
 is computed once per swap, by the probe that tests its dominance; the
 search hands it to apply with the move it found, and apply writes it.
 
-Dominance is tested at thresholds, the form of weak majorization in
-Marshall, Olkin and Arnold, Inequalities: Theory of Majorization and Its
-Applications, ch. 4.  With v the section in whole cells and Phi_x(c) =
-sum_i (x_i - c)^+, the sorted prefix sums P of v bound those F of f
-exactly when Phi_f(c) <= Phi_v(c) at every integer height c in 0..2**N.
-
-  * Necessity: with k = #{f > c}, Phi_f(c) = F(k) - kc <= P(k) - kc <=
-    Phi_v(c).
-  * Sufficiency: for each k let c be the k-th largest v, an integer
-    height; then F(k) <= kc + Phi_f(c) <= kc + Phi_v(c) = P(k).
-
-The engine holds the slacks Phi_v(c) * 2**shift - Phi_f(c), f in units
-2**-D and a cell 2**shift of them, packed in one int, one field per
-height.  Each is biased to a nonnegative digit below the field's top
-guard bit, so no field borrows from or carries into the next, and a
-slack is nonnegative iff its digit's bias bit is set.  A swap that
-changes the number of sub-columns at height h by n_h changes Phi_v(c) by
-sum_h n_h (h - c)^+: one shifted copy of a precomputed staircase per
-changed height.  It keeps the number of sub-columns and their total, so
-the change is 0 at and below its least height, and only the fields from
-there up are built.  The probe adds the change to the fields and reads
-every bias bit, so it is exact from any state, dominated or not; apply
-adds the same change.
+Dominance is tested at thresholds, as swap_construct tests it: with v
+the section in whole cells and Phi_x(c) = sum_i (x_i - c)^+, the sorted
+prefix sums of v bound those of f exactly when Phi_f(c) <= Phi_v(c) at
+every integer height c in 0..2**N (the proof is in the matrices module
+docstring).  The engine holds the slacks Phi_v(c) * 2**shift - Phi_f(c),
+f in units 2**-D and a cell 2**shift of them, in the one packed form
+both engines use (matrices._ThresholdSlack), one biased field per
+height.  A swap that changes the number of sub-columns at height h by
+n_h changes Phi_v(c) by sum_h n_h (h - c)^+: one shifted copy of a
+precomputed staircase per changed height.  It keeps the number of
+sub-columns and their total, so the change is 0 at and below its least
+height, and only the fields from there up are built.  The probe adds the
+change to the fields and reads every bias bit, so it is exact from any
+state, dominated or not; apply adds the same change.
 
 A search keeps its state for the length of a generation: the donor and
 receiver classes as masks, one bit per class, and the band it resumes
@@ -132,7 +123,6 @@ between two swaps.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -141,7 +131,7 @@ from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
-from .matrices import _bits, _flags, _mask, _ones, _pack, _unpack, realize_exact_margins
+from .matrices import _ThresholdSlack, _bits, _flags, _mask, _phi, realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -470,14 +460,10 @@ class _Work(_Rows):
     both in units of 2**-D where D >= N + K also covers the denominators
     of f's values; margins 2**-n become the integers 2**(D - n).  A
     sub-column's section is a whole number c of cells, vu = c << (D - N).
-    fields packs the threshold slack Phi_v(c) * 2**shift - Phi_f(c) of
-    each height c in 0..2**N (module docstring), field c in bits
-    [width*c, width*c + width), plus bias = 2**(width - 2), which exceeds
-    both the largest Phi_v * 2**shift and Phi_f(0) = sum(fu), so every
-    digit lies in (0, 2**(width - 1)) and the top bit of a field, its
-    guard, stays clear.  signs holds each field's bias bit; stair holds
-    2**N - c in field c.  dominated says whether the sorted section's
-    prefix sums bound f's, every slack being nonnegative.
+    thresholds holds the packed slack Phi_v(c) * 2**shift - Phi_f(c) of
+    each height c in 0..2**N (module docstring), and dominated says
+    whether the sorted section's prefix sums bound f's, every slack being
+    nonnegative.
 
     Within a cell column fu is constant and vu a nonincreasing staircase.
     """
@@ -509,25 +495,18 @@ class _Work(_Rows):
         side, shift, subs = self.side, self.shift, self.subs
         fcells = _cell_units(f, self.N, self.D, bounded=False)
         self.fu = [u for u in fcells for _ in range(subs)]
+        counts = [*counts]
         self.vu = [c << shift for c in counts]
-        # Phi_v(c) for c = 2**N down to 0: each step down adds #{v > c}
-        heights = Counter(self.vu)
-        over = accumulate(heights[c << shift] for c in range(side, 0, -1))
-        phi_v = [0, *accumulate(over)][::-1]
         # Phi_f(c): the t = #{f > c} largest cell values less t times c, per sub-column
         ranked = sorted(fcells)
         top = [0, *accumulate(reversed(ranked))]
         over_f = [side - bisect_right(ranked, c << shift) for c in range(side + 1)]
         phi_f = [subs * (top[t] - t * (c << shift)) for c, t in enumerate(over_f)]
-        self.width = w = max(params.sub_total * side << shift, subs * top[-1]).bit_length() + 2
-        bias = 1 << (w - 2)
-        self.fields = _pack([(pv << shift) - pf + bias for pv, pf in zip(phi_v, phi_f)], w)
-        self.signs = _ones(side + 1, w) << (w - 2)
-        self.stair = _pack(range(side, -1, -1), w)
+        self.thresholds = _ThresholdSlack(_phi(counts, side), phi_f, shift)
         self.residual = self.residual_units()  # carried: apply lowers it by each drop
         self.scan: Optional[_Scan] = None
         self.touched: dict[int, tuple[int, int]] = {}
-        self.dominated = self.majorized()
+        self.dominated = self.thresholds.holds()
 
     # -- state maintenance -------------------------------------------------
 
@@ -584,38 +563,16 @@ class _Work(_Rows):
 
     def _write_section(self, changes: list[tuple[int, int, int, int]], delta: int) -> int:
         """Apply a section change, its runs and the packed change of the
-        slack (_slack_change); returns the drop of |f - v|_1 in residual
-        units, f being constant on each run's column."""
+        slack (_ThresholdSlack.change); returns the drop of |f - v|_1 in
+        residual units, f being constant on each run's column."""
         fu, shift = self.fu, self.shift
         drop = 0
         for i, stop, v, d in changes:
             f, w = fu[i], v + (d << shift)
             self.vu[i:stop] = repeat(w, stop - i)
             drop += (stop - i) * (abs(f - v) - abs(f - w))
-        self.fields += delta
+        self.thresholds.fields += delta
         return drop
-
-    def _slack_change(self, heights: dict[int, int]) -> int:
-        """The packed change of the slack when the number of sub-columns at
-        each height h changes by heights[h]: sum_h n_h (h - c)^+ << shift
-        in field c.  stair shifted down by 2**N - h fields holds h - c in
-        field c <= h.  The counts and the total of the changed heights do
-        not change, so the sum is 0 at and below the least height lo and
-        is built from field lo up only."""
-        lo = min(heights, default=0)
-        w, top, stair = self.width, self.side + lo, self.stair
-        delta = 0
-        for h, n in heights.items():
-            if n:
-                delta += n * (stair >> (w * (top - h)))
-        return delta << (w * lo + self.shift)
-
-    @property
-    def slack(self) -> list[int]:
-        """Phi_v(c) * 2**shift - Phi_f(c) for c = 0..2**N, decoded from
-        the fields."""
-        bias = 1 << (self.width - 2)
-        return [d - bias for d in _unpack(self.fields, self.side + 1, self.width)]
 
     # -- exact quantities ----------------------------------------------------
 
@@ -626,18 +583,6 @@ class _Work(_Rows):
     def residual_dyadic(self) -> Dyadic:
         """The carried |f - v|_1."""
         return Dyadic(self.residual, self.D + self.N + self.K)
-
-    def _dominates(self, fields: int) -> bool:
-        """Whether the packed slack fields are all nonnegative, that is,
-        whether the section they belong to has sorted prefix sums bounding
-        f's at every height (module docstring).  Every digit is below
-        2 * bias, so it is at least the bias iff its bias bit is set."""
-        return fields & self.signs == self.signs
-
-    def majorized(self) -> bool:
-        """Prefix integral of sorted f never exceeds that of sorted v: the
-        held slack is nonnegative at every height."""
-        return self._dominates(self.fields)
 
     # -- swap conditions -------------------------------------------------------
 
@@ -728,8 +673,8 @@ class _Work(_Rows):
         packed change of the slack, when the section it would leave keeps
         prefix dominance; None when not.  Exact from any state."""
         changes, heights = self._section_change(*_squares(self.side, move))
-        delta = self._slack_change(heights)
-        return (changes, delta) if self._dominates(self.fields + delta) else None
+        delta = self.thresholds.change(heights)
+        return (changes, delta) if self.thresholds.holds(delta) else None
 
     def swappable(self, move: SwapMove) -> bool:
         if move.gen > self.N:
@@ -797,13 +742,13 @@ class _Work(_Rows):
             changes, delta = scan.found[1]
         else:
             changes, heights = self._section_change(rows, donor, receiver)
-            delta = self._slack_change(heights)
+            delta = self.thresholds.change(heights)
         for r in range(rows.start, rows.stop):
             if r not in self.touched:
                 self.touched[r] = self.full[r], self.nonempty[r]
         moved = self._exchange(rows, donor, receiver)
         drop = self._write_section(changes, delta)
-        self.dominated = self._dominates(self.fields)
+        self.dominated = self.thresholds.holds()
         self.residual -= drop
         if found:
             scan.found = None

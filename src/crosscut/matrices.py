@@ -20,17 +20,36 @@ afterwards.  swap_construct resumes its row walk where the last walk
 first met a row holding a (donor, receiver) pair.
 
 The row codec (_digits, _flags and _mask, between a mask and its 0/1
-cells) and the set-bit walk (_bits) serve gridset's row masks as well,
-and the field codec (_pack, _ones and _unpack, between a list of digits
-and an int of fixed-width fields) its packed threshold slack.
+cells) and the set-bit walk (_bits) serve gridset's row masks as well.
+
+Both swap engines, swap_construct here and gridset's plane-set sweep,
+ask one question before a move: do the sorted sums v still weakly
+majorize the target f?  Both answer it at thresholds, the form of weak
+majorization in Marshall, Olkin and Arnold, Inequalities: Theory of
+Majorization and Its Applications, ch. 4.  Let v be integers in 0..top
+and f nonnegative, of one length, and Phi_x(c) = sum_i (x_i - c)^+.  The
+sorted prefix sums P of v bound those F of f exactly when Phi_f(c) <=
+Phi_v(c) at every integer height c in 0..top.
+
+  * Necessity: with k = #{f > c}, Phi_f(c) = F(k) - kc <= P(k) - kc <=
+    Phi_v(c).
+  * Sufficiency: for each k let c be the k-th largest v, an integer
+    height; then F(k) <= kc + Phi_f(c) <= kc + Phi_v(c) = P(k).
+
+_ThresholdSlack holds the slacks Phi_v(c) - Phi_f(c), c = 0..top, in one
+int of fixed-width fields, through the field codec (_pack, _ones and
+_unpack, between a list of digits and such an int); _phi gives Phi of
+integer values.  A move changes Phi_v at the heights it touches and
+nowhere else, so its change is one packed int, a probe adds it and reads
+every field's sign at once, and the probe is exact from any state,
+dominated or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from operator import sub
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .feasibility import FeasibilityReport, Partition, check_gale_ryser, counts_above
 
@@ -103,6 +122,70 @@ def _unpack(fields: int, n: int, w: int) -> list[int]:
     first; one pass over the binary digits, as _pack."""
     text = format(fields, f"0{n * w}b")
     return [int(text[i - w : i], 2) for i in range(n * w, 0, -w)]
+
+
+def _phi(values: Iterable[int], top: int) -> list[int]:
+    """Phi(c) = sum_i (x_i - c)^+ for c = 0..top, of integers x_i in
+    0..top: the suffix sums of counts_above, since x - c counts the
+    heights m = c .. x - 1 for which x > m."""
+    return [*accumulate(reversed(counts_above(values, top)), initial=0)][::-1]
+
+
+class _ThresholdSlack:
+    """The slacks Phi_v(c) * 2**shift - Phi_f(c) for c = 0..top (module
+    docstring), f on a scale 2**shift times finer than v's heights,
+    packed in one int: field c, bits [width*c, width*c + width), holds the
+    slack plus bias = 2**(width - 2).  The bias exceeds both Phi_v(0) *
+    2**shift and Phi_f(0), totals that no move changes and that bound
+    every slack, so every digit lies in (0, 2**(width - 1)): the top bit
+    of a field, its guard, stays clear, no field borrows from or carries
+    into the next, and a slack is nonnegative iff its digit's bias bit is
+    set.  signs holds each field's bias bit and stair holds top - c in
+    field c.  A change of Phi_v is packed the same way, without the bias,
+    and added to fields in one big-int operation."""
+
+    def __init__(self, phi_v: Sequence[int], phi_f: Sequence[int], shift: int = 0):
+        self.top, self.shift = len(phi_v) - 1, shift
+        self.width = w = max(phi_v[0] << shift, phi_f[0]).bit_length() + 2
+        bias = 1 << (w - 2)
+        self.fields = _pack([(pv << shift) - pf + bias for pv, pf in zip(phi_v, phi_f)], w)
+        self.ones = _ones(self.top + 1, w)
+        self.signs = self.ones << (w - 2)
+        self.stair = _pack(range(self.top, -1, -1), w)
+
+    @property
+    def slack(self) -> list[int]:
+        """The slack at each height c = 0..top, decoded from the fields."""
+        bias = 1 << (self.width - 2)
+        return [d - bias for d in _unpack(self.fields, self.top + 1, self.width)]
+
+    def holds(self, delta: int = 0) -> bool:
+        """Whether every slack is nonnegative once the packed change delta
+        is added, that is, whether the sorted prefix sums of v bound f's.
+        Every digit is below 2 * bias, so it is at least the bias iff its
+        bias bit is set."""
+        return (self.fields + delta) & self.signs == self.signs
+
+    def change(self, heights: dict[int, int]) -> int:
+        """The packed change of the slack when the number of v's entries at
+        each height h changes by heights[h]: sum_h n_h (h - c)^+ << shift
+        in field c.  stair shifted down by top - h fields holds h - c in
+        field c <= h.  A change that keeps the number of entries and their
+        total is 0 at and below its least height lo, so it is built from
+        field lo up only."""
+        lo = min(heights, default=0)
+        w, top, stair = self.width, self.top + lo, self.stair
+        delta = 0
+        for h, n in heights.items():
+            if n:
+                delta += n * (stair >> (w * (top - h)))
+        return delta << (w * lo + self.shift)
+
+    def window(self, lo: int, hi: int) -> int:
+        """The packed change of Phi_v by +1 at each height lo .. hi - 1; 0
+        when hi <= lo, since ones then shifts out whole."""
+        w = self.width
+        return self.ones >> (w * (self.top + 1 - hi + lo)) << (w * lo + self.shift)
 
 
 @dataclass(frozen=True)
@@ -272,62 +355,24 @@ def brute_force_realize(p: Partition, q: Partition) -> Optional[BinaryMatrix]:
 
 
 class _ColumnSums:
-    """Column sums whose sorted prefix sums bound q's, with the slack
-    that tells which single moves keep them so (see swap_construct).
-
-    The slack is held packed in one int, fields: slack[t] in field t,
-    bits [w*t, w*t + w).  Every slack lies between -sum(q) and sum(cols),
-    so w, one bit more than the larger total needs, leaves each field's
-    top bit spare as a guard: zero while the slack is nonnegative, which
-    every move keeps.  A move adds or subtracts a 1 in every field of a
-    window with one big-int operation.  Before it subtracts, try_move
-    probes the same window: it sets the window's guard bits and subtracts
-    a 1 from each of its fields, so no field borrows from the next, and
-    a guard bit survives iff its field was at least 1.  A negative field,
-    which only a build on sums that do not dominate q holds, borrows from
-    the field above; slack decodes the fields as signed digits and still
-    reads the true values.
-    """
+    """Column sums with their threshold slack against q, which tells the
+    single moves that keep q dominated (see swap_construct)."""
 
     def __init__(self, cols: list[int], q: Sequence[int], nrows: int):
         self.cols = cols
-        self.ge = [len(cols)] + counts_above(cols, nrows)
-        slack = [0, *map(sub, accumulate(sorted(cols, reverse=True)), accumulate(q))]
-        self.width = w = max(sum(cols), sum(q)).bit_length() + 1
-        self.ones = _ones(len(slack), w)
-        # packed with half a field's range added to each, then taken off
-        half = 1 << (w - 1)
-        self.fields = _pack([s + half for s in slack], w) - (self.ones << (w - 1))
-
-    @property
-    def slack(self) -> list[int]:
-        """slack[t] for t = 0..len(cols), decoded from the fields: adding
-        half a field's range to each makes every digit nonnegative."""
-        w, n = self.width, len(self.cols) + 1
-        half = 1 << (w - 1)
-        return [d - half for d in _unpack(self.fields + (self.ones << (w - 1)), n, w)]
-
-    def _window(self, lo: int, hi: int) -> int:
-        """A 1 in each of the fields lo .. hi - 1."""
-        w = self.width
-        return self.ones >> (w * (len(self.cols) + 1 - hi + lo)) << (w * lo)
+        self.thresholds = _ThresholdSlack(_phi(cols, nrows), _phi(q, nrows))
 
     def try_move(self, cj: int, ck: int) -> bool:
-        """Move one unit from column cj to column ck when that keeps
-        dominance; returns whether it did, and changes nothing when not.
-        The window is built once, for the probe and the move."""
-        cols, ge = self.cols, self.ge
+        """Move one unit from column cj to column ck when the sums it leaves
+        dominate q; returns whether it did, and changes nothing when not.
+        A column of sum a that gives a 1 to one of sum b lowers Phi_cols by
+        1 on the heights b + 1 .. a - 1 and raises it on a .. b."""
+        cols, slack = self.cols, self.thresholds
         a, b = cols[cj], cols[ck]
-        if a >= b + 2:
-            ones = self._window(ge[a], ge[b + 1] + 1)
-            guards = ones << (self.width - 1)
-            if ((self.fields | guards) - ones) & guards != guards:
-                return False
-            self.fields -= ones
-        elif a <= b:
-            self.fields += self._window(ge[b + 1] + 1, ge[a])
-        ge[a] -= 1
-        ge[b + 1] += 1
+        delta = slack.window(a, b + 1) if a <= b else -slack.window(b + 1, a)
+        if not slack.holds(delta):
+            return False
+        slack.fields += delta
         cols[cj] -= 1
         cols[ck] += 1
         return True
@@ -357,21 +402,15 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     pair; the masks only shrink and a row changes only when a move fires
     in it, so it holds none later and a walk from row 0 would pass it.
 
-    Dominance is read off a slack list: slack[t] is the sum of the t
-    largest column sums minus the sum of q's first t parts, never
-    negative since the start is q-dominating (Gale-Ryser) and every move
-    keeps it.  Moving a 1 from a column with sum a to one with sum b takes
-    one off the last a in sorted order and adds one to the first b.  When
-    a <= b + 1 no prefix sum drops, so the move keeps dominance.  When
-    a >= b + 2 the prefix sums drop by exactly 1 on the lengths
-    #{sums >= a} .. #{sums > b} and nowhere else, so the move keeps
-    dominance iff slack is at least 1 there.  ge[v] = #{sums >= v} finds
-    both ends.  The slack is packed one field per length into an int,
-    each field w = (total ones).bit_length() + 1 bits wide, so its top
-    bit is a guard that nonnegative slack never reaches: a move adds or
-    subtracts the window's ones at once, after a probe of the same window
-    that sets its guard bits, subtracts its ones and lets the move fire
-    iff every guard bit survives (_ColumnSums.try_move).
+    Dominance is tested at thresholds (module docstring), top being the
+    row count.  Moving a 1 from a column with sum a to one with sum b
+    lowers the donor's term (a - c)^+ of Phi_cols(c) by 1 at each height
+    c < a and raises the receiver's (b - c)^+ by 1 at each c <= b.  So
+    Phi_cols falls by 1 on the heights b + 1 .. a - 1 when a >= b + 2,
+    rises by 1 on a .. b when a <= b, and is unchanged when a = b + 1.
+    The sums themselves index that window of the packed
+    slack (_ThresholdSlack.window); the move fires iff adding it leaves
+    every slack nonnegative (_ColumnSums.try_move).
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:

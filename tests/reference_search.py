@@ -99,9 +99,6 @@ class ReferenceWork(_Work):
     def residual_units(self) -> int:
         return sum(abs(a - b) for a, b in zip(self.fu, self.vu))
 
-    def majorized(self) -> bool:
-        return section_dominates(self, self.vu)
-
     def _dominance_after(self, move: SwapMove) -> Optional[tuple]:
         """The engine's section change, when the recount keeps dominance."""
         if dominance_after_by_recount(self, move):

@@ -95,12 +95,12 @@ def test_initial_set_raises_the_reference_errors():
     assert texts == {"breakpoint", "band", "band outside"}
 
 
-_FIELDS = ("full", "nonempty", "part", "vu", "fields", "width", "signs", "stair",
-           "residual", "dominated", "D", "fu")
+_FIELDS = ("full", "nonempty", "part", "vu", "residual", "dominated", "D", "fu")
 
 
 def _state(work) -> dict:
-    return {name: getattr(work, name) for name in _FIELDS}
+    """The named attributes, and every attribute of the packed slack."""
+    return {name: getattr(work, name) for name in _FIELDS} | {"thresholds": vars(work.thresholds)}
 
 
 def _targets(rng: random.Random, g: StepFunction, params: GridParams):

@@ -18,14 +18,14 @@ from crosscut import DyadicSet, GridParams, StepFunction, reconstruct
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import SwapMove, _Work, initial_set, is_swappable, optimize_generation
 from crosscut.ingest import quantize
-from reference_search import ReferenceWork
+from reference_search import ReferenceWork, section_dominates
 from test_golden import CASES
 
 
 def assert_same_sweep(f, g, params):
     fill = initial_set(g, params).fill
     fast, ref = _Work(params, fill, f), ReferenceWork(params, fill, f)
-    assert fast.majorized() and ref.majorized()
+    assert fast.dominated and section_dominates(ref, ref.vu)
     swaps = 0
     for gen in range(1, params.depth + 1):
         got, want = [], []
@@ -92,7 +92,7 @@ def assert_same_predicates(e: DyadicSet, f: StepFunction):
         assert fast._proper_subset(*args) == ref._proper_subset(*args), move
         assert fast.swappable(move) == ref.swappable(move), move
     assert fast.to_set() == ref.to_set() == ref.grid_set() and fast.vu == ref.vu
-    if fast.majorized():
+    if fast.dominated:
         for move in _candidates(e.params):
             assert is_swappable(e, f, move) == ref.swappable(move), move
     for gen in range(1, e.params.depth + 1):

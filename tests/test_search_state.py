@@ -241,7 +241,7 @@ def test_section_change_once_per_swap_on_ramp_n7(monkeypatch):
 
 
 def _state(work: _Work):
-    return work.to_set(), work.vu, work.fields, work.dominated
+    return work.to_set(), work.vu, work.thresholds.fields, work.dominated
 
 
 def test_apply_reuses_only_the_probe_of_its_own_move():

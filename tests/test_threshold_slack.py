@@ -4,16 +4,19 @@ With Phi_x(c) = sum_i (x_i - c)^+, the sorted prefix sums of an integer
 vector v bound those of f exactly when Phi_f(c) <= Phi_v(c) at every
 integer c from 0 to the largest value v may take.  gridset._Work holds
 Phi_v(c) * 2**shift - Phi_f(c) for each height c, biased, one field per
-height in one int.  The first test checks the fact without the engine;
+height in one int (matrices._ThresholdSlack).  The first test checks the fact without the engine;
 the others run the fields where they sit at an edge: f above 1, so that
 the top field is negative, f on a value grid much finer than the cells,
 so that shift is large, the smallest grid, and states that do not
 dominate f.  Every decode must equal the recount, every probe the
-whole-section recount, and no field may reach its guard bit.
+whole-section recount, and no field may reach its guard bit.  The last
+test checks that the grid's slack and matrices.swap_construct's are one
+slack where the two problems meet.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,10 +24,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_shaped_set
-from crosscut import GridParams, StepFunction
+from crosscut import GridParams, Partition, StepFunction, swap_construct
 from crosscut.dyadic import Dyadic
-from crosscut.feasibility import run_excess
+from crosscut.feasibility import counts_above, run_excess
 from crosscut.gridset import SwapMove, _Work
+from crosscut.matrices import _ColumnSums
 from reference_search import dominance_after_by_recount, recounted_slack, section_dominates
 
 
@@ -59,9 +63,9 @@ def test_thresholds_at_integer_heights_decide_dominance():
 def _check_state(work: _Work) -> bool:
     """The decoded slack is the recount, no guard bit is set, and the flag
     says whether the section dominates f; returns that."""
-    slack = work.slack
+    slack = work.thresholds.slack
     assert slack == recounted_slack(work)
-    assert work.fields & (work.signs << 1) == 0
+    assert work.thresholds.fields & (work.thresholds.signs << 1) == 0
     dominated = min(slack) >= 0
     assert work.dominated == dominated == section_dominates(work, work.vu)
     return dominated
@@ -70,7 +74,7 @@ def _check_state(work: _Work) -> bool:
 def _check_probes(work: _Work) -> Counter:
     """Every move of every generation: the probe is the recount's answer
     and leaves the fields as they were."""
-    fields, seen = work.fields, Counter()
+    fields, seen = work.thresholds.fields, Counter()
     for gen in range(1, work.N + 1):
         top = 1 << gen
         for band in range(1, top + 1):
@@ -80,7 +84,7 @@ def _check_probes(work: _Work) -> Counter:
                         move = SwapMove(gen, band, j, k)
                         keeps = work._dominance_after(move) is not None
                         assert keeps == dominance_after_by_recount(work, move), move
-                        assert work.fields == fields
+                        assert work.thresholds.fields == fields
                         seen[keeps] += 1
     return seen
 
@@ -121,7 +125,7 @@ def test_packed_slack_at_its_extremes(name, params, fill, f):
     work = _Work(params, fill, f)
     if name.startswith("above_one") and max(f.values) > Dyadic(1):
         # no section reaches above the square, so the top field is negative
-        assert work.slack[-1] < 0 and not work.dominated
+        assert work.thresholds.slack[-1] < 0 and not work.dominated
     if name.startswith("fine"):
         assert work.shift > params.subres + 8
     if name.startswith("fine_mean"):
@@ -143,9 +147,67 @@ def test_the_cases_reach_every_edge():
     seen = Counter()
     for name, params, fill, f in CASES:
         work = _Work(params, fill, f)
-        seen["negative_top"] += work.slack[-1] < 0
+        seen["negative_top"] += work.thresholds.slack[-1] < 0
         seen["undominated"] += not work.dominated
         seen["dominated"] += work.dominated
         seen["large_shift"] += work.shift > 10
         seen["n1_k0"] += params == GridParams(1, 0)
     assert min(seen.values()) > 2, seen
+
+
+def _unit_move(a: int, b: int) -> dict[int, int]:
+    """The change of the number of entries per height when an entry at
+    height a falls by one and one at height b rises by one."""
+    heights: dict[int, int] = {}
+    for h, n in ((a, -1), (a - 1, 1), (b, -1), (b + 1, 1)):
+        heights[h] = heights.get(h, 0) + n
+    return heights
+
+
+def test_one_slack_for_both_engines(monkeypatch):
+    # at K=0 with f on whole cells, shift is 0 and the hypograph's column
+    # heights are the conjugate of p, g's band values in cells.  The slack
+    # _Work.hypograph builds for f is then the one swap_construct builds
+    # for p and q = f's cells, field for field, and a move of one cell
+    # from a column of height a to one of height b, as the grid's heights
+    # or as the matrix's window, asks holds() the same question
+    built = []
+    init = _ColumnSums.__init__
+
+    def recorded(self, cols, q, nrows):
+        init(self, cols, q, nrows)
+        built.append(copy.copy(self.thresholds))
+
+    monkeypatch.setattr(_ColumnSums, "__init__", recorded)
+    rng = random.Random(97_000)
+    seen = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        side = 1 << n
+        bands = [rng.randint(0, side) for _ in range(side)]
+        q = sorted(counts_above(bands, side), reverse=True)
+        for _ in range(rng.randint(0, 3 * side)):
+            # a transfer from a part to one at least two smaller keeps q
+            # dominated by the column heights
+            i, j = sorted(rng.sample(range(side), 2))
+            if q[i] >= q[j] + 2:
+                q[i] -= 1
+                q[j] += 1
+                q.sort(reverse=True)
+        f_cells = rng.sample(q, side)
+        g = StepFunction.from_grid([Dyadic(u, n) for u in bands], n)
+        f = StepFunction.from_grid([Dyadic(u, n) for u in f_cells], n)
+        work = _Work.hypograph(GridParams(n, 0), g, f)
+        built.clear()
+        swap_construct(Partition(tuple(bands)), Partition(tuple(q)))
+        grid, matrix = work.thresholds, built[0]
+        assert (grid.shift, grid.top) == (0, side)
+        assert vars(grid) == vars(matrix), (bands, q)
+        assert grid.slack == matrix.slack and grid.holds() == matrix.holds() == work.dominated
+        for a in range(1, side + 1):
+            for b in range(side):
+                delta = matrix.window(a, b + 1) - matrix.window(b + 1, a)
+                assert grid.change(_unit_move(a, b)) == delta, (bands, q, a, b)
+                assert grid.holds(delta) == matrix.holds(delta)
+                seen[matrix.holds(delta)] += 1
+    assert seen[True] > 1_000 and seen[False] > 1_000, seen

@@ -2,11 +2,12 @@
 
 gridset._Work reads a swap's section change off the exchanged cells and
 tests prefix dominance on its threshold slack, one packed field per
-height, to which a move adds its change at once; matrices.swap_construct
-tests it only on the prefix lengths a move lowers, which rests on the
-state before the move being dominated.  Every probe here is compared with
-a whole-section test: the recount of tests/reference_search.py, or
-prefix_excess on the sorted candidate sums.
+height, to which a move adds its change at once.  matrices.swap_construct
+holds the same packed slack over the heights of its column sums, and a
+move adds the window of unit changes that the two sums it moves between
+index.  Every probe here is compared with a whole-section test: the
+recount of tests/reference_search.py, or prefix_excess on the sorted
+candidate sums; every decode with a recount of Phi(c) = sum (x - c)^+.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def _check_engine(monkeypatch) -> Counter:
     def checked_apply(self, move):
         rec = apply(self, move)
         assert self.vu == recounted_columns(self, self.vu, range(self.side)), move
-        assert self.slack == recounted_slack(self), move
-        assert self.fields & (self.signs << 1) == 0, move
+        assert self.thresholds.slack == recounted_slack(self), move
+        assert self.thresholds.fields & (self.thresholds.signs << 1) == 0, move
         assert self.dominated == section_dominates(self, self.vu), move
         log["applies"] += 1
         return rec
@@ -119,7 +120,7 @@ def test_a_state_that_does_not_dominate_tests_the_whole_order():
     assert work._donor_ok(2, 3) and work._receiver_ok(2, 4) and work._proper_subset(2, 1, 3, 4)
     assert not dominance_after_by_recount(work, move)
     assert not work._dominance_after(move)
-    assert min(work.slack) < 0
+    assert min(work.thresholds.slack) < 0
     work.dominated = True
     assert not work._dominance_after(move)
 
@@ -141,11 +142,31 @@ def test_dominance_fails_inside_a_run_of_equal_heights():
     assert work.to_set().fill == ((1, 0), (1, 0)) and work.dominated
 
 
+def _recounted(cols, q, nrows: int) -> list[int]:
+    """Phi_cols(c) - Phi_q(c) for c = 0..nrows, with Phi_x(c) =
+    sum (x - c)^+ recounted term by term."""
+
+    def phi(xs, c: int) -> int:
+        return sum(x - c for x in xs if x > c)
+
+    return [phi(cols, c) - phi(q, c) for c in range(nrows + 1)]
+
+
+def _same_sums(sums: _ColumnSums, fresh: _ColumnSums, q) -> bool:
+    """The sums, every attribute of their packed slack and its decode are
+    a fresh build's, and the decode is the recount."""
+    want = _recounted(sums.cols, q, sums.thresholds.top)
+    return (sums.cols, vars(sums.thresholds), sums.thresholds.slack, fresh.thresholds.slack) == (
+        fresh.cols, vars(fresh.thresholds), want, want
+    )
+
+
 def _check_sums(monkeypatch) -> tuple[Counter, list[int]]:
     """Wraps _ColumnSums.try_move: every answer must be prefix_excess on
     the sorted candidate sums against q, the returned list the caller
-    fills, and every call must leave the slack and the counts that a
-    recount gives, of the moved sums or of the unchanged ones."""
+    fills, and every call must leave the packed slack that a fresh build
+    gives, of the moved sums or of the unchanged ones, decoding to the
+    recount of Phi."""
     log: Counter = Counter()
     try_move = _ColumnSums.try_move
     q: list[int] = []
@@ -157,9 +178,8 @@ def _check_sums(monkeypatch) -> tuple[Counter, list[int]]:
         ok = try_move(self, cj, ck)
         assert ok == (prefix_excess(q, sorted(cand, reverse=True)) is None), (cj, ck)
         assert (self.cols == cand) if ok else (self.cols != cand), (cj, ck)
-        fresh = _ColumnSums(list(self.cols), q, len(self.ge) - 1)
-        assert (self.ge, self.slack) == (fresh.ge, fresh.slack), (cj, ck)
-        assert min(self.slack) >= 0
+        assert _same_sums(self, _ColumnSums(list(self.cols), q, self.thresholds.top), q), (cj, ck)
+        assert min(self.thresholds.slack) >= 0 and self.thresholds.holds()
         log["probes"] += 1
         log["rejected"] += not ok
         return ok
@@ -208,26 +228,30 @@ def test_slack_matches_prefix_excess_on_random_states():
                 near += cols[cj] <= cols[ck] + 1
                 # a refused move changes nothing
                 fresh = _ColumnSums(cand if want else list(cols), q, 6)
-                assert (sums.cols, sums.ge, sums.slack) == (fresh.cols, fresh.ge, fresh.slack), (cols, q, cj, ck)
+                assert _same_sums(sums, fresh, q), (cols, q, cj, ck)
     assert near > 0
 
 
 def test_slack_rejects_a_move_between_sums_two_apart():
-    # sums (2, 0) against q = (2, 0): moving a 1 from the first column to
-    # the second gives (1, 1), whose first prefix sum 1 falls below 2
+    # sums (2, 0) against q = (2, 0): Phi is (2, 1, 0) on both sides.
+    # Moving a 1 from the first column to the second gives (1, 1), whose
+    # Phi (2, 0, 0) falls below q's at height 1, as its first prefix sum
+    # 1 falls below 2
     sums = _ColumnSums([2, 0], (2, 0), 2)
-    assert sums.slack == [0, 0, 0]
+    assert sums.thresholds.slack == [0, 0, 0]
+    assert sums.thresholds.window(1, 2) == 1 << sums.thresholds.width
     assert not sums.try_move(0, 1)
-    assert (sums.cols, sums.ge, sums.slack) == ([2, 0], [2, 1, 1], [0, 0, 0])
+    assert sums.cols == [2, 0] and _same_sums(sums, _ColumnSums([2, 0], (2, 0), 2), (2, 0))
 
 
-
-
-# margins whose packed slack sits at an edge: no fields to pack beyond
-# slack[0], one row or one column, every cell 1 or 0, and one 1 per row
+# margins whose packed slack sits at an edge: no rows, so no field beyond
+# height 0; one row or one column; every cell 1 or 0; and one 1 per row
 # that starts all in column 0, where slack[1] = total - 1, the largest a
-# feasible pair reaches (15 = 2**4 - 1 leaves only the lowest value bit
-# of its field clear, 16 fills its field's value bits but the top one)
+# feasible pair reaches.  A field is two bits wider than the total needs,
+# so totals 15 = 2**4 - 1 and 16 = 2**4 stand on either side of a width
+# step: at 15 the digit of slack[1], 14 plus the bias 16, is 0b011110,
+# clear only in its guard and its lowest bit of 6; at 16 the field grows
+# to 7 bits and the digit is 15 plus the bias 32
 EXTREME_MARGINS = {
     "0x0": ((), ()),
     "0x5": ((), (0,) * 5),
@@ -248,19 +272,17 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
     try_move = _ColumnSums.try_move
 
     def check(sums):
-        # the fields hold the slack of the definition, equal a fresh
-        # build's, and leave every guard bit clear; each try of a move,
-        # made on a fresh build of these sums, is prefix_excess on the
-        # sorted candidate sums
-        cols = list(sums.cols)
-        w = q.total.bit_length() + 1
-        desc = sorted(cols, reverse=True)
-        want = [sum(desc[:t]) - sum(q.parts[:t]) for t in range(ncols + 1)]
-        assert sums.width == w and sums.slack == want
-        assert sums.fields == sum(s << w * t for t, s in enumerate(want))
-        fresh = _ColumnSums(cols, q.parts, nrows)
-        assert (sums.fields, sums.ge) == (fresh.fields, fresh.ge)
-        assert sums.fields & (sums.ones << (w - 1)) == 0
+        # the fields hold the slack of the definition, biased, equal a
+        # fresh build's, and leave every guard bit clear; each try of a
+        # move, made on a fresh build of these sums, is prefix_excess on
+        # the sorted candidate sums
+        cols, slack = list(sums.cols), sums.thresholds
+        w = q.total.bit_length() + 2
+        want = _recounted(cols, q.parts, nrows)
+        assert slack.width == w and slack.top == nrows and slack.slack == want
+        assert slack.fields == sum(s + (1 << w - 2) << w * c for c, s in enumerate(want))
+        assert _same_sums(sums, _ColumnSums(cols, q.parts, nrows), q.parts)
+        assert slack.fields & (slack.ones << (w - 1)) == 0 and slack.holds()
         for cj in range(ncols):
             for ck in range(ncols):
                 if cj != ck and cols[cj] and cols[ck] < nrows:
@@ -272,7 +294,8 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
                     assert try_move(trial, cj, ck) == keeps, (cols, cj, ck)
         return want
 
-    start = check(_ColumnSums(counts_above(p.parts, ncols), q.parts, nrows))
+    first = _ColumnSums(counts_above(p.parts, ncols), q.parts, nrows)
+    start = check(first)
     moves = []
 
     def checked_try_move(self, cj, ck):
@@ -285,18 +308,21 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
     a = swap_construct(p, q)
     assert (row_sums(a), col_sums(a)) == (p.parts, q.parts)
     if shape.startswith("largest_slack"):
-        # slack[1] falls by one per move, from total - 1 to 0
+        # slack[1] falls by one per move, from total - 1 to 0, and the
+        # width steps between the two totals
         assert max(start) == start[1] == q.total - 1
         assert [m[1] for m in moves] == list(range(q.total - 2, -1, -1))
+        digit = start[1] + (1 << first.thresholds.width - 2)
+        assert (first.thresholds.width, digit) == ((6, 0b011110) if q.total == 15 else (7, 0b0101111))
     else:
         assert not moves and not any(start)
 
 
 def test_packed_slack_reads_negative_fields():
     # a build on sums that do not dominate q, which swap_construct never
-    # makes, holds negative fields that borrow from the one above; slack
-    # must still read the definition's values, there and after each move
-    # that try_move makes from there
+    # makes, holds negative slacks; slack must still read the recount of
+    # Phi, there and after each move that try_move makes from there, and
+    # each try is prefix_excess on the candidate sums, dominated or not
     rng = random.Random(73)
     negative = 0
     for _ in range(300):
@@ -305,12 +331,15 @@ def test_packed_slack_reads_negative_fields():
         q = sorted((rng.randint(0, nrows) for _ in range(n)), reverse=True)
         sums = _ColumnSums(list(cols), q, nrows)
         for _ in range(rng.randint(0, 6)):
-            want = [
-                sum(sorted(sums.cols, reverse=True)[:t]) - sum(q[:t]) for t in range(n + 1)
-            ]
-            assert sums.slack == want, (sums.cols, q)
+            want = _recounted(sums.cols, q, nrows)
+            assert sums.thresholds.slack == want, (sums.cols, q)
+            assert sums.thresholds.holds() == (min(want) >= 0), (sums.cols, q)
             negative += min(want) < 0
             cj, ck = rng.randrange(n), rng.randrange(n)
             if cj != ck and sums.cols[cj] and sums.cols[ck] < nrows:
-                sums.try_move(cj, ck)
+                cand = list(sums.cols)
+                cand[cj] -= 1
+                cand[ck] += 1
+                keeps = prefix_excess(q, sorted(cand, reverse=True)) is None
+                assert sums.try_move(cj, ck) == keeps, (sums.cols, q, cj, ck)
     assert negative > 100
