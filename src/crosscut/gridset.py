@@ -35,6 +35,8 @@ a bitmask of its full cells, one of its nonempty cells and the width of
 its partial cell, which no exchange changes.  An exchange swaps mask
 bits; the sub-units it moves, its section change, a generation's
 symmetric difference and the set are read off the masks and the width.
+The set is written out row by row from the masks, and is valid by
+construction, so it skips DyadicSet's per-cell check.
 The engine (is_swappable, optimize_generation, swap, the replay) thus
 takes only such sets and raises ValueError on a row of two partial
 cells; DyadicSet, the sections, the images and verify take any set.
@@ -58,21 +60,25 @@ full donor takes every receiver that is not full, a partial donor only
 the empty ones, an empty donor none, so the band row's masks and the
 class masks decide a band in a few big-int operations.
 
-A swap's bookkeeping follows the cells it moves, run by run.  A cell of
-width a that takes the place of one of width b raises its column by one
-cell on the sub-columns [b, a) and lowers it on [a, b).  The sorted
-widths of the exchanged cells therefore cut a column pair into stretches
-on which the change d is constant: +d on the donor column, -d on the
-receiver's.  A column's section is a staircase, nonincreasing across its
-sub-columns, since sub-column m counts the rows whose fill exceeds m.
-So a stretch splits into runs of equal old height that come in position
-order, largest height first, and a stretch whose two ends have equal
-height is a single run.  The section, its L1 gap to f (f is constant on
+A swap's bookkeeping follows its band's rows and the runs it writes.
+Sub-column m of a column counts the rows whose fill exceeds m: every
+full cell and the partial cells wider than m.  The exchange puts the
+receiver's cells in the donor column, so the donor column changes at m
+by d(m) = (receiver full - donor full) + #{receiver partial widths > m}
+- #{donor partial widths > m}, counted over the band's rows, and the
+receiver column by -d(m).  The full counts are vertical popcounts of the
+two blocks' full masks, taken on one digit string of the band; only the
+partial cells, at most one per row, are walked, and their widths cut a
+column pair into stretches on which d is constant.  A column's section
+is a staircase, nonincreasing across its sub-columns, so a stretch
+splits into runs of equal old height that come in position order,
+largest height first, and a stretch whose two ends have equal height is
+a single run.  The section, its L1 gap to f (f is constant on
 a column) and the count of sub-columns per height are updated one run
 at a time, and a donor's least and a receiver's greatest v - f on a
 column are read at its last and its first sub-column.  A swap's cost
-follows its runs, not the 2**K sub-columns of a cell: only the slice
-that writes a run and the K steps of a bisection see them.  The change
+follows its rows and runs, not the 2**K sub-columns of a cell: only the
+slice that writes a run and the K steps of a bisection see them.  The change
 is computed once per swap, by the probe that tests its dominance; the
 search hands it to apply with the move it found, and apply writes it.
 
@@ -84,12 +90,13 @@ docstring).  The engine holds the slacks Phi_v(c) * 2**shift - Phi_f(c),
 f in units 2**-D and a cell 2**shift of them, in the one packed form
 both engines use (matrices._ThresholdSlack), one biased field per
 height.  A swap that changes the number of sub-columns at height h by
-n_h changes Phi_v(c) by sum_h n_h (h - c)^+: one shifted copy of a
-precomputed staircase per changed height.  It keeps the number of
+n_h changes Phi_v(c) by sum_h n_h (h - c)^+.  It keeps the number of
 sub-columns and their total, so the change is 0 at and below its least
-height, and only the fields from there up are built.  The probe adds the
-change to the fields and reads every bias bit, so it is exact from any
-state, dominated or not; apply adds the same change.
+height and above its greatest, and linear in c between two consecutive
+changed heights: one piece per gap, cut from a precomputed row of ones
+and a precomputed staircase, so each field is built once.  The probe
+adds the change to the fields and reads every bias bit, so it is exact
+from any state, dominated or not; apply adds the same change.
 
 A search keeps its state for the length of a generation: the donor and
 receiver classes as masks, one bit per class, and the band it resumes
@@ -122,16 +129,18 @@ between two swaps.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import eq, le, mul, neg, sub
+from operator import eq, le, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
-from .matrices import _ThresholdSlack, _bits, _flags, _mask, _phi, realize_exact_margins
+from .matrices import _ThresholdSlack, _bits, _digits, _mask, _phi, realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -275,6 +284,15 @@ class DyadicSet:
                 if not isinstance(w, int) or not 0 <= w <= cap:
                     raise ValueError(f"cell fill {w} outside 0..{cap}")
 
+    @classmethod
+    def _trusted(cls, params: GridParams, fill: tuple[tuple[int, ...], ...]) -> "DyadicSet":
+        """The set of a fill that is valid by construction, made without the
+        per-cell check: the engine's rows written out (_Rows.to_set)."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "params", params)
+        object.__setattr__(e, "fill", fill)
+        return e
+
     def measure(self) -> Dyadic:
         total = sum(w for row in self.fill for w in row)
         return Dyadic(total, 2 * self.params.depth + self.params.subres)
@@ -375,6 +393,12 @@ class _Rows:
             full.append((1 << k) - 1)
             nonempty.append((1 << (k + (rem > 0))) - 1)
             part.append(rem)
+        return cls.of_masks(params, full, nonempty, part)
+
+    @classmethod
+    def of_masks(cls, params: GridParams, full: list[int], nonempty: list[int], part: list[int]):
+        """The rows of the given masks and partial widths, which the caller
+        vouches for; made without __init__, as of_bands."""
         rows = cls.__new__(cls)
         rows._hold(params, full, nonempty, part)
         return rows
@@ -394,13 +418,39 @@ class _Rows:
         return moved
 
     def to_set(self) -> DyadicSet:
-        side, cap, rows = self.side, self.subs, []
+        """The rows written out as a set.  Each row is its full mask's
+        digit string mapped to cells of 0 and 2**K through a translation
+        table, into a buffer of machine ints, with its one partial width
+        patched in.  Such rows are valid by construction, so the set skips
+        DyadicSet's per-cell check (DyadicSet._trusted)."""
+        side = self.side
+        code, size, at, table = _cell_codec(self.params.subres)
+        buf = bytearray(size * side)
+        cells = memoryview(buf).cast(code) if size > 1 else buf
+        rows = []
         for f, ne, width in zip(self.full, self.nonempty, self.part):
-            row = [*map(mul, _flags(f, side), repeat(cap))]
+            buf[at::size] = _digits(f, side).encode().translate(table)
             if width:
-                row[(ne & ~f).bit_length() - 1] = width
-            rows.append(tuple(row))
-        return DyadicSet(self.params, tuple(rows))
+                j = (ne ^ f).bit_length() - 1
+                cells[j] = width
+                rows.append(tuple(cells))
+                cells[j] = 0
+            else:
+                rows.append(tuple(cells))
+        return DyadicSet._trusted(self.params, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _cell_codec(subres: int) -> tuple[str, int, int, bytes]:
+    """How _Rows.to_set writes cells of 0 and cap = 2**subres: the
+    typecode of the smallest machine int that holds cap, its size in
+    bytes, the one byte of such an int that is nonzero in cap (native
+    order), and the table that maps the digits '0' and '1' to that byte's
+    value in 0 and in cap."""
+    code = next(c for c in "BHIL" if 8 * array(c).itemsize > subres)
+    size = array(code).itemsize
+    at = subres // 8 if sys.byteorder == "little" else size - 1 - subres // 8
+    return code, size, at, bytes.maketrans(b"01", bytes((0, 1 << subres % 8)))
 
 
 def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
@@ -516,60 +566,86 @@ class _Work(_Rows):
         sub-columns, and the net change of the number of sub-columns at
         each height.
 
-        A donor cell a replaced by the receiver's b adds one cell to the
-        donor column on [a, b) and takes one off on [b, a): a difference
-        list with +1 at a and -1 at b, kept only at those cut points, at
-        the bits where the blocks' masks differ.
-        Between two cuts the change d is constant, and the receiver column
-        changes by -d.  On such a stretch each column's old section is a
-        nonincreasing staircase, so it splits into runs of equal height
-        found by bisection; a stretch whose two ends are equal is one run.
+        Sub-column m of a column counts the band rows whose cell there
+        holds more than m sub-units: every full cell and the partial cells
+        wider than m.  The exchange puts the receiver's cells in the donor
+        column, so the donor column's change at m is d(m) = (receiver
+        full - donor full) + #{receiver partial widths > m} - #{donor
+        partial widths > m}, over the band's rows, and the receiver
+        column's is -d(m).  The full counts are vertical popcounts of the
+        blocks' full masks, taken on their digit strings; only the partial
+        cells, at most one per row, are walked one by one, and each cuts d
+        at its width.  On a stretch of constant d each column's old section
+        is a nonincreasing staircase, so it splits into runs of equal
+        height found by bisection; a stretch whose two ends are equal is
+        one run.
         """
-        subs, w, vu, shift = self.subs, self.subs + 1, self.vu, self.shift
+        subs, vu, shift, full, nonempty, part = self.subs, self.vu, self.shift, self.full, self.nonempty, self.part
         j0, k0 = donor.start, receiver.start
-        low = (1 << (donor.stop - j0)) - 1
-        diff: dict[int, int] = {}
+        span = donor.stop - j0
+        low = (1 << span) - 1
+        blocks = low << j0 | low << k0
+        # per column offset that holds a partial cell: the change of d at
+        # each sub-column where a partial width cuts it, d(0) included
+        cuts: dict[int, dict[int, int]] = {}
         for r in range(rows.start, rows.stop):
-            f, ne, width = self.full[r], self.nonempty[r], self.part[r]
-            fj, nej, fk, nek = (f >> j0) & low, (ne >> j0) & low, (f >> k0) & low, (ne >> k0) & low
-            for c in _bits((fj ^ fk) | (nej ^ nek)):
-                bit, at = 1 << c, c * w
-                a = at + (subs if fj & bit else width if nej & bit else 0)
-                b = at + (subs if fk & bit else width if nek & bit else 0)
-                diff[a] = diff.get(a, 0) + 1
-                diff[b] = diff.get(b, 0) - 1
-        cuts = sorted((p, n) for p, n in diff.items() if n)
+            width = part[r]
+            if width and (at := ((nonempty[r] ^ full[r]) & blocks).bit_length() - 1) >= 0:
+                c, e = (at - j0, -1) if j0 <= at < j0 + span else (at - k0, 1)
+                steps = cuts.get(c)
+                if steps is None:
+                    cuts[c] = {0: e, width: -e}
+                else:
+                    steps[0] += e
+                    steps[width] = steps.get(width, 0) - e
+        # a row's digits are its receiver block's bits and then its donor
+        # block's, each from the highest, so column offset c is every
+        # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
+        pair = 2 * span
+        spec = f"0{pair}b"
+        text = "".join([format((f >> k0 & low) << span | f >> j0 & low, spec) for f in full[rows]])
         changes: list[tuple[int, int, int, int]] = []
         heights: dict[int, int] = {}
-        d = 0
-        # d returns to 0 at each column's last cut, so a stretch never
-        # crosses columns
-        for (p, n), (q, _) in zip(cuts, cuts[1:]):
-            d += n
-            if not d:
-                continue
-            c, s = divmod(p, w)
-            for base, e in (((donor.start + c) * subs, d), ((receiver.start + c) * subs, -d)):
-                i, end = base + s, base + q - c * w
-                while i < end:
-                    v = vu[i]
-                    stop = end if vu[end - 1] == v else bisect_right(vu, -v, i, end, key=neg)
-                    h = v >> shift
-                    heights[h] = heights.get(h, 0) - (stop - i)
-                    heights[h + e] = heights.get(h + e, 0) + (stop - i)
-                    changes.append((i, stop, v, e))
-                    i = stop
+        get, append = heights.get, changes.append
+        for c in range(span):
+            d = text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1")
+            steps = cuts.get(c)
+            if steps is None:
+                if not d:
+                    continue
+                stretches = [(0, subs, d)]
+            else:
+                stretches, s = [], 0
+                for m in sorted(steps):
+                    if steps[m]:
+                        if d and m:
+                            stretches.append((s, m, d))
+                        d, s = d + steps[m], m
+                if d:
+                    stretches.append((s, subs, d))
+            for s, t, d in stretches:
+                for base, e in (((j0 + c) * subs, d), ((k0 + c) * subs, -d)):
+                    i, end = base + s, base + t
+                    last = vu[end - 1]
+                    while i < end:
+                        v = vu[i]
+                        stop = end if v == last else bisect_right(vu, -v, i, end, key=neg)
+                        h, n = v >> shift, stop - i
+                        heights[h] = get(h, 0) - n
+                        heights[h + e] = get(h + e, 0) + n
+                        append((i, stop, v, e))
+                        i = stop
         return changes, heights
 
     def _write_section(self, changes: list[tuple[int, int, int, int]], delta: int) -> int:
         """Apply a section change, its runs and the packed change of the
         slack (_ThresholdSlack.change); returns the drop of |f - v|_1 in
         residual units, f being constant on each run's column."""
-        fu, shift = self.fu, self.shift
+        fu, vu, shift = self.fu, self.vu, self.shift
         drop = 0
         for i, stop, v, d in changes:
             f, w = fu[i], v + (d << shift)
-            self.vu[i:stop] = repeat(w, stop - i)
+            vu[i:stop] = repeat(w, stop - i)
             drop += (stop - i) * (abs(f - v) - abs(f - w))
         self.thresholds.fields += delta
         return drop
@@ -1021,5 +1097,5 @@ def discrete_exact_set(
     a = realize_exact_margins(rows, cols)
     if a is None:
         return None
-    cap = params.sub_per_cell
-    return DyadicSet(params, tuple(tuple(cap * x for x in row) for row in a.entries))
+    # whole cells only: each row's full and nonempty masks are its matrix row
+    return _Rows.of_masks(params, [*a.masks], [*a.masks], [0] * params.side).to_set()

@@ -141,12 +141,14 @@ class _ThresholdSlack:
     of a field, its guard, stays clear, no field borrows from or carries
     into the next, and a slack is nonnegative iff its digit's bias bit is
     set.  signs holds each field's bias bit and stair holds top - c in
-    field c.  A change of Phi_v is packed the same way, without the bias,
-    and added to fields in one big-int operation."""
+    field c; the bias exceeds top as well, so that stair's digits fit
+    their fields when the totals are small.  A change of Phi_v is packed
+    the same way, without the bias, and added to fields in one big-int
+    operation."""
 
     def __init__(self, phi_v: Sequence[int], phi_f: Sequence[int], shift: int = 0):
         self.top, self.shift = len(phi_v) - 1, shift
-        self.width = w = max(phi_v[0] << shift, phi_f[0]).bit_length() + 2
+        self.width = w = max(phi_v[0] << shift, phi_f[0], self.top).bit_length() + 2
         bias = 1 << (w - 2)
         self.fields = _pack([(pv << shift) - pf + bias for pv, pf in zip(phi_v, phi_f)], w)
         self.ones = _ones(self.top + 1, w)
@@ -168,18 +170,33 @@ class _ThresholdSlack:
 
     def change(self, heights: dict[int, int]) -> int:
         """The packed change of the slack when the number of v's entries at
-        each height h changes by heights[h]: sum_h n_h (h - c)^+ << shift
-        in field c.  stair shifted down by top - h fields holds h - c in
-        field c <= h.  A change that keeps the number of entries and their
-        total is 0 at and below its least height lo, so it is built from
-        field lo up only."""
-        lo = min(heights, default=0)
-        w, top, stair = self.width, self.top + lo, self.stair
-        delta = 0
-        for h, n in heights.items():
-            if n:
-                delta += n * (stair >> (w * (top - h)))
-        return delta << (w * lo + self.shift)
+        each height h changes by heights[h], a change that keeps the number
+        of entries and their total: sum_h n_h (h - c)^+ << shift in field c.
+
+        Between two consecutive changed heights lo < hi the sum is linear
+        in c, a - c * b with a = sum n_h h and b = sum n_h over the heights
+        h >= hi, so it is one piece on the fields lo .. hi - 1: the lowest
+        hi - lo fields of ones times a - (hi - 1) * b, plus those of stair,
+        shifted down to hold hi - 1 - c in field c, times b; a piece of one
+        field is a - lo * b.  The pieces are laid down from the top, each
+        below the last, so every field is built once.  Above the greatest
+        height the sum is 0, and so it is at and below the least, the
+        number of entries and their total being kept."""
+        w, top, ones, stair = self.width, self.top + 1, self.ones, self.stair
+        delta = a = b = 0
+        hi = None
+        for lo in sorted([h for h, n in heights.items() if n], reverse=True):
+            if hi is not None:
+                if hi - lo == 1:
+                    delta = (delta << w) + (a - lo * b)
+                else:
+                    cut = w * (top - hi + lo)
+                    delta = (delta << w * (hi - lo)) + ((a - (hi - 1) * b) * (ones >> cut) + b * (stair >> cut))
+            n = heights[lo]
+            a += n * lo
+            b += n
+            hi = lo
+        return 0 if hi is None else delta << (w * hi + self.shift)
 
     def window(self, lo: int, hi: int) -> int:
         """The packed change of Phi_v by +1 at each height lo .. hi - 1; 0

@@ -15,18 +15,25 @@ or its row masks do.
 PairwiseWork is the engine with only its band scan replaced: every
 (donor, receiver) pair of a band is tested on its block masks, which is
 fast enough to follow the engine to N=9.
+
+section_change_by_cuts and slack_change_by_heights are the engine's
+former section change and packed slack change, kept as references: the
+first builds a dict of cut points cell by cell, the second adds one
+shifted staircase per changed height.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+from operator import neg
 from typing import Optional
 
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
 from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _squares, _Work
-from crosscut.matrices import _bits
+from crosscut.matrices import _ThresholdSlack, _bits
 
 
 def section_dominates(work: _Work, vu) -> bool:
@@ -89,6 +96,74 @@ def dominance_after_by_recount(work: _Work, move: SwapMove) -> bool:
     j0, k0 = (move.donor - 1) * span, (move.receiver - 1) * span
     vu = recounted_columns(work, work.vu, (*range(j0, j0 + span), *range(k0, k0 + span)), cells)
     return section_dominates(work, vu)
+
+
+def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: slice):
+    """The section change of exchanging the two squares, read off their
+    rows' masks: runs (start, stop, old value, change in cells) of
+    sub-columns, and the net change of the number of sub-columns at
+    each height.
+
+    A donor cell a replaced by the receiver's b adds one cell to the
+    donor column on [a, b) and takes one off on [b, a): a difference
+    list with +1 at a and -1 at b, kept only at those cut points, at
+    the bits where the blocks' masks differ.
+    Between two cuts the change d is constant, and the receiver column
+    changes by -d.  On such a stretch each column's old section is a
+    nonincreasing staircase, so it splits into runs of equal height
+    found by bisection; a stretch whose two ends are equal is one run.
+    """
+    subs, w, vu, shift = self.subs, self.subs + 1, self.vu, self.shift
+    j0, k0 = donor.start, receiver.start
+    low = (1 << (donor.stop - j0)) - 1
+    diff: dict[int, int] = {}
+    for r in range(rows.start, rows.stop):
+        f, ne, width = self.full[r], self.nonempty[r], self.part[r]
+        fj, nej, fk, nek = (f >> j0) & low, (ne >> j0) & low, (f >> k0) & low, (ne >> k0) & low
+        for c in _bits((fj ^ fk) | (nej ^ nek)):
+            bit, at = 1 << c, c * w
+            a = at + (subs if fj & bit else width if nej & bit else 0)
+            b = at + (subs if fk & bit else width if nek & bit else 0)
+            diff[a] = diff.get(a, 0) + 1
+            diff[b] = diff.get(b, 0) - 1
+    cuts = sorted((p, n) for p, n in diff.items() if n)
+    changes: list[tuple[int, int, int, int]] = []
+    heights: dict[int, int] = {}
+    d = 0
+    # d returns to 0 at each column's last cut, so a stretch never
+    # crosses columns
+    for (p, n), (q, _) in zip(cuts, cuts[1:]):
+        d += n
+        if not d:
+            continue
+        c, s = divmod(p, w)
+        for base, e in (((donor.start + c) * subs, d), ((receiver.start + c) * subs, -d)):
+            i, end = base + s, base + q - c * w
+            while i < end:
+                v = vu[i]
+                stop = end if vu[end - 1] == v else bisect_right(vu, -v, i, end, key=neg)
+                h = v >> shift
+                heights[h] = heights.get(h, 0) - (stop - i)
+                heights[h + e] = heights.get(h + e, 0) + (stop - i)
+                changes.append((i, stop, v, e))
+                i = stop
+    return changes, heights
+
+
+def slack_change_by_heights(self: _ThresholdSlack, heights: dict[int, int]) -> int:
+    """The packed change of the slack when the number of v's entries at
+    each height h changes by heights[h]: sum_h n_h (h - c)^+ << shift
+    in field c.  stair shifted down by top - h fields holds h - c in
+    field c <= h.  A change that keeps the number of entries and their
+    total is 0 at and below its least height lo, so it is built from
+    field lo up only."""
+    lo = min(heights, default=0)
+    w, top, stair = self.width, self.top + lo, self.stair
+    delta = 0
+    for h, n in heights.items():
+        if n:
+            delta += n * (stair >> (w * (top - h)))
+    return delta << (w * lo + self.shift)
 
 
 class ReferenceWork(_Work):

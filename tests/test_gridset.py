@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     oracle_primitive_rearr,
     rand_dyadic_set,
     rand_feasible_pair,
+    rand_grid_marginal,
 )
 from crosscut import (
     GridParams,
@@ -472,6 +474,71 @@ def test_reconstruct_validates_grid_alignment():
     coarse = StepFunction.constant(fine.integral())
     with pytest.raises(QuantizationError):
         reconstruct(coarse, fine, params)
+
+
+def _publicly_valid(e: DyadicSet) -> bool:
+    """The set passes the public constructor's per-cell check unchanged:
+    a tuple of tuples of ints, each in 0..cap."""
+    return (
+        DyadicSet(e.params, e.fill) == e
+        and type(e.fill) is tuple
+        and all(type(row) is tuple and all(type(w) is int for w in row) for row in e.fill)
+    )
+
+
+@pytest.mark.parametrize("subres", [0, 4, 8, 9, 16])
+def test_returned_sets_pass_the_public_check(subres):
+    # the engine writes its sets without DyadicSet's per-cell check; every
+    # set that reconstruct, initial_set, swap, optimize_generation and
+    # discrete_exact_set return must pass it, at K=8 and above as well,
+    # where a cell of 2**K no longer fits in a byte
+    rng = random.Random(127_000 + subres)
+    seen = Counter()
+    for _ in range(8):
+        params = GridParams(rng.randint(1, 4 if subres < 16 else 2), subres)
+        side = params.side
+        # g on the sub-unit grid, so rows hold partial cells, against the
+        # constant of its integral, which is always feasible
+        g = rand_grid_marginal(rng, params)
+        f = StepFunction.constant(g.integral())
+        e, _ = reconstruct(f, g, params)
+        start = initial_set(g, params)
+        gen = rng.randint(1, params.depth)
+        top = 1 << gen
+        j, k = rng.sample(range(1, top + 1), 2)
+        moved = swap(start, SwapMove(gen, rng.randint(1, top), j, k))
+        optimized = optimize_generation(start, f, gen)
+        # whole cells: the column counts of a hypograph with its rows shuffled
+        counts = [rng.randint(0, side) for _ in range(side)]
+        rows = [[1] * c + [0] * (side - c) for c in counts]
+        for row in rows:
+            rng.shuffle(row)
+        cols = StepFunction.from_grid([D(sum(col), params.depth) for col in zip(*rows)], params.depth)
+        exact = discrete_exact_set(cols, StepFunction.from_grid([D(c, params.depth) for c in counts], params.depth), params)
+        for got in (e, start, moved, optimized, exact):
+            assert _publicly_valid(got), params
+            seen["sets"] += 1
+            seen["partial cells"] += sum(0 < w < params.sub_per_cell for row in got.fill for w in row)
+    # K=0 has whole cells only
+    assert seen["sets"] == 40 and (seen["partial cells"] > 20 or subres == 0), seen
+
+
+def test_the_public_constructor_still_checks_every_cell():
+    for subres in (3, 8):
+        params = GridParams(2, subres)
+        cap = params.sub_per_cell
+        good = ((cap, 1, 0, 0),) * 4
+        assert DyadicSet(params, good).fill == good
+        for row, what in (
+            ((cap + 1, 0, 0, 0), f"cell fill {cap + 1} outside 0..{cap}"),
+            ((cap, 1.0, 0, 0), f"cell fill 1.0 outside 0..{cap}"),
+            ((cap, -1, 0, 0), f"cell fill -1 outside 0..{cap}"),
+            ((cap, 1, 0), "fill grid has wrong number of columns"),
+        ):
+            with pytest.raises(ValueError, match=what):
+                DyadicSet(params, (row,) + good[1:])
+        with pytest.raises(ValueError, match="fill grid has wrong number of bands"):
+            DyadicSet(params, good[1:])
 
 
 # ---------------------------------------------------------------------------

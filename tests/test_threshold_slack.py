@@ -28,8 +28,8 @@ from crosscut import GridParams, Partition, StepFunction, swap_construct
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
 from crosscut.gridset import SwapMove, _Work
-from crosscut.matrices import _ColumnSums
-from reference_search import dominance_after_by_recount, recounted_slack, section_dominates
+from crosscut.matrices import _ColumnSums, _ThresholdSlack, _phi
+from reference_search import dominance_after_by_recount, recounted_slack, section_dominates, slack_change_by_heights
 
 
 def _runs(values) -> list:
@@ -211,3 +211,78 @@ def test_one_slack_for_both_engines(monkeypatch):
                 assert grid.holds(delta) == matrix.holds(delta)
                 seen[matrix.holds(delta)] += 1
     assert seen[True] > 1_000 and seen[False] > 1_000, seen
+
+
+def _moved(rng: random.Random, top: int, moves: int) -> dict[int, int]:
+    """A change of the number of entries per height that keeps their
+    number and total: n entries rise from a to a + e and n others fall
+    from b to b - e, moves times, with zero counts among the keys and the
+    keys in a random order."""
+    heights: Counter = Counter()
+    for _ in range(moves):
+        e = rng.randint(1, top)
+        a, b = rng.randint(0, top - e), rng.randint(e, top)
+        n = rng.randint(1, 4)
+        for h, m in ((a, -n), (a + e, n), (b, -n), (b - e, n)):
+            heights[h] += m
+    for h in rng.sample(range(top + 1), min(3, top + 1)):
+        heights[h] += 0
+    items = list(heights.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_one_pass_slack_change_at_its_edges():
+    # the slack change is one piece per gap between changed heights; it
+    # must equal the former build, one staircase copy per changed height,
+    # and decode to sum_h n_h (h - c)^+ << shift added to each slack: with
+    # no heights, zero counts only, a change at height 0 and at top, keys
+    # in any order, and shift 0 or not
+    rng = random.Random(113_000)
+    seen = Counter()
+    for _ in range(400):
+        top, shift = rng.randint(1, 40), rng.choice((0, 0, 1, 5, 13))
+        values = [rng.randint(0, top) for _ in range(rng.randint(1, 30))]
+        phi = _phi(values, top)
+        slack = _ThresholdSlack(phi, [0] * (top + 1), shift)
+        cases = [
+            {},
+            {h: 0 for h in rng.sample(range(top + 1), min(4, top + 1))},
+            # one entry from 1 to 0 and one from top - 1 to top
+            {0: 1, 1: -1, top - 1: -1, top: 1} if top > 2 else {},
+            _moved(rng, top, rng.randint(1, 4)),
+        ]
+        for heights in cases:
+            delta = slack.change(heights)
+            assert delta == slack_change_by_heights(slack, heights), (top, shift, heights)
+            # the fields decode to the changed slack wherever it stays a
+            # biased digit
+            want = [(p + sum(n * (h - c) for h, n in heights.items() if h > c)) << shift for c, p in enumerate(phi)]
+            if 0 <= min(want) and max(want) < 1 << (slack.width - 2):
+                fields = slack.fields
+                slack.fields += delta
+                assert slack.slack == want, (top, shift, heights)
+                slack.fields = fields
+                seen["decoded"] += 1
+            seen["empty" if not any(heights.values()) else "moved"] += 1
+            seen["ends"] += bool(heights.get(0)) and bool(heights.get(top))
+    assert min(seen.values()) > 100, seen
+
+
+def test_the_staircase_fits_its_fields_when_the_totals_are_small():
+    # two full cells in column 1 of a 32 x 32 grid and f one cell in each
+    # of columns 1 and 2: the totals are 2, far below the top height 32.
+    # With fields two bits wider than the totals alone need, the staircase
+    # of heights 32 .. 0 overran its fields, so the probe rejected the one
+    # swappable move and apply left a wrong slack
+    params = GridParams(5, 0)
+    fill = [[0] * 32 for _ in range(32)]
+    fill[0][0] = fill[1][0] = 1
+    f = StepFunction.from_grid([Dyadic(1, 5)] * 2 + [Dyadic(0)] * 30, 5)
+    work = _Work(params, tuple(map(tuple, fill)), f)
+    move = SwapMove(5, 1, 1, 2)
+    assert work.thresholds.top == 32 and work.dominated
+    assert dominance_after_by_recount(work, move)
+    assert work._dominance_after(move) is not None and work.swappable(move)
+    work.apply(move)
+    _check_state(work)

@@ -247,8 +247,10 @@ def test_slack_rejects_a_move_between_sums_two_apart():
 # margins whose packed slack sits at an edge: no rows, so no field beyond
 # height 0; one row or one column; every cell 1 or 0; and one 1 per row
 # that starts all in column 0, where slack[1] = total - 1, the largest a
-# feasible pair reaches.  A field is two bits wider than the total needs,
-# so totals 15 = 2**4 - 1 and 16 = 2**4 stand on either side of a width
+# feasible pair reaches.  A field is two bits wider than the larger of the
+# total and the row count needs (the row count is the top height, which
+# the staircase of the slack holds in field 0), so totals 15 = 2**4 - 1
+# and 16 = 2**4, each on as many rows, stand on either side of a width
 # step: at 15 the digit of slack[1], 14 plus the bias 16, is 0b011110,
 # clear only in its guard and its lowest bit of 6; at 16 the field grows
 # to 7 bits and the digit is 15 plus the bias 32
@@ -277,7 +279,7 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
         # move, made on a fresh build of these sums, is prefix_excess on
         # the sorted candidate sums
         cols, slack = list(sums.cols), sums.thresholds
-        w = q.total.bit_length() + 2
+        w = max(q.total, nrows).bit_length() + 2
         want = _recounted(cols, q.parts, nrows)
         assert slack.width == w and slack.top == nrows and slack.slack == want
         assert slack.fields == sum(s + (1 << w - 2) << w * c for c, s in enumerate(want))
