@@ -573,7 +573,7 @@ class _Work(_Rows):
         full - donor full) + #{receiver partial widths > m} - #{donor
         partial widths > m}, over the band's rows, and the receiver
         column's is -d(m).  The full counts are vertical popcounts of the
-        blocks' full masks, taken on their digit strings; only the partial
+        band's full masks, taken on their digit string; only the partial
         cells, at most one per row, are walked one by one, and each cuts d
         at its width.  On a stretch of constant d each column's old section
         is a nonincreasing staircase, so it splits into runs of equal
@@ -598,17 +598,15 @@ class _Work(_Rows):
                 else:
                     steps[0] += e
                     steps[width] = steps.get(width, 0) - e
-        # a row's digits are its receiver block's bits and then its donor
-        # block's, each from the highest, so column offset c is every
-        # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
-        pair = 2 * span
-        spec = f"0{pair}b"
-        text = "".join([format((f >> k0 & low) << span | f >> j0 & low, spec) for f in full[rows]])
+        # the band's full masks as digits, side per row from the highest
+        # bit, so column j is every side-th digit from side - 1 - j
+        side = self.side
+        text = "".join(map(format, full[rows], repeat(f"0{side}b", span)))
         changes: list[tuple[int, int, int, int]] = []
         heights: dict[int, int] = {}
         get, append = heights.get, changes.append
         for c in range(span):
-            d = text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1")
+            d = text[side - 1 - k0 - c :: side].count("1") - text[side - 1 - j0 - c :: side].count("1")
             steps = cuts.get(c)
             if steps is None:
                 if not d:

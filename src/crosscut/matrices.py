@@ -185,14 +185,15 @@ class _ThresholdSlack:
         w, top, ones, stair = self.width, self.top + 1, self.ones, self.stair
         delta = a = b = 0
         hi = None
-        for lo in sorted([h for h, n in heights.items() if n], reverse=True):
+        for lo, n in sorted(heights.items(), reverse=True):
+            if not n:
+                continue
             if hi is not None:
                 if hi - lo == 1:
                     delta = (delta << w) + (a - lo * b)
                 else:
                     cut = w * (top - hi + lo)
                     delta = (delta << w * (hi - lo)) + ((a - (hi - 1) * b) * (ones >> cut) + b * (stair >> cut))
-            n = heights[lo]
             a += n * lo
             b += n
             hi = lo
