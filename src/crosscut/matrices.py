@@ -171,30 +171,32 @@ class _ThresholdSlack:
     def change(self, heights: dict[int, int]) -> int:
         """The packed change of the slack when the number of v's entries at
         each height h changes by heights[h], a change that keeps the number
-        of entries and their total: sum_h n_h (h - c)^+ << shift in field c.
+        of entries and their total: D(c) = sum_h n_h (h - c)^+, shifted
+        by shift, in field c.
 
-        Between two consecutive changed heights lo < hi the sum is linear
-        in c, a - c * b with a = sum n_h h and b = sum n_h over the heights
-        h >= hi, so it is one piece on the fields lo .. hi - 1: the lowest
-        hi - lo fields of ones times a - (hi - 1) * b, plus those of stair,
-        shifted down to hold hi - 1 - c in field c, times b; a piece of one
-        field is a - lo * b.  The pieces are laid down from the top, each
-        below the last, so every field is built once.  Above the greatest
-        height the sum is 0, and so it is at and below the least, the
-        number of entries and their total being kept."""
+        D is 0 above the greatest changed height and, the number and the
+        total being kept, at and below the least.  Between two consecutive
+        changed heights lo < hi it is linear: D(c) = D(hi) + (hi - c) * b,
+        b = sum n_h over h >= hi.  So the fields lo .. hi - 1 are one
+        piece, the lowest hi - lo fields of ones times D(hi) + b plus those
+        of stair, shifted down to hold hi - 1 - c in field c, times b; a
+        piece of one field is D(hi) + b.  The pieces are laid down from
+        the top, each below the last, so every field is built once."""
         w, top, ones, stair = self.width, self.top + 1, self.ones, self.stair
-        delta = a = b = 0
+        # at is D(hi), and b the sum of the counts at hi and above
+        delta = at = b = 0
         hi = None
         for lo, n in sorted(heights.items(), reverse=True):
             if not n:
                 continue
             if hi is not None:
                 if hi - lo == 1:
-                    delta = (delta << w) + (a - lo * b)
+                    at += b
+                    delta = (delta << w) + at
                 else:
                     cut = w * (top - hi + lo)
-                    delta = (delta << w * (hi - lo)) + ((a - (hi - 1) * b) * (ones >> cut) + b * (stair >> cut))
-            a += n * lo
+                    delta = (delta << w * (hi - lo)) + ((at + b) * (ones >> cut) + b * (stair >> cut))
+                    at += (hi - lo) * b
             b += n
             hi = lo
         return 0 if hi is None else delta << (w * hi + self.shift)
