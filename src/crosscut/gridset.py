@@ -426,6 +426,7 @@ class _Rows:
         side = self.side
         code, size, at, table = _cell_codec(self.params.subres)
         buf = bytearray(size * side)
+        # a bytearray reads as its ints already, and faster than a view
         cells = memoryview(buf).cast(code) if size > 1 else buf
         rows = []
         for f, ne, width in zip(self.full, self.nonempty, self.part):
@@ -573,7 +574,7 @@ class _Work(_Rows):
         full - donor full) + #{receiver partial widths > m} - #{donor
         partial widths > m}, over the band's rows, and the receiver
         column's is -d(m).  The full counts are vertical popcounts of the
-        band's full masks, taken on their digit string; only the partial
+        blocks' full masks, taken on one digit string; only the partial
         cells, at most one per row, are walked one by one, and each cuts d
         at its width.  On a stretch of constant d each column's old section
         is a nonincreasing staircase, so it splits into runs of equal
@@ -588,9 +589,18 @@ class _Work(_Rows):
         # per column offset that holds a partial cell: the change of d at
         # each sub-column where a partial width cuts it, d(0) included
         cuts: dict[int, dict[int, int]] = {}
+        # a row's digits are its receiver block's bits and then its donor
+        # block's, each from the highest, so column offset c is every
+        # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
+        pair = 2 * span
+        spec = f"0{pair}b"
+        digits = []
         for r in range(rows.start, rows.stop):
+            f = full[r]
+            digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
             width = part[r]
-            if width and (at := ((nonempty[r] ^ full[r]) & blocks).bit_length() - 1) >= 0:
+            # at is the column of the row's partial cell when either block holds it
+            if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
                 c, e = (at - j0, -1) if j0 <= at < j0 + span else (at - k0, 1)
                 steps = cuts.get(c)
                 if steps is None:
@@ -598,15 +608,12 @@ class _Work(_Rows):
                 else:
                     steps[0] += e
                     steps[width] = steps.get(width, 0) - e
-        # the band's full masks as digits, side per row from the highest
-        # bit, so column j is every side-th digit from side - 1 - j
-        side = self.side
-        text = "".join(map(format, full[rows], repeat(f"0{side}b", span)))
+        text = "".join(digits)
         changes: list[tuple[int, int, int, int]] = []
         heights: dict[int, int] = {}
         get, append = heights.get, changes.append
         for c in range(span):
-            d = text[side - 1 - k0 - c :: side].count("1") - text[side - 1 - j0 - c :: side].count("1")
+            d = text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1")
             steps = cuts.get(c)
             if steps is None:
                 if not d:
