@@ -180,26 +180,29 @@ class _ThresholdSlack:
         b = sum n_h over h >= hi.  So the fields lo .. hi - 1 are one
         piece, the lowest hi - lo fields of ones times D(hi) + b plus those
         of stair, shifted down to hold hi - 1 - c in field c, times b; a
-        piece of one field is D(hi) + b.  The pieces are laid down from
-        the top, each below the last, so every field is built once."""
+        piece of one field is D(hi) + b, and a piece where D is 0 is only
+        a shift.  The pieces are laid down from the top, each below the
+        last, so every field is built once."""
         w, top, ones, stair = self.width, self.top + 1, self.ones, self.stair
-        # at is D(hi), and b the sum of the counts at hi and above
+        # at is D(hi) and b the sum of the counts at hi and above; hi starts
+        # one field above the top height, where D is 0
         delta = at = b = 0
-        hi = None
-        for lo, n in sorted(heights.items(), reverse=True):
-            if not n:
-                continue
-            if hi is not None:
+        hi = top
+        for lo in sorted(heights, reverse=True):
+            n = heights[lo]
+            if n:
                 if hi - lo == 1:
                     at += b
                     delta = (delta << w) + at
-                else:
+                elif at or b:
                     cut = w * (top - hi + lo)
                     delta = (delta << w * (hi - lo)) + ((at + b) * (ones >> cut) + b * (stair >> cut))
                     at += (hi - lo) * b
-            b += n
-            hi = lo
-        return 0 if hi is None else delta << (w * hi + self.shift)
+                else:
+                    delta <<= w * (hi - lo)
+                b += n
+                hi = lo
+        return delta << (w * hi + self.shift)
 
     def window(self, lo: int, hi: int) -> int:
         """The packed change of Phi_v by +1 at each height lo .. hi - 1; 0
