@@ -46,6 +46,7 @@ from crosscut.gridset import (
     swap,
 )
 from crosscut.stepfn import distribution, l1_distance
+from reference_search import exchange_cells
 
 D = Dyadic
 
@@ -491,23 +492,33 @@ def test_returned_sets_pass_the_public_check(subres):
     # the engine writes its sets without DyadicSet's per-cell check; every
     # set that reconstruct, initial_set, swap, optimize_generation and
     # discrete_exact_set return must pass it, at K=8 and above as well,
-    # where a cell of 2**K no longer fits in a byte
+    # where a cell of 2**K no longer fits in a byte, and hold the cells
+    # a direct build gives
     rng = random.Random(127_000 + subres)
     seen = Counter()
     for _ in range(8):
         params = GridParams(rng.randint(1, 4 if subres < 16 else 2), subres)
-        side = params.side
+        side, cap = params.side, params.sub_per_cell
         # g on the sub-unit grid, so rows hold partial cells, against the
         # constant of its integral, which is always feasible
         g = rand_grid_marginal(rng, params)
         f = StepFunction.constant(g.integral())
-        e, _ = reconstruct(f, g, params)
+        e, summary = reconstruct(f, g, params)
+        assert horizontal_section(e) == g
+        assert l1_distance(vertical_section(e), f) == summary.final_residual
         start = initial_set(g, params)
+        hypograph = [divmod(u, cap) for u, cells in g.runs(params.depth, params.depth + subres) for _ in range(cells)]
+        assert start.fill == tuple((cap,) * k + (rem,) * (rem > 0) + (0,) * (side - k - (rem > 0)) for k, rem in hypograph)
         gen = rng.randint(1, params.depth)
         top = 1 << gen
         j, k = rng.sample(range(1, top + 1), 2)
-        moved = swap(start, SwapMove(gen, rng.randint(1, top), j, k))
+        move = SwapMove(gen, rng.randint(1, top), j, k)
+        moved = swap(start, move)
+        cells = [list(row) for row in start.fill]
+        exchange_cells(cells, move)
+        assert moved.fill == tuple(map(tuple, cells))
         optimized = optimize_generation(start, f, gen)
+        assert horizontal_section(optimized) == g
         # whole cells: the column counts of a hypograph with its rows shuffled
         counts = [rng.randint(0, side) for _ in range(side)]
         rows = [[1] * c + [0] * (side - c) for c in counts]
@@ -515,6 +526,7 @@ def test_returned_sets_pass_the_public_check(subres):
             rng.shuffle(row)
         cols = StepFunction.from_grid([D(sum(col), params.depth) for col in zip(*rows)], params.depth)
         exact = discrete_exact_set(cols, StepFunction.from_grid([D(c, params.depth) for c in counts], params.depth), params)
+        assert vertical_section(exact) == cols and all(w in (0, cap) for row in exact.fill for w in row)
         for got in (e, start, moved, optimized, exact):
             assert _publicly_valid(got), params
             seen["sets"] += 1

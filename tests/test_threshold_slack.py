@@ -270,19 +270,29 @@ def test_one_pass_slack_change_at_its_edges():
 
 
 def test_the_staircase_fits_its_fields_when_the_totals_are_small():
-    # two full cells in column 1 of a 32 x 32 grid and f one cell in each
-    # of columns 1 and 2: the totals are 2, far below the top height 32.
+    # four full cells in column 1 of a 32 x 32 grid and f two cells in
+    # each of columns 1 and 2: the totals are 4, below the top height 32.
     # With fields two bits wider than the totals alone need, the staircase
-    # of heights 32 .. 0 overran its fields, so the probe rejected the one
-    # swappable move and apply left a wrong slack
+    # of heights 32 .. 0 overran its fields, so the probe of the move of
+    # one cell, whose change spans the heights 4, 3, 1 and 0, rejected it,
+    # and apply left a wrong slack
     params = GridParams(5, 0)
     fill = [[0] * 32 for _ in range(32)]
-    fill[0][0] = fill[1][0] = 1
-    f = StepFunction.from_grid([Dyadic(1, 5)] * 2 + [Dyadic(0)] * 30, 5)
+    for band in range(4):
+        fill[band][0] = 1
+    f = StepFunction.from_grid([Dyadic(2, 5)] * 2 + [Dyadic(0)] * 30, 5)
     work = _Work(params, tuple(map(tuple, fill)), f)
     move = SwapMove(5, 1, 1, 2)
     assert work.thresholds.top == 32 and work.dominated
     assert dominance_after_by_recount(work, move)
     assert work._dominance_after(move) is not None and work.swappable(move)
+    # every move out of column 1 in the bands that hold its cells: bands
+    # 1-4 at generation 5, bands 1-2 (two rows each) at generation 4
+    for gen, bands in ((5, range(1, 5)), (4, range(1, 3))):
+        for band in bands:
+            for k in range(2, (1 << gen) + 1):
+                other = SwapMove(gen, band, 1, k)
+                keeps = work._dominance_after(other) is not None
+                assert keeps == dominance_after_by_recount(work, other), other
     work.apply(move)
     _check_state(work)
