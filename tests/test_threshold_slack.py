@@ -9,9 +9,11 @@ the others run the fields where they sit at an edge: f above 1, so that
 the top field is negative, f on a value grid much finer than the cells,
 so that shift is large, the smallest grid, and states that do not
 dominate f.  Every decode must equal the recount, every probe the
-whole-section recount, and no field may reach its guard bit.  The last
-test checks that the grid's slack and matrices.swap_construct's are one
-slack where the two problems meet.
+whole-section recount, and no field may reach its guard bit.  Then the
+grid's slack and matrices.swap_construct's must be one slack where the
+two problems meet, the one-pass slack change must equal the former
+per-height build at its edges, and the staircase must fit its fields
+when the totals are far below the top height.
 """
 
 from __future__ import annotations
