@@ -60,27 +60,32 @@ full donor takes every receiver that is not full, a partial donor only
 the empty ones, an empty donor none, so the band row's masks and the
 class masks decide a band in a few big-int operations.
 
-A swap's bookkeeping follows its band's rows and the runs it writes.
-Sub-column m of a column counts the rows whose fill exceeds m: every
-full cell and the partial cells wider than m.  The exchange puts the
-receiver's cells in the donor column, so the donor column changes at m
-by d(m) = (receiver full - donor full) + #{receiver partial widths > m}
-- #{donor partial widths > m}, counted over the band's rows, and the
-receiver column by -d(m).  The full counts are vertical popcounts of the
-two blocks' full masks, taken on one digit string of the band; only the
-partial cells, at most one per row, are walked, and their widths cut a
-column pair into stretches on which d is constant.  A column's section
-is a staircase, nonincreasing across its sub-columns, so a stretch
-splits into runs of equal old height that come in position order,
-largest height first, and a stretch whose two ends have equal height is
-a single run.  The section, its L1 gap to f (f is constant on
-a column) and the count of sub-columns per height are updated one run
-at a time, and a donor's least and a receiver's greatest v - f on a
-column are read at its last and its first sub-column.  A swap's cost
-follows its rows and runs, not the 2**K sub-columns of a cell: only the
-slice that writes a run and the K steps of a bisection see them.  The change
-is computed once per swap, by the probe that tests its dominance; the
-search hands it to apply with the move it found, and apply writes it.
+The section is held per cell column, not per sub-column.  Sub-column m
+of a column counts the rows whose fill exceeds m: every full cell and
+the partial cells wider than m.  So column j's section is the staircase
+F_j + #{partial widths w in column j with w > m}, with F_j its number of
+full cells: with the widths ascending, w_1 <= ... <= w_p, it is F_j + p
+on [0, w_1), F_j + p - i on [w_i, w_(i+1)) and F_j on [w_p, 2**K).  A
+row holds at most one partial cell, so the grid holds at most 2**N
+widths, and the engine keeps per column f's value, F_j and the sorted
+widths: O(2**N) words beside the row masks, whatever K is.  Everything
+the search needs is read off that state.  f is constant on a column, so
+a donor's least v - f is F_j less f and a receiver's greatest is its
+nonempty count F_j + p less f; the residual |f - v|_1 and the number of
+sub-columns at each height are sums over the staircase's steps.
+
+A swap's bookkeeping follows its band's rows.  The exchange puts the
+receiver's cells in the donor column, so the donor column's full count
+changes by (receiver full - donor full) over the band's rows, a vertical
+popcount of the two blocks' full masks taken on one digit string of the
+band, and its widths lose the donor's partial cells and gain the
+receiver's, at most one per row; the receiver column changes the other
+way.  The change of the number of sub-columns at each height and of the
+residual is the new staircase of each changed column less its old one,
+so a swap costs its rows and its columns' steps, never the 2**K
+sub-columns of a cell.  The change is computed once per swap, by the
+probe that tests its dominance; the search hands it to apply with the
+move it found, and apply writes the two classes' column states.
 
 Dominance is tested at thresholds, as swap_construct tests it: with v
 the section in whole cells and Phi_x(c) = sum_i (x_i - c)^+, the sorted
@@ -119,12 +124,14 @@ and builds the trace.  Replay is the same sweep running recorded moves:
 ReplayState's find_first hands out the next record of a trace instead of
 searching, and its apply re-derives every invariant of that swap, so
 report.audit_trace only compares the recorded summary with the replayed
-one.  The replay keeps one copy of the section, made at the start: each
-swap reads its two classes' old values there and writes their new ones
-back, and the copy must then equal the section.  The copy holds the
-section's own objects, so that comparison costs a pointer walk, and it
-catches a column changed outside a swap's classes, by the swap or
-between two swaps.
+one.  The replay keeps one copy of the column states, made at the start:
+each swap reads its two classes' old states there, checks the column
+sums F_j * 2**K + sum of widths and the corridors, staircase against
+staircase at their steps, and writes the new states back, and the copy
+must then equal the state.  The copy holds the state's own objects, ints
+and tuples of widths, so that comparison is a pointer walk over 2**N
+columns, and it catches a column changed outside a swap's classes, by
+the swap or between two swaps.
 """
 
 from __future__ import annotations
@@ -135,12 +142,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import eq, le, neg, sub
+from operator import add, eq, le, lshift, sub
 from typing import Callable, Optional, Sequence
 
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
-from .matrices import _ThresholdSlack, _bits, _digits, _mask, _phi, realize_exact_margins
+from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -327,8 +334,58 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
 
 def _sub_counts(fill, subs: int):
     """Per finest sub-column, the cells of its column whose fill reaches
-    past it, as an iterator, which _Work reads only after f's checks."""
+    past it, as an iterator."""
     return (c for col in zip(*fill) for c in counts_above(col, subs))
+
+
+def _full_counts(fill, subs: int) -> list[int]:
+    """Per cell column, the cells of the fill that are full."""
+    return [col.count(subs) for col in zip(*fill)]
+
+
+def _tally(heights: dict[int, int], f: int, full: int, widths: tuple[int, ...], subs: int, shift: int, sign: int) -> int:
+    """Walks a column's section, a staircase read off its full count and
+    its partial widths ascending: full + p - i cells on [w_i, w_(i+1))
+    for i = 0..p, with w_0 = 0 and w_(p+1) = subs (two equal widths make
+    an empty step).  Adds sign times each step's sub-columns to the count
+    of its height in heights, and returns |f - v|_1 over the column, f
+    and a cell's 2**shift being in the same units."""
+    get = heights.get
+    h, at, gap = full + len(widths), 0, 0
+    for w in widths:
+        n = w - at
+        heights[h] = get(h, 0) + sign * n
+        gap += n * abs(f - (h << shift))
+        h, at = h - 1, w
+    n = subs - at
+    heights[h] = get(h, 0) + sign * n
+    return gap + n * abs(f - (h << shift))
+
+
+def _moved(widths: tuple[int, ...], leaving: list[int], arriving: list[int]) -> tuple[int, ...]:
+    """A column's partial widths, ascending, once an exchange takes the
+    leaving ones out and puts the arriving ones in."""
+    ws = [*widths]
+    for w in leaving:
+        ws.remove(w)
+    ws += arriving
+    ws.sort()
+    return tuple(ws)
+
+
+def _at_or_below(low: int, low_widths: tuple[int, ...], high: int, high_widths: tuple[int, ...]) -> bool:
+    """Whether the staircase of full count low and widths low_widths is at
+    or below the other on every sub-column.  Both are constant from each
+    of their widths to the next, so they are compared at 0 and at every
+    width of either: F + #{w > m} = F + p - bisect_right(widths, m)."""
+    if low_widths is high_widths:
+        return low <= high
+    low += len(low_widths)
+    high += len(high_widths)
+    return all(
+        low - bisect_right(low_widths, m) <= high - bisect_right(high_widths, m)
+        for m in {0, *low_widths, *high_widths}
+    )
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
@@ -502,58 +559,70 @@ class _Scan:
 class _Work(_Rows):
     """Mutable integer-scaled state for the swap search.
 
-    The grid is held as rows (_Rows).  __init__ builds them and vu from
-    a fill grid; hypograph builds both from g's band values, the start
-    reconstruct and audit_trace take.  touched holds the masks of each
-    band row the generation has touched, as they were before it.
+    The grid is held as rows (_Rows) and the section as column states.
+    __init__ builds both from a fill grid; hypograph builds both from g's
+    band values, the start reconstruct and audit_trace take.  touched
+    holds the masks of each band row the generation has touched, as they
+    were before it.
 
-    fu/vu hold the target and the vertical section per finest sub-column,
-    both in units of 2**-D where D >= N + K also covers the denominators
-    of f's values; margins 2**-n become the integers 2**(D - n).  A
-    sub-column's section is a whole number c of cells, vu = c << (D - N).
-    thresholds holds the packed slack Phi_v(c) * 2**shift - Phi_f(c) of
-    each height c in 0..2**N (module docstring), and dominated says
-    whether the sorted section's prefix sums bound f's, every slack being
-    nonnegative.
-
-    Within a cell column fu is constant and vu a nonincreasing staircase.
+    Per cell column j: fcol[j] is f's value in units of 2**-D, where
+    D >= N + K also covers the denominators of f's values, so margins
+    2**-n become the integers 2**(D - n); F[j] is the number of full
+    cells; widths[j] is the tuple of the column's partial widths,
+    ascending.  The section at sub-column m is F[j] + #{w > m} cells, a
+    cell being 2**shift = 2**(D - N) units (module docstring), so no
+    state has an entry per sub-column.  thresholds holds the packed slack
+    Phi_v(c) * 2**shift - Phi_f(c) of each height c in 0..2**N, and
+    dominated says whether the sorted section's prefix sums bound f's,
+    every slack being nonnegative.  residual is |f - v|_1 in units of
+    2**-(D + N + K), carried from swap to swap.
     """
 
     def __init__(self, params: GridParams, fill, f: StepFunction):
         super().__init__(params, fill)
-        self._start(f, _sub_counts(fill, self.subs))
+        self._start(f, _full_counts(fill, self.subs))
 
     @classmethod
     def hypograph(cls, params: GridParams, g: StepFunction, f: StepFunction):
         """The engine started from the hypograph of g, built from g's band
-        values alone: the rows by _Rows.of_bands, and the section, g's
-        distribution function, as the count of bands whose value exceeds
-        each sub-column.  Both cost O(2**N + 2**(N+K)); no cell grid is
-        built.  g's values are checked before f's, as _Work's are when it
-        is given initial_set(g, params).fill."""
+        values alone: the rows by _Rows.of_bands, and column j's full
+        count as the number of bands with more than j full cells.  Both
+        cost O(2**N); no cell grid is built.  g's values are checked
+        before f's, as _Work's are when it is given
+        initial_set(g, params).fill."""
         units = _cell_units(g, params.depth, params.depth + params.subres)
         work = cls.of_bands(params, units)
-        work._start(f, counts_above(units, params.sub_total))
+        work._start(f, counts_above([u >> params.subres for u in units], params.side))
         return work
 
-    def _start(self, f: StepFunction, counts) -> None:
-        """The state both starts share, from f and the section's height in
-        cells per sub-column; counts is read after f's values are checked."""
+    def _start(self, f: StepFunction, full_counts: list[int]) -> None:
+        """The state both starts share, from f and each column's number of
+        full cells; the partial widths are read off the rows."""
         params = self.params
         self.N, self.K = params.depth, params.subres
         self.D = max(self.N + self.K, *(v.exp for v in f.values))
         self.shift = self.D - self.N
         side, shift, subs = self.side, self.shift, self.subs
-        fcells = _cell_units(f, self.N, self.D, bounded=False)
-        self.fu = [u for u in fcells for _ in range(subs)]
-        counts = [*counts]
-        self.vu = [c << shift for c in counts]
-        # Phi_f(c): the t = #{f > c} largest cell values less t times c, per sub-column
-        ranked = sorted(fcells)
+        self.fcol = _cell_units(f, self.N, self.D, bounded=False)
+        self.F = full_counts
+        widths: list[list[int]] = [[] for _ in range(side)]
+        for full, nonempty, width in zip(self.full, self.nonempty, self.part):
+            if width:
+                widths[(nonempty ^ full).bit_length() - 1].append(width)
+        self.widths = [tuple(sorted(ws)) for ws in widths]
+        # Phi_v(c), the suffix sums of the number of sub-columns above each
+        # height, and Phi_f(c): the t = #{f > c} largest cell values less t
+        # times c, per sub-column
+        heights: dict[int, int] = {}
+        for f_j, full, ws in zip(self.fcol, self.F, self.widths):
+            _tally(heights, f_j, full, ws, subs, shift, 1)
+        above_from_top = accumulate(heights.get(h, 0) for h in range(side, 0, -1))
+        phi_v = [*accumulate(above_from_top, initial=0)][::-1]
+        ranked = sorted(self.fcol)
         top = [0, *accumulate(reversed(ranked))]
         over_f = [side - bisect_right(ranked, c << shift) for c in range(side + 1)]
         phi_f = [subs * (top[t] - t * (c << shift)) for c, t in enumerate(over_f)]
-        self.thresholds = _ThresholdSlack(_phi(counts, side), phi_f, shift)
+        self.thresholds = _ThresholdSlack(phi_v, phi_f, shift)
         self.residual = self.residual_units()  # carried: apply lowers it by each drop
         self.scan: Optional[_Scan] = None
         self.touched: dict[int, tuple[int, int]] = {}
@@ -563,103 +632,111 @@ class _Work(_Rows):
 
     def _section_change(self, rows: slice, donor: slice, receiver: slice):
         """The section change of exchanging the two squares, read off their
-        rows' masks: runs (start, stop, old value, change in cells) of
-        sub-columns, and the net change of the number of sub-columns at
-        each height.
+        rows' masks: the new state of each column it changes, as (column,
+        full count, widths, drop of |f - v|_1 in residual units), and the
+        net change of the number of sub-columns at each height.
 
-        Sub-column m of a column counts the band rows whose cell there
-        holds more than m sub-units: every full cell and the partial cells
-        wider than m.  The exchange puts the receiver's cells in the donor
-        column, so the donor column's change at m is d(m) = (receiver
-        full - donor full) + #{receiver partial widths > m} - #{donor
-        partial widths > m}, over the band's rows, and the receiver
-        column's is -d(m).  The full counts are vertical popcounts of the
-        blocks' full masks, taken on one digit string; only the partial
-        cells, at most one per row, are walked one by one, and each cuts d
-        at its width.  On a stretch of constant d each column's old section
-        is a nonincreasing staircase, so it splits into runs of equal
-        height found by bisection; a stretch whose two ends are equal is
-        one run.
+        The exchange puts the receiver's cells in the donor column, so
+        the donor column's full count changes by (receiver full - donor
+        full) over the band's rows, and its widths lose the donor's
+        partial cells and gain the receiver's; the receiver column
+        changes the other way.  The full counts are vertical popcounts of
+        the blocks' full masks, taken on one digit string; only the
+        partial cells, at most one per row, are walked one by one.  The
+        height counts and the drop are each changed column's new
+        staircase less its old one, f being constant on a column.
         """
-        subs, vu, shift, full, nonempty, part = self.subs, self.vu, self.shift, self.full, self.nonempty, self.part
+        full, nonempty, part = self.full, self.nonempty, self.part
         j0, k0 = donor.start, receiver.start
         span = donor.stop - j0
-        low = (1 << span) - 1
-        blocks = low << j0 | low << k0
-        # per column offset that holds a partial cell: the change of d at
-        # each sub-column where a partial width cuts it, d(0) included
-        cuts: dict[int, dict[int, int]] = {}
-        # a row's digits are its receiver block's bits and then its donor
-        # block's, each from the highest, so column offset c is every
-        # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
-        pair = 2 * span
-        spec = f"0{pair}b"
-        digits = []
-        for r in range(rows.start, rows.stop):
-            f = full[r]
-            digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
-            width = part[r]
-            # at is the column of the row's partial cell when either block holds it
-            if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
-                c, e = (at - j0, -1) if j0 <= at < j0 + span else (at - k0, 1)
-                steps = cuts.get(c)
-                if steps is None:
-                    cuts[c] = {0: e, width: -e}
-                else:
-                    steps[0] += e
-                    steps[width] = steps.get(width, 0) - e
-        text = "".join(digits)
-        changes: list[tuple[int, int, int, int]] = []
+        if span == 1:
+            # generation N: one row, one cell each
+            r = rows.start
+            f, width = full[r], part[r]
+            at = (nonempty[r] ^ f).bit_length() - 1 if width else -1
+            ends = ([width], []) if at == j0 else ([], [width]) if at == k0 else None
+            d = (f >> k0 & 1) - (f >> j0 & 1)
+            moves = [(0, d, ends)] if d or ends else []
+        else:
+            low = (1 << span) - 1
+            blocks = low << j0 | low << k0
+            # per column offset that holds a partial cell: the widths that
+            # leave the donor column and those that leave the receiver column
+            moving: dict[int, tuple[list[int], list[int]]] = {}
+            # a row's digits are its receiver block's bits and then its donor
+            # block's, each from the highest, so column offset c is every
+            # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
+            pair = 2 * span
+            spec = f"0{pair}b"
+            digits = []
+            for r in range(rows.start, rows.stop):
+                f = full[r]
+                digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
+                width = part[r]
+                # at is the column of the row's partial cell when either block holds it
+                if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
+                    c, leaves = (at - j0, 0) if j0 <= at < j0 + span else (at - k0, 1)
+                    ends = moving.get(c)
+                    if ends is None:
+                        ends = moving[c] = ([], [])
+                    ends[leaves].append(width)
+            text = "".join(digits)
+            moves = [
+                (c, d, moving.get(c))
+                for c in range(span)
+                if (d := text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1"))
+                or c in moving
+            ]
+        F, widths, fcol, subs, shift = self.F, self.widths, self.fcol, self.subs, self.shift
+        changes: list[tuple[int, int, tuple[int, ...], int]] = []
         heights: dict[int, int] = {}
         get, append = heights.get, changes.append
-        for c in range(span):
-            d = text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1")
-            steps = cuts.get(c)
-            if steps is None:
-                if not d:
-                    continue
-                stretches = [(0, subs, d)]
-            else:
-                stretches, s = [], 0
-                for m in sorted(steps):
-                    if steps[m]:
-                        if d and m:
-                            stretches.append((s, m, d))
-                        d, s = d + steps[m], m
-                if d:
-                    stretches.append((s, subs, d))
-            for s, t, d in stretches:
-                for base, e in (((j0 + c) * subs, d), ((k0 + c) * subs, -d)):
-                    i, end = base + s, base + t
-                    last = vu[end - 1]
-                    while i < end:
-                        v = vu[i]
-                        stop = end if v == last else bisect_right(vu, -v, i, end, key=neg)
-                        h, n = v >> shift, stop - i
+        for c, d, ends in moves:
+            j, k = j0 + c, k0 + c
+            if ends is None:
+                # no partial cell moves: both staircases shift by d whole,
+                # walked once, each step taken off at h and put on at h + e
+                for col, e in ((j, d), (k, -d)):
+                    f, ws = fcol[col], widths[col]
+                    h, at, drop = F[col] + len(ws), 0, 0
+                    for w in (*ws, subs):
+                        n, at = w - at, w
                         heights[h] = get(h, 0) - n
                         heights[h + e] = get(h + e, 0) + n
-                        append((i, stop, v, e))
-                        i = stop
+                        drop += n * (abs(f - (h << shift)) - abs(f - (h + e << shift)))
+                        h -= 1
+                    append((col, F[col] + e, ws, drop))
+                continue
+            new_j = _moved(widths[j], ends[0], ends[1])
+            if not d and new_j == widths[j]:
+                continue
+            new_k = _moved(widths[k], ends[1], ends[0])
+            for col, count, ws in ((j, F[j] + d, new_j), (k, F[k] - d, new_k)):
+                f = fcol[col]
+                drop = _tally(heights, f, F[col], widths[col], subs, shift, -1)
+                append((col, count, ws, drop - _tally(heights, f, count, ws, subs, shift, 1)))
         return changes, heights
 
-    def _write_section(self, changes: list[tuple[int, int, int, int]], delta: int) -> int:
-        """Apply a section change, its runs and the packed change of the
-        slack (_ThresholdSlack.change); returns the drop of |f - v|_1 in
-        residual units, f being constant on each run's column."""
-        fu, vu, shift = self.fu, self.vu, self.shift
+    def _write_section(self, changes: list[tuple[int, int, tuple[int, ...], int]], delta: int) -> int:
+        """Apply a section change, the new states of its columns and the
+        packed change of the slack (_ThresholdSlack.change); returns the
+        drop of |f - v|_1 in residual units."""
+        F, widths = self.F, self.widths
         drop = 0
-        for i, stop, v, d in changes:
-            f, w = fu[i], v + (d << shift)
-            vu[i:stop] = repeat(w, stop - i)
-            drop += (stop - i) * (abs(f - v) - abs(f - w))
+        for col, count, ws, fall in changes:
+            F[col], widths[col] = count, ws
+            drop += fall
         self.thresholds.fields += delta
         return drop
 
     # -- exact quantities ----------------------------------------------------
 
     def residual_units(self) -> int:
-        """|f - v|_1 in residual units, counted over every sub-column."""
-        return sum(map(abs, map(sub, self.fu, self.vu)))
+        """|f - v|_1 in residual units, counted over every column's steps."""
+        shift, subs, heights = self.shift, self.subs, {}
+        return sum(
+            _tally(heights, f, full, ws, subs, shift, 1) for f, full, ws in zip(self.fcol, self.F, self.widths)
+        )
 
     def residual_dyadic(self) -> Dyadic:
         """The carried |f - v|_1."""
@@ -667,19 +744,23 @@ class _Work(_Rows):
 
     # -- swap conditions -------------------------------------------------------
 
-    def _excess_at(self, gen: int, idx: int, at: int):
-        """v - f on sub-column at of each cell column of the class.  f is
-        constant and v nonincreasing on a column, so v - f is least on its
-        last sub-column and greatest on its first."""
-        width = (self.side >> gen) * self.subs
-        cols = slice((idx - 1) * width + at, idx * width, self.subs)
-        return map(sub, self.vu[cols], self.fu[cols])
-
     def _donor_ok(self, gen: int, j: int) -> bool:
-        return min(self._excess_at(gen, j, self.subs - 1)) >= 1 << (self.D - gen)
+        """v - f is at least the margin on the class: f is constant and v
+        a staircase on a column, so v - f is least at its last sub-column,
+        where v is the full count."""
+        span = self.side >> gen
+        cols = slice((j - 1) * span, j * span)
+        least = map(sub, map(lshift, self.F[cols], repeat(self.shift)), self.fcol[cols])
+        return min(least) >= 1 << (self.D - gen)
 
     def _receiver_ok(self, gen: int, k: int) -> bool:
-        return max(self._excess_at(gen, k, 0)) <= -(1 << (self.D - gen))
+        """v - f is at most minus the margin on the class: it is greatest
+        at a column's first sub-column, where v is the nonempty count."""
+        span = self.side >> gen
+        cols = slice((k - 1) * span, k * span)
+        nonempty = map(add, self.F[cols], map(len, self.widths[cols]))
+        greatest = map(sub, map(lshift, nonempty, repeat(self.shift)), self.fcol[cols])
+        return max(greatest) <= -(1 << (self.D - gen))
 
     def _contained_pairs(self, gen: int, band: int, donors: int, receivers: int):
         """(donor, receiver) pairs from the class masks donors and
@@ -956,10 +1037,11 @@ class ReplayState(_Work):
     hands out the next record instead of searching, and apply re-derives
     every per-swap invariant of it.
 
-    checked is a copy of the section as the last replayed swap left it,
-    made when the state is built: a swap reads its two classes' old values
-    there and writes their new ones back, so that copy and vu agree unless
-    some other sub-column changed, by the swap or between two swaps."""
+    checked is a copy of the column states, the full counts and the
+    widths, as the last replayed swap left them, made when the state is
+    built: a swap reads its two classes' old states there and writes
+    their new ones back, so that copy and the state agree unless some
+    other column changed, by the swap or between two swaps."""
 
     def __init__(self, params: GridParams, fill, f: StepFunction, records: Sequence[SwapRecord]):
         super().__init__(params, fill, f)
@@ -976,7 +1058,7 @@ class ReplayState(_Work):
     def _load(self, records: Sequence[SwapRecord]) -> None:
         self.records = tuple(records)
         self.next = 0  # index of the next record to replay
-        self.checked = self.vu[:]
+        self.checked = self.F[:], self.widths[:]
 
     def find_first(self, gen: int) -> Optional[SwapMove]:
         """The next recorded move when it belongs to generation gen, None
@@ -1018,26 +1100,38 @@ class ReplayState(_Work):
         # a horizontal exchange keeps each band row's sum, and the one-sided
         # differences of the two blocks match the column integrals of the
         # section change (on one exact scale); both read off the row masks
-        s = self.subs
-        blocks = sum(((1 << (c.stop - c.start)) - 1) << c.start for c in (donor, receiver))
+        s, full, nonempty, part = self.subs, self.full, self.nonempty, self.part
+        low = (1 << (donor.stop - donor.start)) - 1
+        blocks = low << donor.start | low << receiver.start
         lost = gained = 0
+        # _units written out: a full cell holds s - width sub-units more
+        # than a partial one, every nonempty cell width
         for r, (f0, ne0) in zip(band, before):
-            f1, ne1, width = self.full[r], self.nonempty[r], self.part[r]
-            if _units(s, width, f1, ne1) != _units(s, width, f0, ne0):
+            f1, ne1, width = full[r], nonempty[r], part[r]
+            cut = s - width
+            if cut * (f1.bit_count() - f0.bit_count()) + width * (ne1.bit_count() - ne0.bit_count()):
                 raise ReplayViolation(idx, "horizontal section changed")
-            lost += _units(s, width, f0 & ~f1 & blocks, ne0 & ~ne1 & blocks)
-            gained += _units(s, width, f1 & ~f0 & blocks, ne1 & ~ne0 & blocks)
-        donor_cols = slice(donor.start * s, donor.stop * s)
-        recv_cols = slice(receiver.start * s, receiver.stop * s)
-        old_d, new_d = self.checked[donor_cols], self.vu[donor_cols]
-        old_k, new_k = self.checked[recv_cols], self.vu[recv_cols]
-        drop_d = sum(old_d) - sum(new_d)
-        rise_k = sum(new_k) - sum(old_k)
-        # lost cell units are areas 2**-(2N+K); section sums are in units
-        # 2**-(D+N+K): lost * 2**(D-N) must equal the section-change sum
-        if lost << (self.D - self.N) != drop_d:
+            lost += cut * (f0 & ~f1 & blocks).bit_count() + width * (ne0 & ~ne1 & blocks).bit_count()
+            gained += cut * (f1 & ~f0 & blocks).bit_count() + width * (ne1 & ~ne0 & blocks).bit_count()
+        # per class, over the columns whose state changed: the section's
+        # sum over the sub-columns, F * 2**K plus the widths, in cell
+        # sub-units, and whether the new staircase stays on its side of
+        # the old one, compared at their steps
+        old_full, old_widths = self.checked
+        F, widths = self.F, self.widths
+        drop_d = rise_k = 0
+        below_d = above_k = True
+        for j in range(donor.start, donor.stop):
+            if F[j] != old_full[j] or widths[j] is not old_widths[j]:
+                drop_d += (old_full[j] - F[j]) * s + sum(old_widths[j]) - sum(widths[j])
+                below_d = below_d and _at_or_below(F[j], widths[j], old_full[j], old_widths[j])
+        for k in range(receiver.start, receiver.stop):
+            if F[k] != old_full[k] or widths[k] is not old_widths[k]:
+                rise_k += (F[k] - old_full[k]) * s + sum(widths[k]) - sum(old_widths[k])
+                above_k = above_k and _at_or_below(old_full[k], old_widths[k], F[k], widths[k])
+        if lost != drop_d:
             raise ReplayViolation(idx, "set loss does not match donor-column section drop")
-        if gained << (self.D - self.N) != rise_k:
+        if gained != rise_k:
             raise ReplayViolation(idx, "set gain does not match receiver-column section rise")
 
         # the L1 error drops by exactly the symmetric difference
@@ -1050,23 +1144,35 @@ class ReplayState(_Work):
             raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
 
         # the donor stays between f and its old section and the receiver
-        # between its old section and f, checked left to right
+        # between its old section and f, checked left to right.  f is
+        # constant and v a staircase on a column, so v >= f where v is
+        # least, at the full count, and v <= f where v is greatest, at
+        # the nonempty count
+        shift, fcol = self.shift, self.fcol
+        nonempty = map(add, F[receiver], map(len, widths[receiver]))
         corridors = [
-            (self.fu[donor_cols], new_d, old_d, "donor column left the f .. v_before corridor"),
-            (old_k, new_k, self.fu[recv_cols], "receiver column left the v_before .. f corridor"),
+            (
+                below_d and all(map(le, fcol[donor], map(lshift, F[donor], repeat(shift)))),
+                "donor column left the f .. v_before corridor",
+            ),
+            (
+                above_k and all(map(le, map(lshift, nonempty, repeat(shift)), fcol[receiver])),
+                "receiver column left the v_before .. f corridor",
+            ),
         ]
         if move.receiver < move.donor:
             corridors.reverse()
-        for low, v, high, what in corridors:
-            if not (all(map(le, low, v)) and all(map(le, v, high))):
+        for kept, what in corridors:
+            if not kept:
                 raise ReplayViolation(idx, what)
         # every other column is as the last swap left it: with the two
-        # classes written back, the copy equals vu.  The copy takes its
-        # entries from vu, so they are the same objects in both lists and
-        # the comparison compares pointers and allocates nothing.
-        self.checked[donor_cols] = new_d
-        self.checked[recv_cols] = new_k
-        if self.checked != self.vu:
+        # classes written back, the copy equals the state.  The copy takes
+        # its entries from the state, ints and tuples, so they are the
+        # same objects in both lists and the comparison compares pointers
+        # and allocates nothing
+        for cols in (donor, receiver):
+            old_full[cols], old_widths[cols] = F[cols], widths[cols]
+        if old_full != F or old_widths != widths:
             raise ReplayViolation(idx, "untouched column changed")
 
         if not self.dominated:

@@ -91,6 +91,25 @@ def rand_composition(rng: random.Random, total: int, parts: int, cap: int):
     return out
 
 
+def rand_composition_fast(rng: random.Random, total: int, parts: int, cap: int):
+    """A composition of total into parts entries, each <= cap, in O(parts)
+    draws where rand_composition makes one per unit: an even split, then
+    parts transfers, each of a random amount that the caps allow between
+    two random entries."""
+    if not 0 <= total <= parts * cap:
+        raise ValueError(f"{total} does not split into {parts} parts of at most {cap}")
+    base, extra = divmod(total, parts)
+    out = [base + (i < extra) for i in range(parts)]
+    for _ in range(parts):
+        i, j = rng.randrange(parts), rng.randrange(parts)
+        room = min(out[i], cap - out[j])
+        if i != j and room > 0:
+            moved = rng.randint(0, room)
+            out[i] -= moved
+            out[j] += moved
+    return out
+
+
 def rand_equal_norm_pair(rng: random.Random, grid_exp: int = 4, value_exp: int = 4):
     """Two step functions on the same uniform grid with equal integrals."""
     cells = 1 << grid_exp
@@ -135,13 +154,15 @@ def rand_grid_marginal(rng: random.Random, params: GridParams) -> StepFunction:
     return StepFunction.from_grid(vals, params.depth)
 
 
-def rand_feasible_pair(rng: random.Random, params: GridParams):
+def rand_feasible_pair(rng: random.Random, params: GridParams, compose=rand_composition):
     """Random (f, g) pair that passes check_hlp, both on the grid.
 
     Mixes three constructions: a permuted hypograph of a coarse g (f is
     then the exact vertical section of a real set), a constant f with the
     same integral as a random g (always feasible for g <= 1), and
-    rejection-sampled random pairs.
+    rejection-sampled random pairs.  compose draws the compositions of
+    the last two; rand_composition_fast serves a large K, where
+    rand_composition's draw per sub-unit would take the time.
     """
     n, k = params.depth, params.subres
     side = params.side
@@ -160,21 +181,21 @@ def rand_feasible_pair(rng: random.Random, params: GridParams):
     if style == 1:
         # constant f, arbitrary g <= 1 with the same integral
         s = rng.randrange(1, (1 << (n + k)))
-        units = rand_composition(rng, s * side, side, 1 << (n + k))
+        units = compose(rng, s * side, side, 1 << (n + k))
         g = StepFunction.from_grid([Dyadic(u, n + k) for u in units], n)
         f = StepFunction.constant(Dyadic(s, n + k))
         return f, g
     for _ in range(80):
         total = rng.randrange(1, side * (1 << (n + k)))
-        fu = rand_composition(rng, total, side, 1 << (n + k))
-        gu = rand_composition(rng, total, side, 1 << (n + k))
+        fu = compose(rng, total, side, 1 << (n + k))
+        gu = compose(rng, total, side, 1 << (n + k))
         f = StepFunction.from_grid([Dyadic(u, n + k) for u in fu], n)
         g = StepFunction.from_grid([Dyadic(u, n + k) for u in gu], n)
         if check_hlp(f, g).feasible:
             return f, g
     # rejection failed; fall back to the always-feasible constant shape
     s = rng.randrange(1, (1 << (n + k)))
-    units = rand_composition(rng, s * side, side, 1 << (n + k))
+    units = compose(rng, s * side, side, 1 << (n + k))
     g = StepFunction.from_grid([Dyadic(u, n + k) for u in units], n)
     return StepFunction.constant(Dyadic(s, n + k)), g
 

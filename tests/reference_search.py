@@ -3,14 +3,14 @@
 ReferenceWork is the engine with its search and bookkeeping done the
 direct way, on a cell grid of its own that apply exchanges cell by cell:
 every candidate (band, donor, receiver) is tested cell by cell, the L1
-drop of a swap is the difference of two whole-section residual sums, the
-symmetric differences of a swap and of a generation are summed cell by
-cell, and prefix dominance exchanges the squares, recounts the two
-classes' whole columns and tests the histogram of the whole vertical
-section.  Everything else (margins, the section update of a swap, the
-generation loop) is the engine's own, so a trace of ReferenceWork
-differs from the engine's exactly when the fast search, its bookkeeping
-or its row masks do.
+drop of a swap is the difference of two whole-section residual sums
+recounted from that grid, the symmetric differences of a swap and of a
+generation are summed cell by cell, and prefix dominance exchanges the
+squares, recounts the section from all the cells and tests it whole.
+Everything else (margins, the section update of a swap, the generation
+loop) is the engine's own, so a trace of ReferenceWork differs from the
+engine's exactly when the fast search, its bookkeeping or its row masks
+do.
 
 PairwiseWork is the engine with only its band scan replaced: every
 (donor, receiver) pair of a band is tested on its block masks, which is
@@ -18,8 +18,16 @@ fast enough to follow the engine to N=9.
 
 section_change_by_cuts and slack_change_by_heights are the engine's
 former section change and packed slack change, kept as references: the
-first builds a dict of cut points cell by cell, the second adds one
-shifted staircase per changed height.
+first builds a dict of cut points cell by cell and walks the runs of the
+section recounted from the grid, the second adds one shifted staircase
+per changed height.
+
+The engine holds its section per cell column, as a full count and the
+partial widths (engine_columns).  The recounts here read the cells:
+recounted_columns counts them per column, recounted_section per
+sub-column (gridset._sub_counts), and section_runs gives the number of
+sub-columns at each height without a walk over the sub-columns, so that
+it serves at any K.
 """
 
 from __future__ import annotations
@@ -27,31 +35,86 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from operator import neg
 from typing import Optional
 
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
-from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _squares, _Work
+from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _squares, _sub_counts, _Work
 from crosscut.matrices import _ThresholdSlack, _bits
 
 
-def section_dominates(work: _Work, vu) -> bool:
-    """The whole section vu against the work's f, as two histograms of runs."""
-    f_runs = sorted(Counter(work.fu).items(), reverse=True)
-    return run_excess(f_runs, sorted(Counter(vu).items(), reverse=True)) is None
+def engine_columns(work: _Work) -> list[tuple[int, tuple[int, ...]]]:
+    """The engine's section state per cell column: its number of full
+    cells and its partial widths, ascending."""
+    return [*zip(work.F, work.widths)]
 
 
-def recounted_slack(work: _Work) -> list[int]:
+def recounted_columns(cells, subs: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The same read off a cell grid: per column, the cells that are full
+    and the widths of those that are partial, ascending."""
+    return [(col.count(subs), tuple(sorted(w for w in col if 0 < w < subs))) for col in zip(*cells)]
+
+
+def recounted_section(cells, subs: int) -> list[int]:
+    """The section in cells per sub-column, each sub-column counting the
+    cells of its column whose fill reaches past it."""
+    return [*_sub_counts(cells, subs)]
+
+
+def engine_section(work: _Work) -> list[int]:
+    """The engine's section in cells per sub-column m of each column:
+    its full count plus the number of its partial widths greater than m."""
+    return [full + above for full, ws in engine_columns(work) for above in counts_above(ws, work.subs)]
+
+
+def section_runs(cells, subs: int) -> Counter:
+    """The number of sub-columns at each height in cells, recounted from
+    the grid: in a column whose fills are c_1 >= ... >= c_n, a sub-column
+    has height at least h exactly when it lies below c_h, so with S_h the
+    sum of c_h over the columns, S_0 counting every sub-column and
+    S_(n+1) = 0, S_h - S_(h+1) sub-columns have height h.  The cost is the
+    cells', not the sub-columns'."""
+    cols = [sorted(col, reverse=True) for col in zip(*cells)]
+    s = [subs * len(cols), *map(sum, zip(*cols)), 0]
+    return Counter({h: a - b for h, (a, b) in enumerate(zip(s, s[1:])) if a > b})
+
+
+@lru_cache(maxsize=64)
+def _target_runs(fcol: tuple[int, ...], subs: int) -> tuple[tuple[int, int], ...]:
+    runs: Counter = Counter()
+    for f in fcol:
+        runs[f] += subs
+    return tuple(sorted(runs.items(), reverse=True))
+
+
+def target_runs(work: _Work) -> tuple[tuple[int, int], ...]:
+    """The number of sub-columns at each of f's values, in units 2**-D,
+    as (value, count) from the largest value."""
+    return _target_runs(tuple(work.fcol), work.subs)
+
+
+def section_dominates(work: _Work, runs: Counter) -> bool:
+    """The whole section, given as its number of sub-columns per height in
+    cells, against the work's f, as two histograms of runs."""
+    v_runs = sorted(((h << work.shift, n) for h, n in runs.items()), reverse=True)
+    return run_excess(target_runs(work), v_runs) is None
+
+
+def recounted_slack(work: _Work, runs: Counter) -> list[int]:
     """Phi_v(c) * 2**shift - Phi_f(c) at each height c = 0..2**N, with
-    Phi_x(c) = sum_i (x_i - c)^+, recounted from the work's vu and fu
-    (both in units of 2**-D, a height c being c << shift of them)."""
-    vs, fs = Counter(work.vu), Counter(work.fu)
-
-    def phi(counts: Counter, at: int) -> int:
-        return sum(n * (x - at) for x, n in counts.items() if x > at)
-
-    return [phi(vs, c << work.shift) - phi(fs, c << work.shift) for c in range(work.side + 1)]
+    Phi_x(c) = sum_i (x_i - c)^+ over the sub-columns, recounted from the
+    section's runs in cells and f's in units of 2**-D, a height c being
+    c << shift of them.  Phi_v(c) - Phi_v(c + 1) counts the sub-columns
+    above c, so Phi_v is summed from the top down."""
+    side, shift = work.side, work.shift
+    phi_v, above = [0] * (side + 1), 0
+    for c in range(side - 1, -1, -1):
+        above += runs.get(c + 1, 0)
+        phi_v[c] = phi_v[c + 1] + above
+    fs = target_runs(work)
+    return [(phi_v[c] << shift) - sum(n * (x - (c << shift)) for x, n in fs if x > c << shift) for c in range(side + 1)]
 
 
 def cell_grid(work: _Work) -> list[list[int]]:
@@ -75,33 +138,20 @@ def exchange_cells(cells: list[list[int]], move: SwapMove) -> int:
     return moved
 
 
-def recounted_columns(work: _Work, vu, columns, cells=None) -> list[int]:
-    """vu with the given cell columns recounted from all their cells, those
-    of the work's grid unless cells are given."""
-    cells = cell_grid(work) if cells is None else cells
-    vu = list(vu)
-    for j in columns:
-        counts = counts_above([row[j] for row in cells], work.subs)
-        vu[j * work.subs : (j + 1) * work.subs] = [c << work.shift for c in counts]
-    return vu
-
-
 def dominance_after_by_recount(work: _Work, move: SwapMove) -> bool:
     """Exchange the squares cell by cell in a copy of the work's grid,
-    recount every column of both classes from all its cells and test the
-    whole section."""
+    recount the section from all its cells and test it whole."""
     cells = [row[:] for row in cell_grid(work)]
     exchange_cells(cells, move)
-    span = work.side >> move.gen
-    j0, k0 = (move.donor - 1) * span, (move.receiver - 1) * span
-    vu = recounted_columns(work, work.vu, (*range(j0, j0 + span), *range(k0, k0 + span)), cells)
-    return section_dominates(work, vu)
+    return section_dominates(work, section_runs(cells, work.subs))
 
 
-def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: slice):
+def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: slice, cells=None):
     """The section change of exchanging the two squares, read off their
-    rows' masks: runs (start, stop, old value, change in cells) of
-    sub-columns, and the net change of the number of sub-columns at
+    rows' masks and the section recounted from the work's grid, or from
+    the given cells: runs
+    (start, stop, old value, change), in cells, of sub-columns numbered
+    across the grid, and the net change of the number of sub-columns at
     each height.
 
     A donor cell a replaced by the receiver's b adds one cell to the
@@ -113,7 +163,8 @@ def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: sli
     nonincreasing staircase, so it splits into runs of equal height
     found by bisection; a stretch whose two ends are equal is one run.
     """
-    subs, w, vu, shift = self.subs, self.subs + 1, self.vu, self.shift
+    subs, w = self.subs, self.subs + 1
+    cells = cell_grid(self) if cells is None else cells
     j0, k0 = donor.start, receiver.start
     low = (1 << (donor.stop - j0)) - 1
     diff: dict[int, int] = {}
@@ -129,6 +180,7 @@ def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: sli
     cuts = sorted((p, n) for p, n in diff.items() if n)
     changes: list[tuple[int, int, int, int]] = []
     heights: dict[int, int] = {}
+    sections: dict[int, list[int]] = {}
     d = 0
     # d returns to 0 at each column's last cut, so a stretch never
     # crosses columns
@@ -137,15 +189,18 @@ def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: sli
         if not d:
             continue
         c, s = divmod(p, w)
-        for base, e in (((donor.start + c) * subs, d), ((receiver.start + c) * subs, -d)):
-            i, end = base + s, base + q - c * w
+        for col, e in ((j0 + c, d), (k0 + c, -d)):
+            # the column's section, recounted from its cells
+            vu = sections.get(col)
+            if vu is None:
+                vu = sections[col] = counts_above([row[col] for row in cells], subs)
+            i, end = s, q - c * w
             while i < end:
                 v = vu[i]
                 stop = end if vu[end - 1] == v else bisect_right(vu, -v, i, end, key=neg)
-                h = v >> shift
-                heights[h] = heights.get(h, 0) - (stop - i)
-                heights[h + e] = heights.get(h + e, 0) + (stop - i)
-                changes.append((i, stop, v, e))
+                heights[v] = heights.get(v, 0) - (stop - i)
+                heights[v + e] = heights.get(v + e, 0) + (stop - i)
+                changes.append((col * subs + i, col * subs + stop, v, e))
                 i = stop
     return changes, heights
 
@@ -172,7 +227,11 @@ class ReferenceWork(_Work):
         super().__init__(params, fill, f)
 
     def residual_units(self) -> int:
-        return sum(abs(a - b) for a, b in zip(self.fu, self.vu))
+        """|f - v|_1 summed over every sub-column of the section recounted
+        from the own cells."""
+        subs, shift = self.subs, self.shift
+        section = recounted_section(self.cells, subs)
+        return sum(abs(self.fcol[m // subs] - (v << shift)) for m, v in enumerate(section))
 
     def _dominance_after(self, move: SwapMove) -> Optional[tuple]:
         """The engine's section change, when the recount keeps dominance."""

@@ -29,6 +29,7 @@ from crosscut.gridset import (
 )
 from crosscut.report import audit_trace
 from crosscut.stepfn import StepFunction
+from reference_search import engine_columns, recounted_columns
 from reference_start import reference_initial_set
 from test_audit_golden import _ramp
 
@@ -95,12 +96,16 @@ def test_initial_set_raises_the_reference_errors():
     assert texts == {"breakpoint", "band", "band outside"}
 
 
-_FIELDS = ("full", "nonempty", "part", "vu", "residual", "dominated", "D", "fu")
+_FIELDS = ("full", "nonempty", "part", "residual", "dominated", "D", "shift", "fcol")
 
 
 def _state(work) -> dict:
-    """The named attributes, and every attribute of the packed slack."""
-    return {name: getattr(work, name) for name in _FIELDS} | {"thresholds": vars(work.thresholds)}
+    """The named attributes, every attribute of the packed slack, and
+    each column's full count and partial widths."""
+    return {name: getattr(work, name) for name in _FIELDS} | {
+        "thresholds": vars(work.thresholds),
+        "columns": engine_columns(work),
+    }
 
 
 def _targets(rng: random.Random, g: StepFunction, params: GridParams):
@@ -118,13 +123,16 @@ def test_band_start_is_the_fill_start():
     dominated = set()
     for g, params in CORPUS:
         fill = reference_initial_set(g, params).fill
+        columns = recounted_columns(fill, params.sub_per_cell)
         for f in _targets(rng, g, params):
             want = _state(_Work(params, fill, f))
+            assert want["columns"] == columns, (g, f, params)
             assert _state(_Work.hypograph(params, g, f)) == want, (g, f, params)
             records = ()
             replay = ReplayState.hypograph(params, g, f, records)
             assert _state(replay) == want
-            assert (replay.records, replay.next, replay.checked) == (records, 0, want["vu"])
+            assert (replay.records, replay.next) == (records, 0)
+            assert [*zip(*replay.checked)] == columns
             dominated.add(want["dominated"])
     assert dominated == {True, False}
 
@@ -154,7 +162,7 @@ def test_band_start_raises_what_the_fill_start_raises():
 def test_reconstruct_and_audit_build_no_cell_grid(monkeypatch):
     # the fill path's three steps are never taken; to_set may still
     # build the returned set
-    calls = {"initial_set": 0, "_sub_counts": 0, "_Rows.__init__": 0}
+    calls = {"initial_set": 0, "_full_counts": 0, "_Rows.__init__": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -163,13 +171,13 @@ def test_reconstruct_and_audit_build_no_cell_grid(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(gridset, "initial_set", counted("initial_set", gridset.initial_set))
-    monkeypatch.setattr(gridset, "_sub_counts", counted("_sub_counts", gridset._sub_counts))
+    monkeypatch.setattr(gridset, "_full_counts", counted("_full_counts", gridset._full_counts))
     monkeypatch.setattr(gridset._Rows, "__init__", counted("_Rows.__init__", gridset._Rows.__init__))
     f, params = _ramp(7)
     e, summary = gridset.reconstruct(f, f, params)
     assert audit_trace(summary, f, f, params).ok
-    assert calls == {"initial_set": 0, "_sub_counts": 0, "_Rows.__init__": 0}
+    assert calls == {"initial_set": 0, "_full_counts": 0, "_Rows.__init__": 0}
     assert len(summary.swaps) > 100
     # the hooks count: the fill path takes all three
     _Work(params, gridset.initial_set(f, params).fill, f)
-    assert calls == {"initial_set": 1, "_sub_counts": 1, "_Rows.__init__": 1}
+    assert calls == {"initial_set": 1, "_full_counts": 1, "_Rows.__init__": 1}

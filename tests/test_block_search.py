@@ -19,7 +19,7 @@ from crosscut import GridParams, gridset, reconstruct
 from crosscut.gridset import _Work, initial_set, optimize_generation
 from crosscut.ingest import quantize
 from crosscut.matrices import _bits
-from reference_search import PairwiseWork
+from reference_search import PairwiseWork, engine_columns, recounted_columns
 from test_golden import _sweep_module
 from test_search_reference import _targets
 
@@ -43,7 +43,9 @@ def assert_same_as_pairwise(f, g, params) -> int:
         assert fast.run_generation(gen, got.append) == ref.run_generation(gen, want.append), gen
         assert got == want, f"generation {gen}"
         swaps += len(got)
-    assert fast.to_set() == ref.to_set() and fast.vu == ref.vu
+    cells = fast.to_set().fill
+    assert cells == ref.to_set().fill
+    assert engine_columns(fast) == engine_columns(ref) == recounted_columns(cells, params.sub_per_cell)
     return swaps
 
 

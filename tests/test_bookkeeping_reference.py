@@ -1,15 +1,18 @@
 """A swap's section change and slack change against their references.
 
-_Work._section_change reads a column's change off vertical popcounts of
-the blocks' full masks and the band's partial widths, and
-_ThresholdSlack.change builds the packed slack change one piece per gap
-between changed heights.  tests/reference_search.py keeps the former
-section change, a dict of cut points built cell by cell, and the former
-slack change, one staircase copy per changed height.  On every move the
-engine probes, found or rejected by dominance, and on moves off the trace
-from states in mid-sweep, the two must write the same section, change
-the same heights (as a multiset, zero counts dropped) and give the same
-packed change of the slack.
+_Work._section_change reads each changed column's new full count and
+partial widths off vertical popcounts of the blocks' full masks and the
+band's partial cells, and its height counts and residual drop off the
+column's old and new staircases; _ThresholdSlack.change builds the
+packed slack change one piece per gap between changed heights.
+tests/reference_search.py keeps the former section change, a dict of
+cut points built cell by cell whose runs are walked on the section
+recounted from the grid, and the former slack change, one staircase copy
+per changed height.  On every move the engine probes, found or rejected
+by dominance, and on moves off the trace from states in mid-sweep, the
+two must write the same section on the same columns, with the same drop
+of |f - v|_1 per column, change the same heights (as a multiset, zero
+counts dropped) and give the same packed change of the slack.
 """
 
 from __future__ import annotations
@@ -19,22 +22,40 @@ from collections import Counter
 
 import pytest
 
-from conftest import rand_feasible_pair
+from conftest import rand_composition_fast, rand_feasible_pair
 from crosscut import GridParams, audit_trace
+from crosscut.feasibility import counts_above
 from crosscut.gridset import SwapMove, _squares, _Work
 from crosscut.ingest import quantize
-from reference_search import section_change_by_cuts, slack_change_by_heights
+from reference_search import cell_grid, section_change_by_cuts, slack_change_by_heights
 from test_golden import CASES
 
 
-def _written(work: _Work, changes) -> list[int]:
-    """The section once the runs are written, each run's old value being
-    the section's on every sub-column of the run."""
-    vu = work.vu[:]
-    for i, stop, v, d in changes:
-        assert vu[i:stop] == [v] * (stop - i), (i, stop, v)
-        vu[i:stop] = [v + (d << work.shift)] * (stop - i)
-    return vu
+def _written(work: _Work, columns) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The section in cells per sub-column of each column the engine's
+    change writes, and the drop of |f - v|_1 on each."""
+    sections = {j: [full + above for above in counts_above(ws, work.subs)] for j, full, ws, _ in columns}
+    return sections, {j: drop for j, _, _, drop in columns}
+
+
+def _reference_written(work: _Work, runs, cells) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The same from the reference's runs, written on the section of
+    their columns recounted from the cells, each run's old value being
+    the section's on every sub-column of the run, and the drop summed
+    run by run, f being constant on a column."""
+    subs, shift = work.subs, work.shift
+    sections: dict[int, list[int]] = {}
+    drops: dict[int, int] = {}
+    for i, stop, v, d in runs:
+        j = i // subs
+        if j not in sections:
+            sections[j] = counts_above([row[j] for row in cells], subs)
+        at, end = i - j * subs, stop - j * subs
+        assert sections[j][at:end] == [v] * (stop - i), (i, stop, v)
+        sections[j][at:end] = [v + d] * (stop - i)
+        f = work.fcol[j]
+        drops[j] = drops.get(j, 0) + (stop - i) * (abs(f - (v << shift)) - abs(f - (v + d << shift)))
+    return sections, drops
 
 
 def _nonzero(heights: dict[int, int]) -> dict[int, int]:
@@ -50,8 +71,9 @@ def _compared(monkeypatch) -> Counter:
 
     def checked(self, *squares):
         got = section_change(self, *squares)
-        want = section_change_by_cuts(self, *squares)
-        assert _written(self, got[0]) == _written(self, want[0]), squares
+        cells = cell_grid(self)
+        want = section_change_by_cuts(self, *squares, cells)
+        assert _written(self, got[0]) == _reference_written(self, want[0], cells), squares
         assert _nonzero(got[1]) == _nonzero(want[1]), squares
         assert self.thresholds.change(got[1]) == slack_change_by_heights(self.thresholds, want[1]), squares
         seen["compared"] += 1
@@ -113,10 +135,11 @@ def test_section_change_matches_the_cut_points_on_random_pairs(subres, monkeypat
     seen = _compared(monkeypatch)
     rng = random.Random(61_000 + subres)
     for _ in range(50):
-        # rand_feasible_pair draws its values one sub-unit at a time, so N
-        # stops at 3 at K=9
-        params = GridParams(rng.randint(1, 5 if subres < 9 else 3), subres)
-        f, g = rand_feasible_pair(rng, params)
+        # rand_composition draws one sub-unit at a time; at K=9 the draw
+        # of O(parts) lets N reach 5
+        params = GridParams(rng.randint(1, 5), subres)
+        compose = rand_composition_fast if subres >= 9 else None
+        f, g = rand_feasible_pair(rng, params, compose) if compose else rand_feasible_pair(rng, params)
         summary = _sweep(rng, f, g, params, 3)
         assert audit_trace(summary, f, g, params).ok
     assert seen["rejected"] > 0 and seen["probed"] > seen["rejected"], seen

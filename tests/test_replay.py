@@ -2,11 +2,13 @@
 
 ReplayState accepts any fill whose rows hold at most one partial cell, so
 a move whose receiver lies left of its donor, or whose corridors both
-break, is built directly.  Three checks
+break, is built directly.  Four checks
 ("horizontal section changed", "symmetric difference bookkeeping
-mismatch", "untouched column changed") hold for every real exchange, so
-no trace reaches them; they are reached by corrupting the state after
-the exchange, or, for the section, between two exchanges.
+mismatch", "untouched column changed", and a corridor left only inside a
+cell) hold for every real exchange, so no trace reaches them; they are
+reached by corrupting the state after the exchange, or, for the section,
+between two exchanges.  The section is held per cell column, as a full
+count and partial widths, so the corruptions change those.
 """
 
 from __future__ import annotations
@@ -17,32 +19,43 @@ import pytest
 
 from crosscut import GridParams, StepFunction, SwapRecord, reconstruct
 from crosscut.dyadic import Dyadic
+from crosscut.feasibility import counts_above
 from crosscut.gridset import ReplayState, ReplayViolation, SwapMove, _Work, initial_set
+from reference_search import recounted_section
 from test_audit_golden import _ramp
 from test_report import run_fixture
 
 D = Dyadic
 
 
+def _drift(state: _Work, at: int, how: str) -> None:
+    """Raise column at's section: one more full cell, or one more partial
+    cell of width 1."""
+    if how == "full":
+        state.F[at] += 1
+    else:
+        state.widths[at] = tuple(sorted((*state.widths[at], 1)))
+
+
 class _Drifting(ReplayState):
-    """Raises the section at sub-column `at` after exchange number `nth`,
+    """Raises column `at`'s section (_drift) after exchange number `nth`,
     or, with between set, when the sweep next asks for a move, so that
     the drift falls between two replayed swaps."""
 
-    def __init__(self, *args, at: int, nth: int = 1, between: bool = False):
+    def __init__(self, *args, at: int, nth: int = 1, between: bool = False, how: str = "full"):
         super().__init__(*args)
-        self.at, self.nth, self.between = at, nth, between
+        self.at, self.nth, self.between, self.how = at, nth, between, how
 
     def _write_section(self, changes, heights):
         drop = super()._write_section(changes, heights)
         self.nth -= 1
         if self.nth == 0 and not self.between:
-            self.vu[self.at] += 1
+            _drift(self, self.at, self.how)
         return drop
 
     def find_first(self, gen):
         if self.nth == 0 and self.between:
-            self.vu[self.at] += 1
+            _drift(self, self.at, self.how)
             self.nth = -1
         return super().find_first(gen)
 
@@ -72,18 +85,21 @@ def test_receiver_left_of_donor_replays_ok():
 
 
 def _broken_corridors(fill, f, params, move) -> tuple[bool, bool]:
-    """Whether the move leaves the donor's and the receiver's corridor."""
+    """Whether the move leaves the donor's and the receiver's corridor,
+    on the sections recounted from the cells before and after it."""
     work = _Work(params, fill, f)
-    before = work.vu[:]
+    subs = params.sub_per_cell
+    before = [v << work.shift for v in recounted_section(fill, subs)]
     work.apply(move)
-    span = params.side >> move.gen
-    width = span * params.sub_per_cell
+    after = [v << work.shift for v in recounted_section(work.to_set().fill, subs)]
+    target = [u for u in work.fcol for _ in range(subs)]
+    width = (params.side >> move.gen) * subs
 
     def left(cls, low, high):
         cols = range((cls - 1) * width, cls * width)
-        return not all(low[i] <= work.vu[i] <= high[i] for i in cols)
+        return not all(low[i] <= after[i] <= high[i] for i in cols)
 
-    return left(move.donor, work.fu, before), left(move.receiver, before, work.fu)
+    return left(move.donor, target, before), left(move.receiver, before, target)
 
 
 def test_both_corridors_broken_reports_the_left_one_first():
@@ -139,10 +155,69 @@ def test_column_case_replays_ok(mirror):
 @pytest.mark.parametrize("mirror", (False, True))
 @pytest.mark.parametrize("at", (0, 1, 3, 4, 6, 7))
 def test_untouched_column_change_is_flagged(mirror, at):
-    # sub-columns 2 and 5 are the two classes: 0-1 lie left of both,
-    # 3-4 between them and 6-7 right of both
+    # columns 2 and 5 are the two classes: 0-1 lie left of both, 3-4
+    # between them and 6-7 right of both
     case = _columns_case(mirror)
     assert _violation(*case, state_cls=_Drifting, at=at) == (0, "untouched column changed")
+
+
+class _Spreading(ReplayState):
+    """Moves two partial widths of column `at` apart by one each after the
+    exchange, (a, b) -> (a - 1, b + 1), or together, (a, b) -> (a + 1,
+    b - 1): the column's sum and its first and last sub-columns keep
+    their values, and the staircase rises by one at b, or falls by one at
+    a, inside the cell."""
+
+    def __init__(self, *args, at: int, apart: bool):
+        super().__init__(*args)
+        self.at, self.apart = at, apart
+
+    def _write_section(self, changes, heights):
+        drop = super()._write_section(changes, heights)
+        a, b = self.widths[self.at]
+        self.widths[self.at] = (a - 1, b + 1) if self.apart else (a + 1, b - 1)
+        return drop
+
+
+# N=2, K=3, gen 1: band 1 moves the full cell of row 0 from column 0
+# (class 1) to column 2 (class 2).  Rows 2 and 3 put partial cells of
+# widths 2 and 5 in column 1, in the donor class, or in column 3, in the
+# receiver class (with full cells in column 1, so that the section still
+# dominates f), which the exchange leaves as they are.
+_INSIDE_CASES = {
+    "donor": (1, True, 0, (2, 0, 1, 0), "donor column left the f .. v_before corridor"),
+    "receiver": (3, False, 8, (2, 0, 1, 2), "receiver column left the v_before .. f corridor"),
+}
+
+
+@pytest.mark.parametrize("case", _INSIDE_CASES)
+def test_corridor_left_only_inside_a_cell_is_flagged(case):
+    at, apart, beside, f_cells, violation = _INSIDE_CASES[case]
+    params = GridParams(2, 3)
+    rows = [[8, 0, 0, 0], [0] * 4, [8, beside, 0, 0], [8, beside, 0, 0]]
+    rows[2][at], rows[3][at] = 2, 5
+    fill = tuple(map(tuple, rows))
+    f = StepFunction.from_grid([D(u, 2) for u in f_cells], 2)
+    move = SwapMove(1, 1, 1, 2)
+    record = _replay_one(fill, f, params, move, SwapRecord(*astuple(move), D(0), D(0)), state_cls=_Recording)
+    assert _replay_one(fill, f, params, move, record) == record
+    # the corrupted staircase leaves the old one at one sub-column, not
+    # the cell's first or last
+    old = counts_above((2, 5), 8)
+    new = counts_above((1, 6) if apart else (3, 4), 8)
+    breach = [m for m in range(8) if (new[m] > old[m] if apart else new[m] < old[m])]
+    assert breach == ([5] if apart else [4])
+    got = _violation(fill, f, params, move, record, state_cls=_Spreading, at=at, apart=apart)
+    assert got == (0, violation)
+
+
+class _Recording(ReplayState):
+    """A replay that takes whatever the swap gives in place of the record,
+    so that a hand-built case can read its exact values."""
+
+    def verify_and_apply(self, move):
+        self.next += 1
+        return _Work.apply(self, move)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +271,22 @@ def test_injected_miscount_is_flagged(monkeypatch):
     assert _sweep_violation(state) == (1, "symmetric difference bookkeeping mismatch")
 
 
-def test_injected_section_drift_is_flagged():
-    # the second swap exchanges classes 1 and 6 of 8 (four sub-columns
-    # each at K=2), so sub-column 4 is untouched
-    state = _fixture_state(_Drifting, at=4, nth=2)
+@pytest.mark.parametrize("how", ("full", "widths"))
+def test_injected_section_drift_is_flagged(how):
+    # the second swap exchanges classes 1 and 6 of 8 (columns 0 and 5 at
+    # N=3), so column 1 is untouched; its full count or its widths change
+    state = _fixture_state(_Drifting, at=1, nth=2, how=how)
     assert (state.records[1].donor, state.records[1].receiver) == (1, 6)
     assert _sweep_violation(state) == (1, "untouched column changed")
 
 
-@pytest.mark.parametrize("at", (4, 12, 31))
-def test_drift_between_two_swaps_is_flagged_at_the_next(at):
+@pytest.mark.parametrize("how", ("full", "widths"))
+@pytest.mark.parametrize("at", (1, 3, 7))
+def test_drift_between_two_swaps_is_flagged_at_the_next(at, how):
     # drift made after the first swap, when the sweep asks for the second
-    # move, at sub-columns the second swap does not touch: the replay
-    # checks the section against its copy from the first swap
-    state = _fixture_state(_Drifting, at=at, between=True)
+    # move, in columns outside the second swap's classes (columns 0 and
+    # 5): the replay checks the state against its copy from the first swap
+    state = _fixture_state(_Drifting, at=at, between=True, how=how)
     assert _sweep_violation(state) == (1, "untouched column changed")
 
 
@@ -229,13 +306,16 @@ class _Reads(list):
 
 def test_replay_reads_no_whole_section_per_swap():
     # the 64-step ramp at N=6, K=4 (61 swaps); the copy that the running
-    # check starts from is made when the state is built, before vu is
-    # swapped for the counting list
+    # check starts from is made when the state is built, before the column
+    # states are swapped for the counting lists.  A swap reads the slices
+    # of its two classes, never the whole state, and compares the copy
+    # column by column, by pointer
     f, params = _ramp(6)
     _, summary = reconstruct(f, f, params)
     state = ReplayState.hypograph(params, f, f, summary.swaps)
-    state.vu = _Reads(state.vu)
+    state.F, state.widths = _Reads(state.F), _Reads(state.widths)
     replayed = state.sweep(None)
     assert replayed.final_residual == summary.final_residual
     assert state.next == len(summary.swaps) == 61
-    assert state.vu.slices and params.sub_total not in state.vu.slices
+    for states in (state.F, state.widths):
+        assert states.slices and params.side not in states.slices

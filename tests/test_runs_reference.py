@@ -169,12 +169,11 @@ def test_work_scales_f_like_the_reference():
         def want():
             vals = reference_plateau_values(f, params.depth)
             d = max([params.depth + params.subres] + [v.exp for v in vals])
-            units = reference_cell_units(f, params.depth, d, bounded=False)
-            return d, [u for u in units for _ in range(params.sub_per_cell)]
+            return d, reference_cell_units(f, params.depth, d, bounded=False)
 
         def got():
             work = _Work(params, fill, f)
-            return work.D, work.fu
+            return work.D, work.fcol
 
         result = _outcome(got)
         assert result == _outcome(want), (f, params)

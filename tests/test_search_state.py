@@ -6,8 +6,8 @@ band cursor for the length of a generation; classes only ever leave
 those masks, so they must equal a recount after every swap.  A search
 must make the move a full rescan would make (tests/reference_search.py),
 and its cost must follow the swaps, not the grid.  A swap's section
-change is a list of runs of sub-columns, computed once per swap; their
-number must not grow with the 2**K sub-columns of a cell.
+change is the list of the columns it changes, computed once per swap;
+it must not grow with the 2**K sub-columns of a cell.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from crosscut.dyadic import Dyadic
 from crosscut.gridset import SwapMove, _Work, initial_set
 from crosscut.ingest import quantize
 from test_golden import CASES
+from reference_search import engine_columns, recounted_columns, recounted_section
 from test_search_reference import assert_same_sweep
 
 
@@ -194,29 +195,33 @@ def _ramp32():
 
 def test_section_change_runs_do_not_grow_with_k():
     # the N=5 ramp at K=9 with every fill x32 is the K=4 state with each
-    # sub-column cut into 32: every move of the K=4 trace must give the
-    # same runs, their ends x32 and their values on the finer scale, and
-    # the same height changes x32.  The 27 swaps change 1,112 sub-columns
-    # at K=4 and 35,584 at K=9, in 149 runs at both.
+    # sub-column cut into 32: every move of the K=4 trace must change the
+    # same columns to the same full counts, with their widths x32, the
+    # same drops of the residual on the finer scale and the same height
+    # changes x32.  The 27 swaps change 78 column states at both K.
     f = _ramp32()
     p4, p9 = GridParams(5, 4), GridParams(5, 9)
     _, summary = reconstruct(f, f, p4)
     assert len(summary.swaps) == 27
     fill = initial_set(f, p4).fill
-    w4, w9 = _Work(p4, fill, f), _Work(p9, [[32 * w for w in row] for row in fill], f)
+    fill9 = [[32 * w for w in row] for row in fill]
+    w4, w9 = _Work(p4, fill, f), _Work(p9, fill9, f)
     scale = w9.shift - w4.shift
     total = 0
     for rec in summary.swaps:
         move = SwapMove(rec.gen, rec.band, rec.donor, rec.receiver)
         squares = gridset._squares(w4.side, move)
-        runs4, heights4 = w4._section_change(*squares)
-        runs9, heights9 = w9._section_change(*squares)
-        assert runs9 == [(32 * i, 32 * j, v << scale, d) for i, j, v, d in runs4], move
+        columns4, heights4 = w4._section_change(*squares)
+        columns9, heights9 = w9._section_change(*squares)
+        want = [(j, full, tuple(32 * w for w in ws), drop << 2 * scale) for j, full, ws, drop in columns4]
+        assert columns9 == want, move
         assert heights9 == {h: 32 * n for h, n in heights4.items()}, move
         assert w9.apply(move) == w4.apply(move) == rec
-        total += len(runs4)
-    assert w9.vu == [v << scale for v in w4.vu for _ in range(32)]
-    assert total == 149
+        total += len(columns4)
+    assert engine_columns(w9) == [(full, tuple(32 * w for w in ws)) for full, ws in engine_columns(w4)]
+    assert engine_columns(w4) == recounted_columns(w4.to_set().fill, 16)
+    assert engine_columns(w9) == recounted_columns(w9.to_set().fill, 512)
+    assert total == 78
 
 
 def test_section_change_once_per_swap_on_ramp_n7(monkeypatch):
@@ -241,7 +246,7 @@ def test_section_change_once_per_swap_on_ramp_n7(monkeypatch):
 
 
 def _state(work: _Work):
-    return work.to_set(), work.vu, work.thresholds.fields, work.dominated
+    return work.to_set(), engine_columns(work), work.residual, work.thresholds.fields, work.dominated
 
 
 def test_apply_reuses_only_the_probe_of_its_own_move():
@@ -280,12 +285,15 @@ def test_margins_read_one_sub_column_per_column():
         e = rand_shaped_set(rng, params)
         f = rand_grid_marginal(rng, params)
         work = _Work(params, e.fill, f)
+        # v - f per sub-column, from the section recounted from the cells
+        subs = params.sub_per_cell
+        section = recounted_section(e.fill, subs)
+        excess_all = [(v << work.shift) - work.fcol[m // subs] for m, v in enumerate(section)]
         for gen in range(1, params.depth + 1):
-            width = (params.side >> gen) * params.sub_per_cell
+            width = (params.side >> gen) * subs
             margin = 1 << (work.D - gen)
             for idx in range(1, (1 << gen) + 1):
-                cols = slice((idx - 1) * width, idx * width)
-                excess = [v - u for v, u in zip(work.vu[cols], work.fu[cols])]
+                excess = excess_all[(idx - 1) * width : idx * width]
                 assert work._donor_ok(gen, idx) == (min(excess) >= margin)
                 assert work._receiver_ok(gen, idx) == (max(excess) <= -margin)
                 seen[0] += work._donor_ok(gen, idx)

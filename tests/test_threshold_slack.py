@@ -31,7 +31,15 @@ from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
 from crosscut.gridset import SwapMove, _Work
 from crosscut.matrices import _ColumnSums, _ThresholdSlack, _phi
-from reference_search import dominance_after_by_recount, recounted_slack, section_dominates, slack_change_by_heights
+from reference_search import (
+    cell_grid,
+    dominance_after_by_recount,
+    recounted_section,
+    recounted_slack,
+    section_dominates,
+    section_runs,
+    slack_change_by_heights,
+)
 
 
 def _runs(values) -> list:
@@ -66,10 +74,13 @@ def _check_state(work: _Work) -> bool:
     """The decoded slack is the recount, no guard bit is set, and the flag
     says whether the section dominates f; returns that."""
     slack = work.thresholds.slack
-    assert slack == recounted_slack(work)
+    cells = cell_grid(work)
+    runs = section_runs(cells, work.subs)
+    assert Counter(recounted_section(cells, work.subs)) == runs
+    assert slack == recounted_slack(work, runs)
     assert work.thresholds.fields & (work.thresholds.signs << 1) == 0
     dominated = min(slack) >= 0
-    assert work.dominated == dominated == section_dominates(work, work.vu)
+    assert work.dominated == dominated == section_dominates(work, runs)
     return dominated
 
 

@@ -17,17 +17,22 @@ from collections import Counter
 
 import pytest
 
-from conftest import rand_feasible_pair, rand_shaped_set
+from conftest import rand_composition_fast, rand_feasible_pair, rand_shaped_set
 from crosscut import GridParams, Partition, StepFunction, audit_trace, reconstruct
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, prefix_excess
 from crosscut.gridset import SwapMove, _Work, optimize_generation
 from crosscut.matrices import _ColumnSums, col_sums, row_sums, swap_construct
 from reference_search import (
+    cell_grid,
     dominance_after_by_recount,
+    engine_columns,
+    engine_section,
     recounted_columns,
+    recounted_section,
     recounted_slack,
     section_dominates,
+    section_runs,
 )
 from test_matrix_reference import _random_margins
 from test_search_state import _ramp
@@ -36,9 +41,10 @@ from test_search_reference import _targets
 
 def _check_engine(monkeypatch) -> Counter:
     """Wraps the engine's probe and apply: every probe must agree with the
-    whole-section recount, and every apply must leave the section, every
-    field of the packed slack and the dominance flag that a recount
-    gives."""
+    whole-section recount, and every apply must leave each column's full
+    count and partial widths, every field of the packed slack and the
+    dominance flag that a recount from the written rows gives; below
+    2**12 sub-columns, the section per sub-column as well."""
     log: Counter = Counter()
     probe, apply = _Work._dominance_after, _Work.apply
 
@@ -53,10 +59,16 @@ def _check_engine(monkeypatch) -> Counter:
 
     def checked_apply(self, move):
         rec = apply(self, move)
-        assert self.vu == recounted_columns(self, self.vu, range(self.side)), move
-        assert self.thresholds.slack == recounted_slack(self), move
+        cells, subs = cell_grid(self), self.subs
+        assert engine_columns(self) == recounted_columns(cells, subs), move
+        if self.params.sub_total <= 1 << 12:
+            assert engine_section(self) == recounted_section(cells, subs), move
+            log["sections"] += 1
+        runs = section_runs(cells, subs)
+        assert self.thresholds.slack == recounted_slack(self, runs), move
         assert self.thresholds.fields & (self.thresholds.signs << 1) == 0, move
-        assert self.dominated == section_dominates(self, self.vu), move
+        assert self.dominated == section_dominates(self, runs), move
+        assert self.residual == self.residual_units(), move
         log["applies"] += 1
         return rec
 
@@ -75,6 +87,21 @@ def test_window_matches_recount_on_random_pairs(monkeypatch):
         assert audit_trace(summary, f, g, params).ok, seed
     assert log["rejected"] > 0 and log["applies"] > 0
     assert log["probes"] > log["rejected"]
+
+
+@pytest.mark.parametrize("subres", [0, 4, 9, 18])
+def test_column_states_match_recount_at_every_k(subres, monkeypatch):
+    # the engine's state has no entry per sub-column, so K = 18 costs
+    # what K = 0 does; the recount reads the cells, at any K
+    log = _check_engine(monkeypatch)
+    rng = random.Random(79_000 + subres)
+    for _ in range(40):
+        params = GridParams(rng.randint(1, 4), subres)
+        f, g = rand_feasible_pair(rng, params, compose=rand_composition_fast)
+        _, summary = reconstruct(f, g, params)
+        assert audit_trace(summary, f, g, params).ok
+    assert log["rejected"] > 0 and log["applies"] > 100, log
+    assert (log["sections"] > 0) == (subres < 18), log
 
 
 def test_window_matches_recount_on_ramp_n7(monkeypatch):
