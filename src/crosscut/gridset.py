@@ -44,9 +44,10 @@ cells; DyadicSet, the sections, the images and verify take any set.
 reconstruct and audit_trace start the engine from g's 2**N band values,
 without a cell grid.  A band of u = k * 2**K + rem sub-units is the
 full mask 2**k - 1, the nonempty mask 2**(k + [rem > 0]) - 1 and the
-partial width rem, and the section at sub-column m counts the bands with
-u > m, g's distribution function: O(2**N + 2**(N+K)) work where the
-grid costs O(4**N).  initial_set is the same rows written out as a set.
+partial width rem.  Column j's full count is the number of bands with
+k > j, and each band with rem > 0 gives column k a partial width rem:
+O(2**N) work where the grid costs O(4**N) and a section per sub-column
+O(2**(N+K)).  initial_set is the same rows written out as a set.
 
 The search packs a band's block into one int per mask.  No cell being
 partial in both, a receiver block is a proper subset of a donor block
@@ -145,7 +146,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, eq, le, lshift, sub
 from typing import Callable, Optional, Sequence
 
-from .dyadic import ONE, ZERO, Dyadic
+from .dyadic import ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
 from .stepfn import StepFunction
@@ -314,7 +315,8 @@ def _cell_units(f: StepFunction, depth: int, exp: int, bounded: bool = True) -> 
         if b.exp > depth:
             raise QuantizationError(f"breakpoint {b} is not a multiple of 2**-{depth}")
     for v in f.values:
-        if bounded and v > ONE:
+        # v > 1, read on the canonical numerator
+        if bounded and v.num > 1 << v.exp:
             raise QuantizationError(f"band value {v} outside [0, 1]")
         if v.exp > exp:
             raise QuantizationError(f"band value {v} not a multiple of 2**-{exp}")
@@ -343,23 +345,35 @@ def _full_counts(fill, subs: int) -> list[int]:
     return [col.count(subs) for col in zip(*fill)]
 
 
-def _tally(heights: dict[int, int], f: int, full: int, widths: tuple[int, ...], subs: int, shift: int, sign: int) -> int:
-    """Walks a column's section, a staircase read off its full count and
-    its partial widths ascending: full + p - i cells on [w_i, w_(i+1))
-    for i = 0..p, with w_0 = 0 and w_(p+1) = subs (two equal widths make
-    an empty step).  Adds sign times each step's sub-columns to the count
-    of its height in heights, and returns |f - v|_1 over the column, f
-    and a cell's 2**shift being in the same units."""
+def _count_steps(heights: dict[int, int], full: int, widths: tuple[int, ...], subs: int, sign: int) -> None:
+    """Adds sign times the sub-columns of each step of a column's section
+    to the count of its height in heights.  The section is a staircase
+    read off the column's full count and its partial widths ascending:
+    full + p - i cells on [w_i, w_(i+1)) for i = 0..p, with w_0 = 0 and
+    w_(p+1) = subs (two equal widths make an empty step)."""
     get = heights.get
-    h, at, gap = full + len(widths), 0, 0
+    h, at = full + len(widths), 0
     for w in widths:
-        n = w - at
-        heights[h] = get(h, 0) + sign * n
-        gap += n * abs(f - (h << shift))
+        heights[h] = get(h, 0) + sign * (w - at)
         h, at = h - 1, w
-    n = subs - at
-    heights[h] = get(h, 0) + sign * n
-    return gap + n * abs(f - (h << shift))
+    heights[h] = get(h, 0) + sign * (subs - at)
+
+
+def _gap(f: int, full: int, widths: tuple[int, ...], subs: int, shift: int) -> int:
+    """|f - v|_1 over a column, f and a cell's 2**shift in the same units.
+    Where the whole staircase lies on one side of f, that is the column's
+    sum, full * subs plus the widths, against subs times f; otherwise the
+    steps are walked."""
+    if full << shift >= f:
+        return (full * subs + sum(widths) << shift) - subs * f
+    h = full + len(widths)
+    if h << shift <= f:
+        return subs * f - (full * subs + sum(widths) << shift)
+    gap = at = 0
+    for w in (*widths, subs):
+        gap += (w - at) * abs(f - (h << shift))
+        h, at = h - 1, w
+    return gap
 
 
 def _moved(widths: tuple[int, ...], leaving: list[int], arriving: list[int]) -> tuple[int, ...]:
@@ -378,8 +392,6 @@ def _at_or_below(low: int, low_widths: tuple[int, ...], high: int, high_widths: 
     or below the other on every sub-column.  Both are constant from each
     of their widths to the next, so they are compared at 0 and at every
     width of either: F + #{w > m} = F + p - bisect_right(widths, m)."""
-    if low_widths is high_widths:
-        return low <= high
     low += len(low_widths)
     high += len(high_widths)
     return all(
@@ -614,8 +626,8 @@ class _Work(_Rows):
         # height, and Phi_f(c): the t = #{f > c} largest cell values less t
         # times c, per sub-column
         heights: dict[int, int] = {}
-        for f_j, full, ws in zip(self.fcol, self.F, self.widths):
-            _tally(heights, f_j, full, ws, subs, shift, 1)
+        for full, ws in zip(self.F, self.widths):
+            _count_steps(heights, full, ws, subs, 1)
         above_from_top = accumulate(heights.get(h, 0) for h in range(side, 0, -1))
         phi_v = [*accumulate(above_from_top, initial=0)][::-1]
         ranked = sorted(self.fcol)
@@ -697,15 +709,22 @@ class _Work(_Rows):
                 # no partial cell moves: both staircases shift by d whole,
                 # walked once, each step taken off at h and put on at h + e
                 for col, e in ((j, d), (k, -d)):
-                    f, ws = fcol[col], widths[col]
-                    h, at, drop = F[col] + len(ws), 0, 0
+                    f, ws, full = fcol[col], widths[col], F[col]
+                    h, at = full + len(ws), 0
+                    # a column that stays on one side of f moves every
+                    # sub-column by e cells away from f or toward it
+                    if (full + e if e < 0 else full) << shift >= f:
+                        drop = -e * subs << shift
+                    elif (h if e < 0 else h + e) << shift <= f:
+                        drop = e * subs << shift
+                    else:
+                        drop = _gap(f, full, ws, subs, shift) - _gap(f, full + e, ws, subs, shift)
                     for w in (*ws, subs):
                         n, at = w - at, w
                         heights[h] = get(h, 0) - n
                         heights[h + e] = get(h + e, 0) + n
-                        drop += n * (abs(f - (h << shift)) - abs(f - (h + e << shift)))
                         h -= 1
-                    append((col, F[col] + e, ws, drop))
+                    append((col, full + e, ws, drop))
                 continue
             new_j = _moved(widths[j], ends[0], ends[1])
             if not d and new_j == widths[j]:
@@ -713,8 +732,9 @@ class _Work(_Rows):
             new_k = _moved(widths[k], ends[1], ends[0])
             for col, count, ws in ((j, F[j] + d, new_j), (k, F[k] - d, new_k)):
                 f = fcol[col]
-                drop = _tally(heights, f, F[col], widths[col], subs, shift, -1)
-                append((col, count, ws, drop - _tally(heights, f, count, ws, subs, shift, 1)))
+                _count_steps(heights, F[col], widths[col], subs, -1)
+                _count_steps(heights, count, ws, subs, 1)
+                append((col, count, ws, _gap(f, F[col], widths[col], subs, shift) - _gap(f, count, ws, subs, shift)))
         return changes, heights
 
     def _write_section(self, changes: list[tuple[int, int, tuple[int, ...], int]], delta: int) -> int:
@@ -733,10 +753,8 @@ class _Work(_Rows):
 
     def residual_units(self) -> int:
         """|f - v|_1 in residual units, counted over every column's steps."""
-        shift, subs, heights = self.shift, self.subs, {}
-        return sum(
-            _tally(heights, f, full, ws, subs, shift, 1) for f, full, ws in zip(self.fcol, self.F, self.widths)
-        )
+        shift, subs = self.shift, self.subs
+        return sum(_gap(f, full, ws, subs, shift) for f, full, ws in zip(self.fcol, self.F, self.widths))
 
     def residual_dyadic(self) -> Dyadic:
         """The carried |f - v|_1."""
@@ -744,23 +762,27 @@ class _Work(_Rows):
 
     # -- swap conditions -------------------------------------------------------
 
+    def _least(self, cols: slice):
+        """v - f on each column of cols where it is least: f is constant
+        and v a staircase on a column, so at its last sub-column, where v
+        is the full count."""
+        return map(sub, map(lshift, self.F[cols], repeat(self.shift)), self.fcol[cols])
+
+    def _greatest(self, cols: slice):
+        """v - f on each column of cols where it is greatest, at its first
+        sub-column, where v is the nonempty count."""
+        nonempty = map(add, self.F[cols], map(len, self.widths[cols]))
+        return map(sub, map(lshift, nonempty, repeat(self.shift)), self.fcol[cols])
+
     def _donor_ok(self, gen: int, j: int) -> bool:
-        """v - f is at least the margin on the class: f is constant and v
-        a staircase on a column, so v - f is least at its last sub-column,
-        where v is the full count."""
+        """v - f is at least the margin on the class."""
         span = self.side >> gen
-        cols = slice((j - 1) * span, j * span)
-        least = map(sub, map(lshift, self.F[cols], repeat(self.shift)), self.fcol[cols])
-        return min(least) >= 1 << (self.D - gen)
+        return min(self._least(slice((j - 1) * span, j * span))) >= 1 << (self.D - gen)
 
     def _receiver_ok(self, gen: int, k: int) -> bool:
-        """v - f is at most minus the margin on the class: it is greatest
-        at a column's first sub-column, where v is the nonempty count."""
+        """v - f is at most minus the margin on the class."""
         span = self.side >> gen
-        cols = slice((k - 1) * span, k * span)
-        nonempty = map(add, self.F[cols], map(len, self.widths[cols]))
-        greatest = map(sub, map(lshift, nonempty, repeat(self.shift)), self.fcol[cols])
-        return max(greatest) <= -(1 << (self.D - gen))
+        return max(self._greatest(slice((k - 1) * span, k * span))) <= -(1 << (self.D - gen))
 
     def _contained_pairs(self, gen: int, band: int, donors: int, receivers: int):
         """(donor, receiver) pairs from the class masks donors and
@@ -869,12 +891,16 @@ class _Work(_Rows):
         top = 1 << gen
         scan = self.scan
         if scan is None or scan.gen != gen:
-            classes = range(1, top + 1)
-            # a receiver is never a donor: the margins have opposite signs
+            # every class's margins, _donor_ok and _receiver_ok, from one
+            # pass over the columns; a receiver is never a donor, the
+            # margins having opposite signs
+            span, margin = self.side >> gen, 1 << (self.D - gen)
+            least, greatest = [*self._least(slice(None))], [*self._greatest(slice(None))]
+            starts = range(0, self.side, span)
             scan = self.scan = _Scan(
                 gen,
-                _mask(self._donor_ok(gen, j) for j in classes),
-                _mask(self._receiver_ok(gen, k) for k in classes),
+                _mask(min(least[i : i + span]) >= margin for i in starts),
+                _mask(max(greatest[i : i + span]) <= -margin for i in starts),
             )
         if not (scan.donors and scan.receivers):
             return None
@@ -1092,43 +1118,52 @@ class ReplayState(_Work):
         recorded = self.records[idx]
         self.next += 1
         rows, donor, receiver = _squares(self.side, move)
-        band = range(rows.start, rows.stop)
-        before = [(self.full[r], self.nonempty[r]) for r in band]
+        full_before, nonempty_before = self.full[rows], self.nonempty[rows]
 
         rec = super().apply(move)
 
         # a horizontal exchange keeps each band row's sum, and the one-sided
         # differences of the two blocks match the column integrals of the
         # section change (on one exact scale); both read off the row masks
-        s, full, nonempty, part = self.subs, self.full, self.nonempty, self.part
+        s = self.subs
         low = (1 << (donor.stop - donor.start)) - 1
         blocks = low << donor.start | low << receiver.start
         lost = gained = 0
         # _units written out: a full cell holds s - width sub-units more
         # than a partial one, every nonempty cell width
-        for r, (f0, ne0) in zip(band, before):
-            f1, ne1, width = full[r], nonempty[r], part[r]
+        after = zip(full_before, nonempty_before, self.full[rows], self.nonempty[rows], self.part[rows])
+        for f0, ne0, f1, ne1, width in after:
             cut = s - width
             if cut * (f1.bit_count() - f0.bit_count()) + width * (ne1.bit_count() - ne0.bit_count()):
                 raise ReplayViolation(idx, "horizontal section changed")
             lost += cut * (f0 & ~f1 & blocks).bit_count() + width * (ne0 & ~ne1 & blocks).bit_count()
             gained += cut * (f1 & ~f0 & blocks).bit_count() + width * (ne1 & ~ne0 & blocks).bit_count()
-        # per class, over the columns whose state changed: the section's
-        # sum over the sub-columns, F * 2**K plus the widths, in cell
-        # sub-units, and whether the new staircase stays on its side of
-        # the old one, compared at their steps
+        # per class: the section's sum over the sub-columns, F * 2**K plus
+        # the widths, in cell sub-units, and whether each column stays in
+        # its corridor, the donor's between f and its old section and the
+        # receiver's between its old section and f.  f is constant and v
+        # a staircase on a column, so v >= f where v is least, at the full
+        # count, and v <= f where v is greatest, at the nonempty count;
+        # the new and the old staircase are compared at their steps, and a
+        # column whose widths are the same tuple only moved whole cells
         old_full, old_widths = self.checked
-        F, widths = self.F, self.widths
+        F, widths, fcol, shift = self.F, self.widths, self.fcol, self.shift
         drop_d = rise_k = 0
-        below_d = above_k = True
-        for j in range(donor.start, donor.stop):
-            if F[j] != old_full[j] or widths[j] is not old_widths[j]:
-                drop_d += (old_full[j] - F[j]) * s + sum(old_widths[j]) - sum(widths[j])
-                below_d = below_d and _at_or_below(F[j], widths[j], old_full[j], old_widths[j])
-        for k in range(receiver.start, receiver.stop):
-            if F[k] != old_full[k] or widths[k] is not old_widths[k]:
-                rise_k += (F[k] - old_full[k]) * s + sum(widths[k]) - sum(old_widths[k])
-                above_k = above_k and _at_or_below(old_full[k], old_widths[k], F[k], widths[k])
+        donor_kept = receiver_kept = True
+        for a, wa, b, wb, f in zip(F[donor], widths[donor], old_full[donor], old_widths[donor], fcol[donor]):
+            if wa is wb:
+                drop_d += (b - a) * s
+                donor_kept = donor_kept and f <= a << shift and a <= b
+            else:
+                drop_d += (b - a) * s + sum(wb) - sum(wa)
+                donor_kept = donor_kept and f <= a << shift and _at_or_below(a, wa, b, wb)
+        for a, wa, b, wb, f in zip(F[receiver], widths[receiver], old_full[receiver], old_widths[receiver], fcol[receiver]):
+            if wa is wb:
+                rise_k += (a - b) * s
+                receiver_kept = receiver_kept and a + len(wa) << shift <= f and b <= a
+            else:
+                rise_k += (a - b) * s + sum(wa) - sum(wb)
+                receiver_kept = receiver_kept and a + len(wa) << shift <= f and _at_or_below(b, wb, a, wa)
         if lost != drop_d:
             raise ReplayViolation(idx, "set loss does not match donor-column section drop")
         if gained != rise_k:
@@ -1143,28 +1178,15 @@ class ReplayState(_Work):
         if rec.l1_drop != sym:
             raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
 
-        # the donor stays between f and its old section and the receiver
-        # between its old section and f, checked left to right.  f is
-        # constant and v a staircase on a column, so v >= f where v is
-        # least, at the full count, and v <= f where v is greatest, at
-        # the nonempty count
-        shift, fcol = self.shift, self.fcol
-        nonempty = map(add, F[receiver], map(len, widths[receiver]))
-        corridors = [
-            (
-                below_d and all(map(le, fcol[donor], map(lshift, F[donor], repeat(shift)))),
-                "donor column left the f .. v_before corridor",
-            ),
-            (
-                above_k and all(map(le, map(lshift, nonempty, repeat(shift)), fcol[receiver])),
-                "receiver column left the v_before .. f corridor",
-            ),
-        ]
-        if move.receiver < move.donor:
-            corridors.reverse()
-        for kept, what in corridors:
-            if not kept:
-                raise ReplayViolation(idx, what)
+        # the corridors, the left class's first
+        if not (donor_kept and receiver_kept):
+            corridors = [
+                (donor_kept, "donor column left the f .. v_before corridor"),
+                (receiver_kept, "receiver column left the v_before .. f corridor"),
+            ]
+            if move.receiver < move.donor:
+                corridors.reverse()
+            raise ReplayViolation(idx, next(what for kept, what in corridors if not kept))
         # every other column is as the last swap left it: with the two
         # classes written back, the copy equals the state.  The copy takes
         # its entries from the state, ints and tuples, so they are the

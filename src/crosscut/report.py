@@ -142,7 +142,7 @@ def audit_trace(
     """Replay a trace from the initial hypograph set and verify every swap.
 
     The start is read off g's band values (gridset._Work.hypograph): the
-    rows' masks and g's distribution function as the section, with no
+    rows' masks and each column's full count and partial widths, with no
     cell grid built.  The replay is the engine's own generation sweep
     running the recorded moves (gridset.ReplayState), which checks, per
     executed swap, with exact arithmetic:
@@ -153,8 +153,9 @@ def audit_trace(
         and both recorded values match the recomputed ones,
       * per column class, the move only shrinks the gap to f on the two
         touched columns, and every other column is as the previous swap
-        left it: the replay keeps a copy of the section, writes the two
-        classes' new values into it and requires it to equal the section,
+        left it: the replay keeps a copy of the column states, writes the
+        two classes' new states into it and requires it to equal the
+        state,
       * prefix dominance of f's rearrangement primitive is preserved.
 
     For a full TraceSummary, its generation list must be 1..N in order,
