@@ -143,10 +143,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import add, eq, le, lshift, sub
+from operator import add, eq, lshift, sub
 from typing import Callable, Optional, Sequence
 
-from .dyadic import ZERO, Dyadic
+from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
 from .stepfn import StepFunction
@@ -315,8 +315,7 @@ def _cell_units(f: StepFunction, depth: int, exp: int, bounded: bool = True) -> 
         if b.exp > depth:
             raise QuantizationError(f"breakpoint {b} is not a multiple of 2**-{depth}")
     for v in f.values:
-        # v > 1, read on the canonical numerator
-        if bounded and v.num > 1 << v.exp:
+        if bounded and v > ONE:
             raise QuantizationError(f"band value {v} outside [0, 1]")
         if v.exp > exp:
             raise QuantizationError(f"band value {v} not a multiple of 2**-{exp}")
