@@ -146,6 +146,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, eq, lshift, sub
 from typing import Callable, Optional, Sequence
 
+from .columns import _ColumnChange, _at_or_below, _count_steps, _gap, _moved
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
@@ -342,61 +343,6 @@ def _sub_counts(fill, subs: int):
 def _full_counts(fill, subs: int) -> list[int]:
     """Per cell column, the cells of the fill that are full."""
     return [col.count(subs) for col in zip(*fill)]
-
-
-def _count_steps(heights: dict[int, int], full: int, widths: tuple[int, ...], subs: int, sign: int) -> None:
-    """Adds sign times the sub-columns of each step of a column's section
-    to the count of its height in heights.  The section is a staircase
-    read off the column's full count and its partial widths ascending:
-    full + p - i cells on [w_i, w_(i+1)) for i = 0..p, with w_0 = 0 and
-    w_(p+1) = subs (two equal widths make an empty step)."""
-    get = heights.get
-    h, at = full + len(widths), 0
-    for w in widths:
-        heights[h] = get(h, 0) + sign * (w - at)
-        h, at = h - 1, w
-    heights[h] = get(h, 0) + sign * (subs - at)
-
-
-def _gap(f: int, full: int, widths: tuple[int, ...], subs: int, shift: int) -> int:
-    """|f - v|_1 over a column, f and a cell's 2**shift in the same units.
-    Where the whole staircase lies on one side of f, that is the column's
-    sum, full * subs plus the widths, against subs times f; otherwise the
-    steps are walked."""
-    if full << shift >= f:
-        return (full * subs + sum(widths) << shift) - subs * f
-    h = full + len(widths)
-    if h << shift <= f:
-        return subs * f - (full * subs + sum(widths) << shift)
-    gap = at = 0
-    for w in (*widths, subs):
-        gap += (w - at) * abs(f - (h << shift))
-        h, at = h - 1, w
-    return gap
-
-
-def _moved(widths: tuple[int, ...], leaving: list[int], arriving: list[int]) -> tuple[int, ...]:
-    """A column's partial widths, ascending, once an exchange takes the
-    leaving ones out and puts the arriving ones in."""
-    ws = [*widths]
-    for w in leaving:
-        ws.remove(w)
-    ws += arriving
-    ws.sort()
-    return tuple(ws)
-
-
-def _at_or_below(low: int, low_widths: tuple[int, ...], high: int, high_widths: tuple[int, ...]) -> bool:
-    """Whether the staircase of full count low and widths low_widths is at
-    or below the other on every sub-column.  Both are constant from each
-    of their widths to the next, so they are compared at 0 and at every
-    width of either: F + #{w > m} = F + p - bisect_right(widths, m)."""
-    low += len(low_widths)
-    high += len(high_widths)
-    return all(
-        low - bisect_right(low_widths, m) <= high - bisect_right(high_widths, m)
-        for m in {0, *low_widths, *high_widths}
-    )
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
@@ -616,7 +562,7 @@ class _Work(_Rows):
         side, shift, subs = self.side, self.shift, self.subs
         self.fcol = _cell_units(f, self.N, self.D, bounded=False)
         self.F = full_counts
-        widths: list[list[int]] = [[] for _ in range(side)]
+        widths = [[] for _ in range(side)]
         for full, nonempty, width in zip(self.full, self.nonempty, self.part):
             if width:
                 widths[(nonempty ^ full).bit_length() - 1].append(width)
@@ -673,7 +619,7 @@ class _Work(_Rows):
             blocks = low << j0 | low << k0
             # per column offset that holds a partial cell: the widths that
             # leave the donor column and those that leave the receiver column
-            moving: dict[int, tuple[list[int], list[int]]] = {}
+            moving = {}
             # a row's digits are its receiver block's bits and then its donor
             # block's, each from the highest, so column offset c is every
             # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
@@ -699,7 +645,7 @@ class _Work(_Rows):
                 or c in moving
             ]
         F, widths, fcol, subs, shift = self.F, self.widths, self.fcol, self.subs, self.shift
-        changes: list[tuple[int, int, tuple[int, ...], int]] = []
+        changes: list[_ColumnChange] = []
         heights: dict[int, int] = {}
         get, append = heights.get, changes.append
         for c, d, ends in moves:
@@ -725,18 +671,18 @@ class _Work(_Rows):
                         h -= 1
                     append((col, full + e, ws, drop))
                 continue
-            new_j = _moved(widths[j], ends[0], ends[1])
+            new_j = _moved(widths[j], *ends)
             if not d and new_j == widths[j]:
                 continue
-            new_k = _moved(widths[k], ends[1], ends[0])
+            new_k = _moved(widths[k], *ends[::-1])
             for col, count, ws in ((j, F[j] + d, new_j), (k, F[k] - d, new_k)):
-                f = fcol[col]
                 _count_steps(heights, F[col], widths[col], subs, -1)
                 _count_steps(heights, count, ws, subs, 1)
-                append((col, count, ws, _gap(f, F[col], widths[col], subs, shift) - _gap(f, count, ws, subs, shift)))
+                drop = _gap(fcol[col], F[col], widths[col], subs, shift) - _gap(fcol[col], count, ws, subs, shift)
+                append((col, count, ws, drop))
         return changes, heights
 
-    def _write_section(self, changes: list[tuple[int, int, tuple[int, ...], int]], delta: int) -> int:
+    def _write_section(self, changes: list[_ColumnChange], delta: int) -> int:
         """Apply a section change, the new states of its columns and the
         packed change of the slack (_ThresholdSlack.change); returns the
         drop of |f - v|_1 in residual units."""
@@ -1142,9 +1088,7 @@ class ReplayState(_Work):
         # its corridor, the donor's between f and its old section and the
         # receiver's between its old section and f.  f is constant and v
         # a staircase on a column, so v >= f where v is least, at the full
-        # count, and v <= f where v is greatest, at the nonempty count;
-        # the new and the old staircase are compared at their steps, and a
-        # column whose widths are the same tuple only moved whole cells
+        # count, and v <= f where v is greatest, at the nonempty count
         old_full, old_widths = self.checked
         F, widths, fcol, shift = self.F, self.widths, self.fcol, self.shift
         drop_d = rise_k = 0
@@ -1178,14 +1122,10 @@ class ReplayState(_Work):
             raise ReplayViolation(idx, "L1 error did not drop by the symmetric difference")
 
         # the corridors, the left class's first
-        if not (donor_kept and receiver_kept):
-            corridors = [
-                (donor_kept, "donor column left the f .. v_before corridor"),
-                (receiver_kept, "receiver column left the v_before .. f corridor"),
-            ]
-            if move.receiver < move.donor:
-                corridors.reverse()
-            raise ReplayViolation(idx, next(what for kept, what in corridors if not kept))
+        if not donor_kept and (receiver_kept or move.donor < move.receiver):
+            raise ReplayViolation(idx, "donor column left the f .. v_before corridor")
+        if not receiver_kept:
+            raise ReplayViolation(idx, "receiver column left the v_before .. f corridor")
         # every other column is as the last swap left it: with the two
         # classes written back, the copy equals the state.  The copy takes
         # its entries from the state, ints and tuples, so they are the
