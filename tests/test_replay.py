@@ -211,6 +211,30 @@ def test_corridor_left_only_inside_a_cell_is_flagged(case):
     assert got == (0, violation)
 
 
+# N=2, K=0, gen 1: band 1 moves row 0's cell from column 0 (class 1) to
+# column 2 (class 2), each one cell nearer f, so the L1 error drops by the
+# symmetric difference.  A column of either class that the exchange
+# leaves as it is, column 1 or 3, lies on the wrong side of f.  At K=0
+# every column's widths are the empty tuple, so the replay takes each
+# column as one that moved whole cells, and only its bound by f catches it
+_OUTSIDE_F_CASES = {
+    "donor": ((1, 0, 0, 0), (1, 1, 1, 0), "donor column left the f .. v_before corridor"),
+    "receiver": ((1, 0, 0, 1), (1, 0, 1, 0), "receiver column left the v_before .. f corridor"),
+}
+
+
+@pytest.mark.parametrize("case", _OUTSIDE_F_CASES)
+def test_a_class_column_the_swap_leaves_on_the_wrong_side_of_f_is_flagged(case):
+    row2, f_cells, violation = _OUTSIDE_F_CASES[case]
+    params = GridParams(2, 0)
+    fill = ((1, 0, 0, 0), (0, 0, 0, 0), row2, (0, 0, 0, 0))
+    f = StepFunction.from_grid([D(u, 2) for u in f_cells], 2)
+    move = SwapMove(1, 1, 1, 2)
+    record = SwapRecord(*astuple(move), D(1, 3), D(1, 3))
+    assert _replay_one(fill, f, params, move, record, state_cls=_Recording) == record
+    assert _violation(fill, f, params, move, record) == (0, violation)
+
+
 class _Recording(ReplayState):
     """A replay that takes whatever the swap gives in place of the record,
     so that a hand-built case can read its exact values."""
