@@ -29,18 +29,20 @@ D = Dyadic
 
 
 def _drift(state: _Work, at: int, how: str) -> None:
-    """Raise column at's section: one more full cell, or one more partial
-    cell of width 1."""
+    """Raise the section of the column that holds sub-column at: one more
+    full cell, or one more partial cell of width 1."""
+    j = at >> state.K
     if how == "full":
-        state.F[at] += 1
+        state.F[j] += 1
     else:
-        state.widths[at] = tuple(sorted((*state.widths[at], 1)))
+        state.widths[j] = tuple(sorted((*state.widths[j], 1)))
 
 
 class _Drifting(ReplayState):
-    """Raises column `at`'s section (_drift) after exchange number `nth`,
-    or, with between set, when the sweep next asks for a move, so that
-    the drift falls between two replayed swaps."""
+    """Raises the section of the column that holds sub-column `at`
+    (_drift) after exchange number `nth`, or, with between set, when the
+    sweep next asks for a move, so that the drift falls between two
+    replayed swaps."""
 
     def __init__(self, *args, at: int, nth: int = 1, between: bool = False, how: str = "full"):
         super().__init__(*args)
@@ -155,8 +157,9 @@ def test_column_case_replays_ok(mirror):
 @pytest.mark.parametrize("mirror", (False, True))
 @pytest.mark.parametrize("at", (0, 1, 3, 4, 6, 7))
 def test_untouched_column_change_is_flagged(mirror, at):
-    # columns 2 and 5 are the two classes: 0-1 lie left of both, 3-4
-    # between them and 6-7 right of both
+    # at K=0 a column is one sub-column; columns 2 and 5 are the two
+    # classes: 0-1 lie left of both, 3-4 between them and 6-7 right of
+    # both
     case = _columns_case(mirror)
     assert _violation(*case, state_cls=_Drifting, at=at) == (0, "untouched column changed")
 
@@ -295,22 +298,35 @@ def test_injected_miscount_is_flagged(monkeypatch):
     assert _sweep_violation(state) == (1, "symmetric difference bookkeeping mismatch")
 
 
-@pytest.mark.parametrize("how", ("full", "widths"))
-def test_injected_section_drift_is_flagged(how):
-    # the second swap exchanges classes 1 and 6 of 8 (columns 0 and 5 at
-    # N=3), so column 1 is untouched; its full count or its widths change
-    state = _fixture_state(_Drifting, at=1, nth=2, how=how)
+def test_injected_section_drift_is_flagged():
+    # the second swap exchanges classes 1 and 6 of 8 (four sub-columns
+    # each at K=2), so sub-column 4, in column 1, is untouched; the
+    # column gets one more full cell
+    state = _fixture_state(_Drifting, at=4, nth=2)
     assert (state.records[1].donor, state.records[1].receiver) == (1, 6)
     assert _sweep_violation(state) == (1, "untouched column changed")
 
 
-@pytest.mark.parametrize("how", ("full", "widths"))
-@pytest.mark.parametrize("at", (1, 3, 7))
-def test_drift_between_two_swaps_is_flagged_at_the_next(at, how):
+def test_injected_width_drift_is_flagged():
+    # as above, with one more partial cell in column 1: the widths, not
+    # the full count, are what changed
+    state = _fixture_state(_Drifting, at=4, nth=2, how="widths")
+    assert _sweep_violation(state) == (1, "untouched column changed")
+
+
+@pytest.mark.parametrize("at", (4, 12, 31))
+def test_drift_between_two_swaps_is_flagged_at_the_next(at):
     # drift made after the first swap, when the sweep asks for the second
-    # move, in columns outside the second swap's classes (columns 0 and
-    # 5): the replay checks the state against its copy from the first swap
-    state = _fixture_state(_Drifting, at=at, between=True, how=how)
+    # move, at sub-columns the second swap does not touch (in columns 1,
+    # 3 and 7; the swap's are 0 and 5): the replay checks the state
+    # against its copy from the first swap
+    state = _fixture_state(_Drifting, at=at, between=True)
+    assert _sweep_violation(state) == (1, "untouched column changed")
+
+
+@pytest.mark.parametrize("at", (4, 12, 31))
+def test_width_drift_between_two_swaps_is_flagged_at_the_next(at):
+    state = _fixture_state(_Drifting, at=at, between=True, how="widths")
     assert _sweep_violation(state) == (1, "untouched column changed")
 
 
