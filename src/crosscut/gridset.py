@@ -61,19 +61,16 @@ full donor takes every receiver that is not full, a partial donor only
 the empty ones, an empty donor none, so the band row's masks and the
 class masks decide a band in a few big-int operations.
 
-The section is held per cell column, not per sub-column.  Sub-column m
-of a column counts the rows whose fill exceeds m: every full cell and
-the partial cells wider than m.  So column j's section is the staircase
-F_j + #{partial widths w in column j with w > m}, with F_j its number of
-full cells: with the widths ascending, w_1 <= ... <= w_p, it is F_j + p
-on [0, w_1), F_j + p - i on [w_i, w_(i+1)) and F_j on [w_p, 2**K).  A
-row holds at most one partial cell, so the grid holds at most 2**N
-widths, and the engine keeps per column f's value, F_j and the sorted
-widths: O(2**N) words beside the row masks, whatever K is.  Everything
-the search needs is read off that state.  f is constant on a column, so
-a donor's least v - f is F_j less f and a receiver's greatest is its
-nonempty count F_j + p less f; the residual |f - v|_1 and the number of
-sub-columns at each height are sums over the staircase's steps.
+The section is held per cell column, not per sub-column: column j's
+section is the staircase F_j + #{partial widths w in column j with
+w > m} over its sub-columns m, F_j being its number of full cells (the
+columns module).  A row holds at most one partial cell, so the grid
+holds at most 2**N widths, and the engine keeps per column f's value,
+F_j and the sorted widths: O(2**N) words beside the row masks, whatever
+K is.  f is constant on a column, so a donor's least v - f is F_j less
+f and a receiver's greatest is its nonempty count less f, and the
+residual |f - v|_1 and the number of sub-columns at each height are
+sums over the staircase's steps.
 
 A swap's bookkeeping follows its band's rows.  The exchange puts the
 receiver's cells in the donor column, so the donor column's full count

@@ -146,10 +146,10 @@ def dominance_after_by_recount(work: _Work, move: SwapMove) -> bool:
     return section_dominates(work, section_runs(cells, work.subs))
 
 
-def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: slice, cells=None):
+def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: slice, cells=None, sections=None):
     """The section change of exchanging the two squares, read off their
     rows' masks and the section recounted from the work's grid, or from
-    the given cells: runs
+    the given cells, each column's recount kept in sections: runs
     (start, stop, old value, change), in cells, of sub-columns numbered
     across the grid, and the net change of the number of sub-columns at
     each height.
@@ -180,7 +180,7 @@ def section_change_by_cuts(self: _Work, rows: slice, donor: slice, receiver: sli
     cuts = sorted((p, n) for p, n in diff.items() if n)
     changes: list[tuple[int, int, int, int]] = []
     heights: dict[int, int] = {}
-    sections: dict[int, list[int]] = {}
+    sections = {} if sections is None else sections
     d = 0
     # d returns to 0 at each column's last cut, so a stretch never
     # crosses columns

@@ -38,18 +38,16 @@ def _written(work: _Work, columns) -> tuple[dict[int, list[int]], dict[int, int]
     return sections, {j: drop for j, _, _, drop in columns}
 
 
-def _reference_written(work: _Work, runs, cells) -> tuple[dict[int, list[int]], dict[int, int]]:
+def _reference_written(work: _Work, runs, recounts) -> tuple[dict[int, list[int]], dict[int, int]]:
     """The same from the reference's runs, written on the section of
     their columns recounted from the cells, each run's old value being
     the section's on every sub-column of the run, and the drop summed
     run by run, f being constant on a column."""
     subs, shift = work.subs, work.shift
-    sections: dict[int, list[int]] = {}
+    sections = {j: recounts[j][:] for j in recounts}
     drops: dict[int, int] = {}
     for i, stop, v, d in runs:
         j = i // subs
-        if j not in sections:
-            sections[j] = counts_above([row[j] for row in cells], subs)
         at, end = i - j * subs, stop - j * subs
         assert sections[j][at:end] == [v] * (stop - i), (i, stop, v)
         sections[j][at:end] = [v + d] * (stop - i)
@@ -71,9 +69,9 @@ def _compared(monkeypatch) -> Counter:
 
     def checked(self, *squares):
         got = section_change(self, *squares)
-        cells = cell_grid(self)
-        want = section_change_by_cuts(self, *squares, cells)
-        assert _written(self, got[0]) == _reference_written(self, want[0], cells), squares
+        recounts: dict[int, list[int]] = {}
+        want = section_change_by_cuts(self, *squares, cell_grid(self), recounts)
+        assert _written(self, got[0]) == _reference_written(self, want[0], recounts), squares
         assert _nonzero(got[1]) == _nonzero(want[1]), squares
         assert self.thresholds.change(got[1]) == slack_change_by_heights(self.thresholds, want[1]), squares
         seen["compared"] += 1
