@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import rand_composition_fast, rand_feasible_pair
+from conftest import rand_composition, rand_composition_fast, rand_feasible_pair
 from crosscut import GridParams, audit_trace
 from crosscut.feasibility import counts_above
 from crosscut.gridset import SwapMove, _squares, _Work
@@ -136,8 +136,8 @@ def test_section_change_matches_the_cut_points_on_random_pairs(subres, monkeypat
         # rand_composition draws one sub-unit at a time; at K=9 the draw
         # of O(parts) lets N reach 5
         params = GridParams(rng.randint(1, 5), subres)
-        compose = rand_composition_fast if subres >= 9 else None
-        f, g = rand_feasible_pair(rng, params, compose) if compose else rand_feasible_pair(rng, params)
+        compose = rand_composition_fast if subres >= 9 else rand_composition
+        f, g = rand_feasible_pair(rng, params, compose)
         summary = _sweep(rng, f, g, params, 3)
         assert audit_trace(summary, f, g, params).ok
     assert seen["rejected"] > 0 and seen["probed"] > seen["rejected"], seen
