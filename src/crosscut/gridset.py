@@ -603,80 +603,42 @@ class _Work(_Rows):
         full, nonempty, part = self.full, self.nonempty, self.part
         j0, k0 = donor.start, receiver.start
         span = donor.stop - j0
-        if span == 1:
-            # generation N: one row, one cell each
-            r = rows.start
-            f, width = full[r], part[r]
-            at = (nonempty[r] ^ f).bit_length() - 1 if width else -1
-            ends = ([width], []) if at == j0 else ([], [width]) if at == k0 else None
-            d = (f >> k0 & 1) - (f >> j0 & 1)
-            moves = [(0, d, ends)] if d or ends else []
-        else:
-            low = (1 << span) - 1
-            blocks = low << j0 | low << k0
-            # per column offset that holds a partial cell: the widths that
-            # leave the donor column and those that leave the receiver column
-            moving = {}
-            # a row's digits are its receiver block's bits and then its donor
-            # block's, each from the highest, so column offset c is every
-            # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
-            pair = 2 * span
-            spec = f"0{pair}b"
-            digits = []
-            for r in range(rows.start, rows.stop):
-                f = full[r]
-                digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
-                width = part[r]
-                # at is the column of the row's partial cell when either block holds it
-                if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
-                    c, leaves = (at - j0, 0) if j0 <= at < j0 + span else (at - k0, 1)
-                    ends = moving.get(c)
-                    if ends is None:
-                        ends = moving[c] = ([], [])
-                    ends[leaves].append(width)
-            text = "".join(digits)
-            moves = [
-                (c, d, moving.get(c))
-                for c in range(span)
-                if (d := text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1"))
-                or c in moving
-            ]
+        low = (1 << span) - 1
+        blocks = low << j0 | low << k0
+        # per column offset that holds a partial cell: the widths that
+        # leave the donor column and those that leave the receiver column
+        moving: dict[int, tuple[list[int], list[int]]] = {}
+        # a row's digits are its receiver block's bits and then its donor
+        # block's, each from the highest, so column offset c is every
+        # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
+        pair = 2 * span
+        spec = f"0{pair}b"
+        digits = []
+        for r in range(rows.start, rows.stop):
+            f = full[r]
+            digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
+            width = part[r]
+            # at is the column of the row's partial cell when either block holds it
+            if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
+                c, leaves = (at - j0, 0) if j0 <= at < j0 + span else (at - k0, 1)
+                moving.setdefault(c, ([], []))[leaves].append(width)
+        text = "".join(digits)
         F, widths, fcol, subs, shift = self.F, self.widths, self.fcol, self.subs, self.shift
         changes: list[_ColumnChange] = []
         heights: dict[int, int] = {}
-        get, append = heights.get, changes.append
-        for c, d, ends in moves:
+        for c in range(span):
+            d = text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1")
+            leaving, arriving = moving.get(c, ((), ()))
             j, k = j0 + c, k0 + c
-            if ends is None:
-                # no partial cell moves: both staircases shift by d whole,
-                # walked once, each step taken off at h and put on at h + e
-                for col, e in ((j, d), (k, -d)):
-                    f, ws, full = fcol[col], widths[col], F[col]
-                    h, at = full + len(ws), 0
-                    # a column that stays on one side of f moves every
-                    # sub-column by e cells away from f or toward it
-                    if (full + e if e < 0 else full) << shift >= f:
-                        drop = -e * subs << shift
-                    elif (h if e < 0 else h + e) << shift <= f:
-                        drop = e * subs << shift
-                    else:
-                        drop = _gap(f, full, ws, subs, shift) - _gap(f, full + e, ws, subs, shift)
-                    for w in (*ws, subs):
-                        n, at = w - at, w
-                        heights[h] = get(h, 0) - n
-                        heights[h + e] = get(h + e, 0) + n
-                        h -= 1
-                    append((col, full + e, ws, drop))
-                continue
-            new_j = _moved(widths[j], *ends)
+            new_j = _moved(widths[j], leaving, arriving)
             if not d and new_j == widths[j]:
                 continue
-            new_k = _moved(widths[k], *ends[::-1])
+            new_k = _moved(widths[k], arriving, leaving)
             for col, count, ws in ((j, F[j] + d, new_j), (k, F[k] - d, new_k)):
                 _count_steps(heights, F[col], widths[col], subs, -1)
                 _count_steps(heights, count, ws, subs, 1)
                 drop = _gap(fcol[col], F[col], widths[col], subs, shift) - _gap(fcol[col], count, ws, subs, shift)
-                append((col, count, ws, drop))
+                changes.append((col, count, ws, drop))
         return changes, heights
 
     def _write_section(self, changes: list[_ColumnChange], delta: int) -> int:
@@ -833,16 +795,12 @@ class _Work(_Rows):
         top = 1 << gen
         scan = self.scan
         if scan is None or scan.gen != gen:
-            # every class's margins, _donor_ok and _receiver_ok, from one
-            # pass over the columns; a receiver is never a donor, the
-            # margins having opposite signs
-            span, margin = self.side >> gen, 1 << (self.D - gen)
-            least, greatest = [*self._least(slice(None))], [*self._greatest(slice(None))]
-            starts = range(0, self.side, span)
+            classes = range(1, top + 1)
+            # a receiver is never a donor: the margins have opposite signs
             scan = self.scan = _Scan(
                 gen,
-                _mask(min(least[i : i + span]) >= margin for i in starts),
-                _mask(max(greatest[i : i + span]) <= -margin for i in starts),
+                _mask(self._donor_ok(gen, j) for j in classes),
+                _mask(self._receiver_ok(gen, k) for k in classes),
             )
         if not (scan.donors and scan.receivers):
             return None
@@ -1071,15 +1029,12 @@ class ReplayState(_Work):
         low = (1 << (donor.stop - donor.start)) - 1
         blocks = low << donor.start | low << receiver.start
         lost = gained = 0
-        # _units written out: a full cell holds s - width sub-units more
-        # than a partial one, every nonempty cell width
         after = zip(full_before, nonempty_before, self.full[rows], self.nonempty[rows], self.part[rows])
         for f0, ne0, f1, ne1, width in after:
-            cut = s - width
-            if cut * (f1.bit_count() - f0.bit_count()) + width * (ne1.bit_count() - ne0.bit_count()):
+            if _units(s, width, f1, ne1) != _units(s, width, f0, ne0):
                 raise ReplayViolation(idx, "horizontal section changed")
-            lost += cut * (f0 & ~f1 & blocks).bit_count() + width * (ne0 & ~ne1 & blocks).bit_count()
-            gained += cut * (f1 & ~f0 & blocks).bit_count() + width * (ne1 & ~ne0 & blocks).bit_count()
+            lost += _units(s, width, f0 & ~f1 & blocks, ne0 & ~ne1 & blocks)
+            gained += _units(s, width, f1 & ~f0 & blocks, ne1 & ~ne0 & blocks)
         # per class: the section's sum over the sub-columns, F * 2**K plus
         # the widths, in cell sub-units, and whether each column stays in
         # its corridor, the donor's between f and its old section and the
@@ -1091,19 +1046,11 @@ class ReplayState(_Work):
         drop_d = rise_k = 0
         donor_kept = receiver_kept = True
         for a, wa, b, wb, f in zip(F[donor], widths[donor], old_full[donor], old_widths[donor], fcol[donor]):
-            if wa is wb:
-                drop_d += (b - a) * s
-                donor_kept = donor_kept and f <= a << shift and a <= b
-            else:
-                drop_d += (b - a) * s + sum(wb) - sum(wa)
-                donor_kept = donor_kept and f <= a << shift and _at_or_below(a, wa, b, wb)
+            drop_d += (b - a) * s + sum(wb) - sum(wa)
+            donor_kept = donor_kept and f <= a << shift and _at_or_below(a, wa, b, wb)
         for a, wa, b, wb, f in zip(F[receiver], widths[receiver], old_full[receiver], old_widths[receiver], fcol[receiver]):
-            if wa is wb:
-                rise_k += (a - b) * s
-                receiver_kept = receiver_kept and a + len(wa) << shift <= f and b <= a
-            else:
-                rise_k += (a - b) * s + sum(wa) - sum(wb)
-                receiver_kept = receiver_kept and a + len(wa) << shift <= f and _at_or_below(b, wb, a, wa)
+            rise_k += (a - b) * s + sum(wa) - sum(wb)
+            receiver_kept = receiver_kept and a + len(wa) << shift <= f and _at_or_below(b, wb, a, wa)
         if lost != drop_d:
             raise ReplayViolation(idx, "set loss does not match donor-column section drop")
         if gained != rise_k:

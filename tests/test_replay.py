@@ -218,8 +218,8 @@ def test_corridor_left_only_inside_a_cell_is_flagged(case):
 # column 2 (class 2), each one cell nearer f, so the L1 error drops by the
 # symmetric difference.  A column of either class that the exchange
 # leaves as it is, column 1 or 3, lies on the wrong side of f.  At K=0
-# every column's widths are the empty tuple, so the replay takes each
-# column as one that moved whole cells, and only its bound by f catches it
+# every column's widths are the empty tuple, so the staircase comparison
+# reduces to the full counts, and only the column's bound by f catches it
 _OUTSIDE_F_CASES = {
     "donor": ((1, 0, 0, 0), (1, 1, 1, 0), "donor column left the f .. v_before corridor"),
     "receiver": ((1, 0, 0, 1), (1, 0, 1, 0), "receiver column left the v_before .. f corridor"),
