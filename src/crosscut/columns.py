@@ -59,10 +59,7 @@ def _gap(f: int, full: int, widths: _Widths, subs: int, shift: int) -> int:
 
 def _moved(widths: _Widths, leaving: list[int], arriving: list[int]) -> _Widths:
     """A column's partial widths, ascending, once an exchange takes the
-    leaving ones out and puts the arriving ones in; the same tuple when
-    no partial cell moves."""
-    if not (leaving or arriving):
-        return widths
+    leaving ones out and puts the arriving ones in."""
     ws = [*widths, *arriving]
     for w in leaving:
         ws.remove(w)

@@ -603,42 +603,80 @@ class _Work(_Rows):
         full, nonempty, part = self.full, self.nonempty, self.part
         j0, k0 = donor.start, receiver.start
         span = donor.stop - j0
-        low = (1 << span) - 1
-        blocks = low << j0 | low << k0
-        # per column offset that holds a partial cell: the widths that
-        # leave the donor column and those that leave the receiver column
-        moving: dict[int, tuple[list[int], list[int]]] = {}
-        # a row's digits are its receiver block's bits and then its donor
-        # block's, each from the highest, so column offset c is every
-        # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
-        pair = 2 * span
-        spec = f"0{pair}b"
-        digits = []
-        for r in range(rows.start, rows.stop):
-            f = full[r]
-            digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
-            width = part[r]
-            # at is the column of the row's partial cell when either block holds it
-            if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
-                c, leaves = (at - j0, 0) if j0 <= at < j0 + span else (at - k0, 1)
-                moving.setdefault(c, ([], []))[leaves].append(width)
-        text = "".join(digits)
+        if span == 1:
+            # generation N: one row, one cell each
+            r = rows.start
+            f, width = full[r], part[r]
+            at = (nonempty[r] ^ f).bit_length() - 1 if width else -1
+            ends = ([width], []) if at == j0 else ([], [width]) if at == k0 else None
+            d = (f >> k0 & 1) - (f >> j0 & 1)
+            moves = [(0, d, ends)] if d or ends else []
+        else:
+            low = (1 << span) - 1
+            blocks = low << j0 | low << k0
+            # per column offset that holds a partial cell: the widths that
+            # leave the donor column and those that leave the receiver column
+            moving = {}
+            # a row's digits are its receiver block's bits and then its donor
+            # block's, each from the highest, so column offset c is every
+            # 2 * span-th digit from span - 1 - c and from 2 * span - 1 - c
+            pair = 2 * span
+            spec = f"0{pair}b"
+            digits = []
+            for r in range(rows.start, rows.stop):
+                f = full[r]
+                digits.append(format((f >> k0 & low) << span | f >> j0 & low, spec))
+                width = part[r]
+                # at is the column of the row's partial cell when either block holds it
+                if width and (at := ((nonempty[r] ^ f) & blocks).bit_length() - 1) >= 0:
+                    c, leaves = (at - j0, 0) if j0 <= at < j0 + span else (at - k0, 1)
+                    ends = moving.get(c)
+                    if ends is None:
+                        ends = moving[c] = ([], [])
+                    ends[leaves].append(width)
+            text = "".join(digits)
+            moves = [
+                (c, d, moving.get(c))
+                for c in range(span)
+                if (d := text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1"))
+                or c in moving
+            ]
         F, widths, fcol, subs, shift = self.F, self.widths, self.fcol, self.subs, self.shift
         changes: list[_ColumnChange] = []
         heights: dict[int, int] = {}
-        for c in range(span):
-            d = text[span - 1 - c :: pair].count("1") - text[pair - 1 - c :: pair].count("1")
-            leaving, arriving = moving.get(c, ((), ()))
+        get, append = heights.get, changes.append
+        for c, d, ends in moves:
             j, k = j0 + c, k0 + c
-            new_j = _moved(widths[j], leaving, arriving)
+            if ends is None:
+                # no partial cell moves: both staircases shift by d whole,
+                # walked once, each step taken off at h and put on at h + e
+                for col, e in ((j, d), (k, -d)):
+                    f, ws, full = fcol[col], widths[col], F[col]
+                    h, at = full + len(ws), 0
+                    # a column that stays on one side of f moves every
+                    # sub-column by e cells away from f or toward it
+                    if (full + e if e < 0 else full) << shift >= f:
+                        drop = -e * subs << shift
+                    elif (h if e < 0 else h + e) << shift <= f:
+                        drop = e * subs << shift
+                    else:
+                        drop = _gap(f, full, ws, subs, shift) - _gap(f, full + e, ws, subs, shift)
+                    for w in (*ws, subs):
+                        n, at = w - at, w
+                        heights[h] = get(h, 0) - n
+                        heights[h + e] = get(h + e, 0) + n
+                        h -= 1
+                    append((col, full + e, ws, drop))
+                continue
+            new_j = _moved(widths[j], *ends)
             if not d and new_j == widths[j]:
                 continue
-            new_k = _moved(widths[k], arriving, leaving)
+            new_k = _moved(widths[k], *ends[::-1])
             for col, count, ws in ((j, F[j] + d, new_j), (k, F[k] - d, new_k)):
                 _count_steps(heights, F[col], widths[col], subs, -1)
                 _count_steps(heights, count, ws, subs, 1)
                 drop = _gap(fcol[col], F[col], widths[col], subs, shift) - _gap(fcol[col], count, ws, subs, shift)
-                changes.append((col, count, ws, drop))
+                append((col, count, ws, drop))
         return changes, heights
 
     def _write_section(self, changes: list[_ColumnChange], delta: int) -> int:
