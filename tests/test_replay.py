@@ -292,6 +292,21 @@ def test_injected_row_change_is_flagged(monkeypatch):
     assert _sweep_violation(state) == (1, "horizontal section changed")
 
 
+def test_injected_partial_cell_loss_is_flagged(monkeypatch):
+    def leak(state, rows, moved):
+        # the band row's partial cell turns empty, its full cells stay:
+        # the row's sum falls by the partial width alone
+        r = rows.start
+        partial = state.nonempty[r] & ~state.full[r]
+        assert partial and state.part[r]
+        state.nonempty[r] &= ~partial
+        return moved
+
+    state = _fixture_state()
+    _on_second_exchange(monkeypatch, leak)
+    assert _sweep_violation(state) == (1, "horizontal section changed")
+
+
 def test_injected_miscount_is_flagged(monkeypatch):
     state = _fixture_state()
     _on_second_exchange(monkeypatch, lambda state, rows, moved: moved + 1)
