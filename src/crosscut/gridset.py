@@ -144,7 +144,7 @@ from operator import add, eq, lshift, sub
 from typing import Callable, Optional, Sequence
 
 from .columns import _ColumnChange, _at_or_below, _count_steps, _gap, _moved
-from .dyadic import ONE, ZERO, Dyadic
+from .dyadic import ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
 from .stepfn import StepFunction
@@ -308,16 +308,22 @@ def _cell_units(f: StepFunction, depth: int, exp: int, bounded: bool = True) -> 
     """f's value on each of the 2**depth cells, as an integer over 2**-exp.
 
     QuantizationError for a breakpoint off the cell grid, then, value by
-    value from the left, for one above 1 (when bounded) or off 2**-exp."""
+    value from the left, for one above 1 (when bounded) or off 2**-exp.
+    The bound is tested on the values as integers over 2**-fine, fine
+    the finer of exp and the values' own grid: one is above 1 iff its
+    integer is above 2**fine.  No value is off 2**-exp when fine = exp,
+    so those integers are the units."""
     for b in f.breakpoints[1:-1]:
         if b.exp > depth:
             raise QuantizationError(f"breakpoint {b} is not a multiple of 2**-{depth}")
-    for v in f.values:
-        if bounded and v > ONE:
+    fine = max(exp, *(v.exp for v in f.values))
+    runs, one = f.runs(depth, fine), 1 << fine
+    for (u, _), v in zip(runs, f.values):
+        if bounded and u > one:
             raise QuantizationError(f"band value {v} outside [0, 1]")
         if v.exp > exp:
             raise QuantizationError(f"band value {v} not a multiple of 2**-{exp}")
-    return [u for u, cells in f.runs(depth, exp) for _ in range(cells)]
+    return [u for u, cells in runs for _ in range(cells)]
 
 
 def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:

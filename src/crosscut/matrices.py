@@ -16,11 +16,15 @@ construction to output, and derives its entries.  The constructors cost
 what their moves cost.  The greedy keeps the rows in buckets by
 remaining need and writes each column to a given bit, so
 realize_exact_margins runs it on unsorted margins with no permutation
-afterwards.  swap_construct resumes its row walk where the last walk
-first met a row holding a (donor, receiver) pair.
+afterwards.  swap_construct walks its rows in one loop: it reads a row's
+donor and receiver columns off its masks by lowest set bit in place,
+probes each (donor, receiver) pair with one _ColumnSums.try_move call,
+and after a move resumes at the first row the last walk found holding a
+pair.
 
 The row codec (_digits, _flags and _mask, between a mask and its 0/1
-cells) and the set-bit walk (_bits) serve gridset's row masks as well.
+cells) serves gridset's row masks as well, and the set-bit walk (_bits)
+serves those alone.
 
 Both swap engines, swap_construct here and gridset's plane-set sweep,
 ask one question before a move: do the sorted sums v still weakly
@@ -48,6 +52,7 @@ dominated or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence
 
@@ -131,6 +136,14 @@ def _phi(values: Iterable[int], top: int) -> list[int]:
     return [*accumulate(reversed(counts_above(values, top)), initial=0)][::-1]
 
 
+@lru_cache(maxsize=16)
+def _rulers(top: int, w: int) -> tuple[int, int]:
+    """ones and stair of a _ThresholdSlack over heights 0..top in fields
+    of w bits, which depend on nothing else; both engines start from the
+    few (top, w) their grids and margins give, time after time."""
+    return _ones(top + 1, w), _pack(range(top, -1, -1), w)
+
+
 class _ThresholdSlack:
     """The slacks Phi_v(c) * 2**shift - Phi_f(c) for c = 0..top (module
     docstring), f on a scale 2**shift times finer than v's heights,
@@ -151,9 +164,8 @@ class _ThresholdSlack:
         self.width = w = max(phi_v[0] << shift, phi_f[0], self.top).bit_length() + 2
         bias = 1 << (w - 2)
         self.fields = _pack([(pv << shift) - pf + bias for pv, pf in zip(phi_v, phi_f)], w)
-        self.ones = _ones(self.top + 1, w)
+        self.ones, self.stair = _rulers(self.top, w)
         self.signs = self.ones << (w - 2)
-        self.stair = _pack(range(self.top, -1, -1), w)
 
     @property
     def slack(self) -> list[int]:
@@ -389,13 +401,24 @@ class _ColumnSums:
         """Move one unit from column cj to column ck when the sums it leaves
         dominate q; returns whether it did, and changes nothing when not.
         A column of sum a that gives a 1 to one of sum b lowers Phi_cols by
-        1 on the heights b + 1 .. a - 1 and raises it on a .. b."""
+        1 on the heights b + 1 .. a - 1 and raises it on a .. b.
+
+        It is swap_construct's one call per pair tested and calls nothing
+        itself: it cuts that window from the slack's ones in place, as
+        _ThresholdSlack.window does, and tests every field's bias bit at
+        once, as holds does.  The test is exact from any state, dominated
+        or not."""
         cols, slack = self.cols, self.thresholds
         a, b = cols[cj], cols[ck]
-        delta = slack.window(a, b + 1) if a <= b else -slack.window(b + 1, a)
-        if not slack.holds(delta):
+        w = slack.width
+        if a <= b:
+            delta = slack.ones >> (w * (slack.top - b + a)) << (w * a)
+        else:
+            delta = -(slack.ones >> (w * (slack.top + 2 - a + b)) << (w * (b + 1)))
+        fields = slack.fields + delta
+        if fields & slack.signs != slack.signs:
             return False
-        slack.fields += delta
+        slack.fields = fields
         cols[cj] -= 1
         cols[ck] += 1
         return True
@@ -416,14 +439,20 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     as int masks, bit c for column c, beside a mask of the surplus and
     one of the deficit columns.  A move leaves its donor at or above its
     target and its receiver at or below, so both masks only shrink.  A
-    row's donors are then row & surplus and its receivers ~row & deficit,
-    walked in ascending bit order.
+    row's donors are then row & surplus and its receivers ~row & deficit.
+    The walk reads both in ascending order by lowest set bit in place,
+    the bit m & -m of a mask m being column (m & -m).bit_length() - 1:
+    no generator and no helper call per move, and one try_move call per
+    pair tested.  The bits the walk stops at, jbit and kbit, flip the
+    row and clear the donor's surplus or the receiver's deficit bit.
 
-    The row walk resumes where the last one first met a row holding a
-    (donor, receiver) pair, the fired move's row or one whose pairs
-    dominance rejected, never past it.  A row before that one held no
-    pair; the masks only shrink and a row changes only when a move fires
-    in it, so it holds none later and a walk from row 0 would pass it.
+    After a move the walk resumes at the first row the last walk found
+    holding a (donor, receiver) pair, the fired move's row or one whose
+    pairs dominance all rejected, never past it.  A row before that one
+    held no pair; the masks only shrink and a row changes only when a
+    move fires in it, so it holds none later and a walk from row 0 would
+    pass it.  A walk that runs past the last row raises
+    ConstructionStuck.
 
     Dominance is tested at thresholds (module docstring), top being the
     row count.  Moving a 1 from a column with sum a to one with sum b
@@ -432,8 +461,8 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     Phi_cols falls by 1 on the heights b + 1 .. a - 1 when a >= b + 2,
     rises by 1 on a .. b when a <= b, and is unchanged when a = b + 1.
     The sums themselves index that window of the packed
-    slack (_ThresholdSlack.window); the move fires iff adding it leaves
-    every slack nonnegative (_ColumnSums.try_move).
+    slack (_ThresholdSlack.window, cut in place by _ColumnSums.try_move);
+    the move fires iff adding it leaves every slack nonnegative.
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:
@@ -444,32 +473,44 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     target = list(q.parts)
     surplus = sum(1 << c for c in range(ncols) if cols[c] > target[c])
     deficit = sum(1 << c for c in range(ncols) if cols[c] < target[c])
-    sums = _ColumnSums(cols, target, nrows)
-
-    def find_move(start):
-        """The first admissible move from row start on, with the first
-        row there that holds any pair."""
-        first = None
+    probe = _ColumnSums(cols, target, nrows).try_move
+    start = 0
+    while surplus:
+        first = -1
         for r in range(start, nrows):
             row = rows[r]
             donors, receivers = row & surplus, ~row & deficit
-            if donors and receivers:
-                if first is None:
-                    first = r
-                for cj in _bits(donors):
-                    for ck in _bits(receivers):
-                        if sums.try_move(cj, ck):
-                            return first, r, cj, ck
-        raise ConstructionStuck("no admissible move but margins not met")
-
-    start = 0
-    while surplus:
-        start, r, cj, ck = find_move(start)
-        rows[r] ^= (1 << cj) | (1 << ck)
+            if not (donors and receivers):
+                continue
+            if first < 0:
+                first = r
+            while donors:
+                jbit = donors & -donors
+                cj = jbit.bit_length() - 1
+                rest = receivers
+                while rest:
+                    kbit = rest & -rest
+                    ck = kbit.bit_length() - 1
+                    if probe(cj, ck):
+                        break
+                    rest ^= kbit
+                else:
+                    # dominance rejected every receiver: the next donor
+                    donors ^= jbit
+                    continue
+                break
+            else:
+                # and every donor: the next row
+                continue
+            break
+        else:
+            raise ConstructionStuck("no admissible move but margins not met")
+        rows[r] = row ^ jbit ^ kbit
         if cols[cj] == target[cj]:
-            surplus ^= 1 << cj
+            surplus ^= jbit
         if cols[ck] == target[ck]:
-            deficit ^= 1 << ck
+            deficit ^= kbit
+        start = first
     return _checked(rows, p.parts, q.parts)
 
 

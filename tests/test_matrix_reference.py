@@ -10,7 +10,9 @@ its reference.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -109,32 +111,112 @@ def test_constructors_match_reference_on_edge_shapes(shape, method):
     assert row_sums(a) == p.parts and col_sums(a) == q.parts
 
 
-def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow(monkeypatch):
-    # the row walk resumes at the first row that held a (donor, receiver)
-    # pair, so a move whose first pair keeps dominance walks one donor and
-    # one receiver list; the rows term leaves room for rejected pairs.
-    # Walking from row 0 on every move makes 30,471 calls.
-    calls, moves = [], []
-    bits, try_move = matrices._bits, _ColumnSums.try_move
-
-    def counted_bits(mask):
-        calls.append(mask)
-        return bits(mask)
+def _walks(p: Partition, q: Partition):
+    """swap_construct's matrix and its row walks as it makes them.  A
+    walk is the list of its events in order: ("row", r) for each read of
+    row r in swap_construct's frame, the one line `row = rows[r]`, seen
+    by a sys.settrace hook, and ("probe", ok) for each _ColumnSums.try_move
+    call; every walk ends with the probe that fired its move."""
+    lines, first = inspect.getsourcelines(matrices.swap_construct)
+    (read,) = [first + i for i, line in enumerate(lines) if line.strip() == "row = rows[r]"]
+    code, try_move = matrices.swap_construct.__code__, _ColumnSums.try_move
+    events: list[tuple[str, object]] = []
 
     def counted_try_move(self, cj, ck):
         ok = try_move(self, cj, ck)
-        if ok:
-            moves.append((cj, ck))
+        events.append(("probe", ok))
         return ok
 
-    monkeypatch.setattr(matrices, "_bits", counted_bits)
-    monkeypatch.setattr(_ColumnSums, "try_move", counted_try_move)
+    def lines_of_swap_construct(frame, event, arg):
+        if event == "line" and frame.f_lineno == read:
+            events.append(("row", frame.f_locals["r"]))
+        return lines_of_swap_construct
+
+    def calls(frame, event, arg):
+        return lines_of_swap_construct if frame.f_code is code else None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ColumnSums, "try_move", counted_try_move)
+        old = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            a = swap_construct(p, q)
+        finally:
+            sys.settrace(old)
+    walks, walk = [], []
+    for event in events:
+        walk.append(event)
+        if event == ("probe", True):
+            walks.append(walk)
+            walk = []
+    assert not walk, "events after the last move"
+    return a, walks
+
+
+def _first_held(walk) -> int:
+    """The first row the walk found holding a (donor, receiver) pair: the
+    first row it read just before a probe."""
+    return next(r for (kind, r), (after, _) in zip(walk, walk[1:]) if (kind, after) == ("row", "probe"))
+
+
+def _check_resumes(walks) -> tuple[int, int]:
+    """Each walk reads consecutive rows from the first row the walk before
+    it found holding a pair, row 0 for the first walk.  Returns the rows
+    read and the probes made over all walks."""
+    start = reads = probes = 0
+    for walk in walks:
+        rows = [r for kind, r in walk if kind == "row"]
+        assert rows == list(range(start, start + len(rows))), (start, rows)
+        start = _first_held(walk)
+        reads += len(rows)
+        probes += len(walk) - len(rows)
+    return reads, probes
+
+
+def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow():
+    # the row walk resumes at the first row that held a (donor, receiver)
+    # pair, so on the ramp, where no probe is rejected, each move reads
+    # the rows from the last move's row to its own and probes one pair;
+    # the rows term leaves room for rejected pairs.  The walk reads 1,406
+    # rows and makes 1,344 probes; walking from row 0 on every move reads
+    # 29,127 rows.
     p, q = _ramp_shadow()
-    swap_construct(p, q)
-    assert len(moves) == 1344
-    bound = 2 * len(moves) + len(p)
+    a, walks = _walks(p, q)
+    assert a == reference_swap_construct(p, q)
+    reads, probes = _check_resumes(walks)
+    assert len(walks) == 1344
+    bound = 2 * len(walks) + len(p)
     assert bound == 2816
-    assert len(calls) <= bound
+    assert reads + probes <= bound
+
+
+# the smallest sorted pairs, up to 6 x 6, on which dominance rejects
+# every pair of the row a walk first finds holding one and a later row
+# fires, so the next walk must start at that row again, before the row
+# that fired.  In the first, walk 1 probes row 0's one pair (0, 4), which
+# would drop the sorted sums' second prefix sum below q's, and fires
+# (2, 4) in row 1; walk 2 reads rows 0 to 3 and fires (0, 1) in row 3.
+PASSED_ROW_PAIRS = [
+    ((3, 3, 3, 1, 1), (4, 4, 1, 1, 1)),
+    ((4, 4, 4, 1, 1), (4, 4, 3, 1, 1, 1)),
+    ((3, 3, 3, 1, 1, 1), (5, 4, 1, 1, 1)),
+    ((5, 3, 3, 3, 1, 1), (5, 5, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("pair", PASSED_ROW_PAIRS)
+def test_swap_construct_resumes_at_a_row_whose_pairs_were_rejected(pair):
+    p, q = (Partition(parts) for parts in pair)
+    a, walks = _walks(p, q)
+    assert a == reference_swap_construct(p, q)
+    _check_resumes(walks)
+    # some walk passes a row whose pairs were all rejected
+    assert any(_first_held(w) < max(r for kind, r in w if kind == "row") for w in walks)
+    if pair == PASSED_ROW_PAIRS[0]:
+        assert walks[1:] == [
+            [("row", 0), ("probe", False), ("row", 1), ("probe", False), ("probe", True)],
+            [("row", 0), ("row", 1), ("row", 2), ("row", 3), ("probe", True)],
+        ]
 
 
 def _unsorted_pair(rng: random.Random):

@@ -34,7 +34,8 @@ from reference_search import (
     section_dominates,
     section_runs,
 )
-from test_matrix_reference import _random_margins
+from reference_matrix import reference_swap_construct
+from test_matrix_reference import _check_resumes, _random_margins, _walks
 from test_search_state import _ramp
 from test_search_reference import _targets
 
@@ -345,6 +346,20 @@ def test_packed_slack_at_its_extremes(shape, monkeypatch):
         assert (first.thresholds.width, digit) == ((6, 0b011110) if q.total == 15 else (7, 0b0101111))
     else:
         assert not moves and not any(start)
+
+
+@pytest.mark.parametrize("shape", EXTREME_MARGINS)
+def test_row_walk_at_the_extremes_builds_the_reference_matrix(shape):
+    # the walk by lowest set bit over no rows, one row, one column, full
+    # and empty rows, and the longest run of moves, against the scan that
+    # retests every cell from row 0; the reference's from_rows cannot
+    # tell the width of a matrix without rows, so the shape is the margins'
+    p, q = (Partition(parts) for parts in EXTREME_MARGINS[shape])
+    a, walks = _walks(p, q)
+    assert a.masks == reference_swap_construct(p, q).masks
+    assert (a.rows, a.cols) == (len(p), len(q))
+    reads, probes = _check_resumes(walks)
+    assert probes == len(walks) == (q.total - 1 if shape.startswith("largest_slack") else 0)
 
 
 def test_packed_slack_reads_negative_fields():
