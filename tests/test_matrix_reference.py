@@ -190,12 +190,14 @@ def test_swap_construct_row_walk_follows_the_moves_on_ramp_shadow():
     assert reads + probes <= bound
 
 
-# the smallest sorted pairs, up to 6 x 6, on which dominance rejects
-# every pair of the row a walk first finds holding one and a later row
-# fires, so the next walk must start at that row again, before the row
-# that fired.  In the first, walk 1 probes row 0's one pair (0, 4), which
-# would drop the sorted sums' second prefix sum below q's, and fires
-# (2, 4) in row 1; walk 2 reads rows 0 to 3 and fires (0, 1) in row 3.
+# sorted pairs of at most 30 cells on which dominance rejects every pair
+# of the row a walk first finds holding one and a later row fires, so
+# the next walk must start at that row again, before the row that fired.
+# In the first, walk 1 probes row 0's one pair (0, 4), which would drop
+# the sorted sums' second prefix sum below q's, and fires (2, 4) in row
+# 1; walk 2 reads rows 0 to 3 and fires (0, 1) in row 3.  On no sorted
+# pair up to 8 x 8 does such a row fire later, so a walk that resumed
+# past it would build the same matrices: only the walk tells it apart.
 PASSED_ROW_PAIRS = [
     ((3, 3, 3, 1, 1), (4, 4, 1, 1, 1)),
     ((4, 4, 4, 1, 1), (4, 4, 3, 1, 1, 1)),
