@@ -484,21 +484,17 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
                 continue
             if first < 0:
                 first = r
+            rest = receivers
             while donors:
-                jbit = donors & -donors
-                cj = jbit.bit_length() - 1
-                rest = receivers
-                while rest:
-                    kbit = rest & -rest
-                    ck = kbit.bit_length() - 1
-                    if probe(cj, ck):
-                        break
-                    rest ^= kbit
-                else:
+                jbit, kbit = donors & -donors, rest & -rest
+                cj, ck = jbit.bit_length() - 1, kbit.bit_length() - 1
+                if probe(cj, ck):
+                    break
+                rest ^= kbit
+                if not rest:
                     # dominance rejected every receiver: the next donor
                     donors ^= jbit
-                    continue
-                break
+                    rest = receivers
             else:
                 # and every donor: the next row
                 continue
