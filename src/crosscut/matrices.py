@@ -139,8 +139,9 @@ def _phi(values: Iterable[int], top: int) -> list[int]:
 @lru_cache(maxsize=16)
 def _rulers(top: int, w: int) -> tuple[int, int]:
     """ones and stair of a _ThresholdSlack over heights 0..top in fields
-    of w bits, which depend on nothing else; both engines start from the
-    few (top, w) their grids and margins give, time after time."""
+    of w bits.  They depend on (top, w) alone, and the engine starts and
+    swap_construct calls of a run meet the same few, so each is packed
+    once."""
     return _ones(top + 1, w), _pack(range(top, -1, -1), w)
 
 

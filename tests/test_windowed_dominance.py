@@ -358,7 +358,7 @@ def test_row_walk_at_the_extremes_builds_the_reference_matrix(shape):
     a, walks = _walks(p, q)
     assert a.masks == reference_swap_construct(p, q).masks
     assert (a.rows, a.cols) == (len(p), len(q))
-    reads, probes = _check_resumes(walks)
+    _, probes = _check_resumes(walks)
     assert probes == len(walks) == (q.total - 1 if shape.startswith("largest_slack") else 0)
 
 
