@@ -217,12 +217,6 @@ class _ThresholdSlack:
                 hi = lo
         return delta << (w * hi + self.shift)
 
-    def window(self, lo: int, hi: int) -> int:
-        """The packed change of Phi_v by +1 at each height lo .. hi - 1; 0
-        when hi <= lo, since ones then shifts out whole."""
-        w = self.width
-        return self.ones >> (w * (self.top + 1 - hi + lo)) << (w * lo + self.shift)
-
 
 @dataclass(frozen=True)
 class BinaryMatrix:
@@ -404,11 +398,13 @@ class _ColumnSums:
         A column of sum a that gives a 1 to one of sum b lowers Phi_cols by
         1 on the heights b + 1 .. a - 1 and raises it on a .. b.
 
-        It is swap_construct's one call per pair tested and calls nothing
-        itself: it cuts that window from the slack's ones in place, as
-        _ThresholdSlack.window does, and tests every field's bias bit at
-        once, as holds does.  The test is exact from any state, dominated
-        or not."""
+        That window of heights lo .. hi - 1 is the slack's ones cut to its
+        lowest hi - lo fields and shifted up to field lo; it is 0 when
+        a = b + 1, the cut shifting every field out.  The move fires iff
+        adding it leaves every field's bias bit set, as holds tests.
+        swap_construct makes one call per pair it tests, so the window is
+        cut here, not through a call of its own.  The test is exact from
+        any state, dominated or not."""
         cols, slack = self.cols, self.thresholds
         a, b = cols[cj], cols[ck]
         w = slack.width
@@ -461,9 +457,9 @@ def swap_construct(p: Partition, q: Partition) -> BinaryMatrix:
     c < a and raises the receiver's (b - c)^+ by 1 at each c <= b.  So
     Phi_cols falls by 1 on the heights b + 1 .. a - 1 when a >= b + 2,
     rises by 1 on a .. b when a <= b, and is unchanged when a = b + 1.
-    The sums themselves index that window of the packed
-    slack (_ThresholdSlack.window, cut in place by _ColumnSums.try_move);
-    the move fires iff adding it leaves every slack nonnegative.
+    The sums themselves index that window of the packed slack
+    (_ColumnSums.try_move); the move fires iff adding it leaves every
+    slack nonnegative.
     """
     report = check_gale_ryser(p, q)
     if not report.feasible:

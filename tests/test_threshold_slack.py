@@ -177,6 +177,12 @@ def _unit_move(a: int, b: int) -> dict[int, int]:
     return heights
 
 
+def _window(slack, lo: int, hi: int) -> int:
+    """The packed change of the slack by +1 at each height lo .. hi - 1,
+    field by field: the window _ColumnSums.try_move cuts from ones."""
+    return sum(1 << slack.width * c for c in range(lo, hi))
+
+
 def test_one_slack_for_both_engines(monkeypatch):
     # at K=0 with f on whole cells, shift is 0 and the hypograph's column
     # heights are the conjugate of p, g's band values in cells.  The slack
@@ -219,7 +225,7 @@ def test_one_slack_for_both_engines(monkeypatch):
         assert grid.slack == matrix.slack and grid.holds() == matrix.holds() == work.dominated
         for a in range(1, side + 1):
             for b in range(side):
-                delta = matrix.window(a, b + 1) - matrix.window(b + 1, a)
+                delta = _window(matrix, a, b + 1) - _window(matrix, b + 1, a)
                 assert grid.change(_unit_move(a, b)) == delta, (bands, q, a, b)
                 assert grid.holds(delta) == matrix.holds(delta)
                 seen[matrix.holds(delta)] += 1
