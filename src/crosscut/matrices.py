@@ -398,13 +398,14 @@ class _ColumnSums:
         A column of sum a that gives a 1 to one of sum b lowers Phi_cols by
         1 on the heights b + 1 .. a - 1 and raises it on a .. b.
 
-        That window of heights lo .. hi - 1 is the slack's ones cut to its
-        lowest hi - lo fields and shifted up to field lo; it is 0 when
-        a = b + 1, the cut shifting every field out.  The move fires iff
-        adding it leaves every field's bias bit set, as holds tests.
-        swap_construct makes one call per pair it tests, so the window is
-        cut here, not through a call of its own.  The test is exact from
-        any state, dominated or not."""
+        Those heights are the window lo .. hi - 1, (lo, hi) = (a, b + 1)
+        or (b + 1, a): the lowest hi - lo fields of the slack's ones,
+        shifted up to field lo, and 0 when a = b + 1, the cut shifting
+        every field out.  The move fires iff adding it leaves every
+        field's bias bit set, as holds tests.  swap_construct calls this
+        once per pair it tests, so the window is cut here rather than in
+        a call of its own.  The test is exact from any state, dominated
+        or not."""
         cols, slack = self.cols, self.thresholds
         a, b = cols[cj], cols[ck]
         w = slack.width
