@@ -16,7 +16,9 @@ _Work.__init__ and discrete_exact_set made them.
 reference_l1_distance merges the two Dyadic breakpoint sets and sums
 Dyadic products piece by piece, evaluating both functions by bisection
 on each piece.  reference_vertical_section builds one Dyadic per
-sub-column of a set and lets from_grid merge them.
+sub-column of a set and lets from_grid merge them; sub_counts is the
+integer recount per sub-column that vertical_section read before it
+read each cell column's staircase.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ def reference_l1_distance(f, g) -> Dyadic:
     for lo, hi in zip(breaks, breaks[1:]):
         total = total + abs(f.value_at(lo) - g.value_at(lo)) * (hi - lo)
     return total
+
+
+def sub_counts(fill, subs: int):
+    """Per finest sub-column, the cells of its column whose fill reaches
+    past it, as an iterator."""
+    return (c for col in zip(*fill) for c in counts_above(col, subs))
 
 
 def reference_vertical_section(e) -> StepFunction:

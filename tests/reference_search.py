@@ -25,7 +25,7 @@ per changed height.
 The engine holds its section per cell column, as a full count and the
 partial widths (engine_columns).  The recounts here read the cells:
 recounted_columns counts them per column, recounted_section per
-sub-column (gridset._sub_counts), and section_runs gives the number of
+sub-column (reference_runs.sub_counts), and section_runs gives the number of
 sub-columns at each height without a walk over the sub-columns, so that
 it serves at any K.
 """
@@ -41,8 +41,9 @@ from typing import Optional
 
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import counts_above, run_excess
-from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _squares, _sub_counts, _Work
+from crosscut.gridset import DyadicSet, GenerationRecord, SwapMove, SwapRecord, _squares, _Work
 from crosscut.matrices import _ThresholdSlack, _bits
+from reference_runs import sub_counts
 
 
 def engine_columns(work: _Work) -> list[tuple[int, tuple[int, ...]]]:
@@ -60,7 +61,7 @@ def recounted_columns(cells, subs: int) -> list[tuple[int, tuple[int, ...]]]:
 def recounted_section(cells, subs: int) -> list[int]:
     """The section in cells per sub-column, each sub-column counting the
     cells of its column whose fill reaches past it."""
-    return [*_sub_counts(cells, subs)]
+    return [*sub_counts(cells, subs)]
 
 
 def engine_section(work: _Work) -> list[int]:

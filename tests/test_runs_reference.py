@@ -6,7 +6,9 @@ gridset._cell_units, and through it initial_set, _Work and
 discrete_exact_set, must read a function's cell values, and raise the
 QuantizationError text, that the per-cell Dyadic walk gave.
 stepfn.l1_distance and gridset.vertical_section must give what the
-Dyadic piece walk and the per-sub-column Dyadic builder gave.
+Dyadic piece walk and the per-sub-column Dyadic builder gave, and
+vertical_section what the integer recount per sub-column gives on fills
+with several partial cells per row, K up to 16.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from conftest import rand_dyadic_set, rand_stepfn
 from crosscut.dyadic import Dyadic
 from crosscut.feasibility import run_excess
 from crosscut.gridset import (
+    DyadicSet,
     GridParams,
     QuantizationError,
     _cell_units,
@@ -35,6 +38,7 @@ from reference_runs import (
     reference_plateau_values,
     reference_run_excess,
     reference_vertical_section,
+    sub_counts,
 )
 
 
@@ -250,3 +254,43 @@ def test_vertical_section_matches_reference_on_random_sets():
             sets.append(initial_set(StepFunction.constant(Dyadic(fill, k)), params))
         for e in sets:
             assert vertical_section(e) == reference_vertical_section(e), (n, k, e.fill)
+
+
+def _partial_rows_set(rng: random.Random, params: GridParams) -> DyadicSet:
+    """A fill whose rows hold several partial cells: each cell empty,
+    full, one of three widths the set reuses (so columns repeat widths
+    and neighbouring columns share heights) or any width."""
+    cap = params.sub_per_cell
+    pool = [rng.randint(1, max(1, cap - 1)) for _ in range(3)]
+    weights = [rng.random() for _ in range(4)]
+
+    def cell() -> int:
+        kind = rng.choices(range(4), weights)[0]
+        if kind == 0:
+            return 0
+        if kind == 1 or cap == 1:
+            return cap
+        return rng.choice(pool) if kind == 2 else rng.randint(1, cap - 1)
+
+    return DyadicSet(params, tuple(tuple(cell() for _ in range(params.side)) for _ in range(params.side)))
+
+
+@pytest.mark.parametrize("subres", [0, 1, 4, 9, 16])
+def test_vertical_section_matches_the_sub_column_recount(subres):
+    rng = random.Random(25_100 + subres)
+    depths = {0: 6, 1: 6, 4: 5, 9: 4, 16: 3}[subres]
+    seen = {"several partial cells in a row": 0, "repeated width in a column": 0, "full and empty": 0}
+    for depth in range(1, depths + 1):
+        params = GridParams(depth, subres)
+        cap = params.sub_per_cell
+        for _ in range(6 if subres < 16 else 2):
+            e = _partial_rows_set(rng, params)
+            want = StepFunction.from_grid(sub_counts(e.fill, cap), depth + subres, depth)
+            assert vertical_section(e) == want, (depth, subres, e.fill)
+            seen["several partial cells in a row"] += any(sum(0 < w < cap for w in row) > 1 for row in e.fill)
+            seen["repeated width in a column"] += any(
+                len(ws) > len(set(ws)) for ws in ([w for w in col if 0 < w < cap] for col in zip(*e.fill))
+            )
+            seen["full and empty"] += any(cap in row and 0 in row for row in e.fill)
+    if subres:
+        assert all(seen.values()), seen
