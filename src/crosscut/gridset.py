@@ -144,7 +144,7 @@ from operator import add, eq, lshift, sub
 from typing import Callable, Optional, Sequence
 
 from .columns import _ColumnChange, _at_or_below, _count_steps, _gap, _moved
-from .dyadic import ZERO, Dyadic
+from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
 from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
 from .stepfn import StepFunction
@@ -337,12 +337,6 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
     return _Rows.of_bands(params, units).to_set()
 
 
-def _sub_counts(fill, subs: int):
-    """Per finest sub-column, the cells of its column whose fill reaches
-    past it, as an iterator."""
-    return (c for col in zip(*fill) for c in counts_above(col, subs))
-
-
 def _full_counts(fill, subs: int) -> list[int]:
     """Per cell column, the cells of the fill that are full."""
     return [col.count(subs) for col in zip(*fill)]
@@ -350,9 +344,30 @@ def _full_counts(fill, subs: int) -> list[int]:
 
 def vertical_section(e: DyadicSet) -> StepFunction:
     """v_E(x): total height of the set above x, exact on the sub-unit grid.
-    The counts stay integers; Dyadics are built only where they change."""
+
+    Each cell column is read as the staircase of crosscut.columns, its
+    full count plus the number of its partial widths above the
+    sub-column, whatever the number of partial cells in a row: a column
+    of p partial cells is p + 1 steps, so the cost follows the cells, not
+    the 2**K sub-columns of each.  The steps stay integers; Dyadics are
+    built only where the height changes."""
     p = e.params
-    return StepFunction.from_grid(_sub_counts(e.fill, p.sub_per_cell), p.depth + p.subres, p.depth)
+    subs = p.sub_per_cell
+    starts, heights = [], []  # sub-column where each height begins
+    base = 0
+    for col in zip(*e.fill):
+        widths = sorted(w for w in col if 0 < w < subs)
+        h, at = col.count(subs) + len(widths), 0
+        for w in (*widths, subs):
+            if w > at and (not heights or heights[-1] != h):
+                starts.append(base + at)
+                heights.append(h)
+            h, at = h - 1, w
+        base += subs
+    exp = p.depth + p.subres
+    return StepFunction(
+        (*(Dyadic(m, exp) for m in starts), ONE), tuple(Dyadic(h, p.depth) for h in heights)
+    )
 
 
 def horizontal_section(e: DyadicSet) -> StepFunction:

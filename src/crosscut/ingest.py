@@ -2,12 +2,15 @@
 
 Marginals arrive as (breakpoint, value) rows, CSV with a
 'breakpoint,value' header or a JSON array of {"b": ..., "v": ...}; both
-accept decimal or rational strings and are parsed into exact Fractions.
-A token of ASCII digits, optionally '/' and ASCII digits, is read as two
-ints; every other token goes through Fraction's own parser, so what is
-accepted and the error texts do not depend on the fast path.  A row's
-value holds from its breakpoint to the next one (the last row holds to
-1).
+accept decimal or rational strings.  Each token becomes an exact
+rational held as a reduced (numerator, denominator) pair of ints, and
+the marginal stays in pairs through its check and quantize.  A token of
+ASCII digits, optionally '/' and ASCII digits, is read as two ints with
+no Fraction built; every other token goes through Fraction's own
+parser, so what is accepted and the error texts do not depend on the
+fast path.  A row's value holds from its breakpoint to the next one
+(the last row holds to 1).  Files are read as UTF-8 with an optional
+byte order mark.
 
 The core library works on dyadic grids only, so ingestion quantizes:
 each width 2**-N interval gets the exact average of the raw function,
@@ -26,7 +29,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .feasibility import Partition
 from .gridset import GridParams
@@ -41,27 +44,77 @@ class NegativeValue(ParseError):
     """Marginal values must be nonnegative."""
 
 
-@dataclass(frozen=True)
+# an exact rational as (numerator, denominator): reduced, denominator > 0
+_Ratio = tuple[int, int]
+
+
+def _check(points: tuple[_Ratio, ...], levels: tuple[_Ratio, ...]) -> None:
+    """ParseError (NegativeValue for a negative value) unless the
+    breakpoints start at 0, increase strictly and stay below 1, with one
+    nonnegative value each; compared by integer cross-multiplication,
+    which the positive denominators make exact."""
+    if not points or points[0][0]:
+        raise ParseError("first breakpoint must be 0")
+    if len(points) != len(levels):
+        raise ParseError("need one value per breakpoint")
+    for (a, b), (c, d) in zip(points, points[1:]):
+        if not a * d < c * b:
+            raise ParseError("breakpoints must be strictly increasing")
+    if points[-1][0] >= points[-1][1]:
+        raise ParseError("breakpoints must lie in [0, 1)")
+    for n, d in levels:
+        if n < 0:
+            raise NegativeValue(f"negative value {Fraction(n, d)}")
+
+
 class RawMarginal:
     """Exact rational step function on [0,1): breakpoints[i] starts the
-    plateau with values[i]."""
+    plateau with values[i].
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    Held as reduced int pairs, `points` and `levels`, and checked once on
+    them; `breakpoints` and `values` are the tuples of Fractions, built on
+    access.  RawMarginal(breakpoints, values) takes Fractions or ints."""
 
-    def __post_init__(self):
-        if not self.breakpoints or self.breakpoints[0] != 0:
-            raise ParseError("first breakpoint must be 0")
-        if len(self.breakpoints) != len(self.values):
-            raise ParseError("need one value per breakpoint")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
-                raise ParseError("breakpoints must be strictly increasing")
-        if self.breakpoints[-1] >= 1:
-            raise ParseError("breakpoints must lie in [0, 1)")
-        for v in self.values:
-            if v < 0:
-                raise NegativeValue(f"negative value {v}")
+    __slots__ = ("points", "levels")
+
+    def __init__(self, breakpoints, values):
+        self._hold(
+            tuple((b.numerator, b.denominator) for b in breakpoints),
+            tuple((v.numerator, v.denominator) for v in values),
+        )
+
+    @classmethod
+    def _of_pairs(cls, points: tuple[_Ratio, ...], levels: tuple[_Ratio, ...]) -> "RawMarginal":
+        raw = object.__new__(cls)
+        raw._hold(points, levels)
+        return raw
+
+    def _hold(self, points: tuple[_Ratio, ...], levels: tuple[_Ratio, ...]) -> None:
+        _check(points, levels)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "levels", levels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self.points)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self.levels)
+
+    def __eq__(self, other):
+        if not isinstance(other, RawMarginal):
+            return NotImplemented
+        return self.points == other.points and self.levels == other.levels
+
+    def __hash__(self):
+        return hash((self.points, self.levels))
+
+    def __repr__(self):
+        return f"RawMarginal(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
@@ -72,15 +125,20 @@ class QuantizationReport:
     sup_error: Fraction
 
 
-def _to_fraction(text) -> Fraction:
+def _to_ratio(text) -> _Ratio:
     token = str(text).strip()
     num, slash, den = token.partition("/")
     try:
-        # ASCII digits, optionally over ASCII digits: skip Fraction's regex;
+        # ASCII digits, optionally over ASCII digits: two ints, no Fraction;
         # every other spelling keeps Fraction's own acceptance rules
         if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(token)
+            n, d = int(num), int(den) if slash else 1
+            if not d:
+                raise ZeroDivisionError(token)
+            g = gcd(n, d)
+            return n // g, d // g
+        f = Fraction(token)
+        return f.numerator, f.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
@@ -97,7 +155,7 @@ def parse_marginal_text(text: str, fmt: str) -> RawMarginal:
         for row in data:
             if not isinstance(row, dict) or "b" not in row or "v" not in row:
                 raise ParseError(f"JSON row needs 'b' and 'v': {row!r}")
-            pairs.append((_to_fraction(row["b"]), _to_fraction(row["v"])))
+            pairs.append((_to_ratio(row["b"]), _to_ratio(row["v"])))
     elif fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         rows = [r for r in reader if r and any(cell.strip() for cell in r)]
@@ -109,16 +167,16 @@ def parse_marginal_text(text: str, fmt: str) -> RawMarginal:
         for r in rows[1:]:
             if len(r) != 2:
                 raise ParseError(f"CSV row needs two fields: {r!r}")
-            pairs.append((_to_fraction(r[0]), _to_fraction(r[1])))
+            pairs.append((_to_ratio(r[0]), _to_ratio(r[1])))
     else:
         raise ParseError(f"unknown marginal format {fmt!r}")
     if not pairs:
         raise ParseError("marginal has no rows")
-    return RawMarginal(tuple(b for b, _ in pairs), tuple(v for _, v in pairs))
+    return RawMarginal._of_pairs(tuple(b for b, _ in pairs), tuple(v for _, v in pairs))
 
 
 def load_marginal(path: str) -> RawMarginal:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if path.endswith(".json"):
         fmt = "json"
@@ -130,7 +188,7 @@ def load_marginal(path: str) -> RawMarginal:
 
 
 def load_partition(path: str) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         tokens = fh.read().split()
     try:
         parts = tuple(int(t) for t in tokens)
@@ -162,10 +220,10 @@ def quantize(raw: RawMarginal, params: GridParams):
     denominators never makes one huge common scale.
     """
     n, nk = params.depth, params.depth + params.subres
-    values = [(v.numerator, v.denominator) for v in raw.values]
+    values = raw.levels
     # (cell, r, q): the breakpoint lies r/q of a cell width into its cell;
     # the end of [0, 1) closes the last plateau at the edge of cell 2**N
-    cuts = [(*divmod(b.numerator << n, b.denominator), b.denominator) for b in raw.breakpoints[1:]]
+    cuts = [(*divmod(p << n, q), q) for p, q in raw.points[1:]]
     cuts.append((params.side, 0, 1))
     i = 0  # plateau holding the start of the current cell
     units: list[int] = []

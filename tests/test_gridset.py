@@ -31,6 +31,7 @@ from crosscut import (
     vertical_section,
 )
 import crosscut
+from crosscut import gridset
 from crosscut.dyadic import Dyadic
 from crosscut.gridset import (
     DyadicSet,
@@ -121,6 +122,42 @@ def test_vertical_section_counts_each_sub_column():
             for m in range(params.sub_per_cell)
         ]
         assert vertical_section(e) == StepFunction.from_grid(vals, params.depth + params.subres)
+
+
+def test_vertical_section_at_k26_reads_the_column_staircases(monkeypatch):
+    # N=3, K=26: 2**29 sub-columns, so a recount per sub-column would build
+    # lists of 2**26 entries per column; the section must come from each
+    # column's full count and partial widths.  Rows 3 and 4 hold three and
+    # two partial cells.  Columns, bottom band first:
+    #   0: eight full cells                  -> 8 on the whole column
+    #   1: three full, widths cap/2, cap/4   -> 5, 4, 3 on 1/32, 1/32, 1/16
+    #   2: one cell of width 1               -> 1 on the first sub-column
+    #   3-6: empty
+    #   7: two cells of width cap - 1        -> 2, then 0 on the last sub-column
+    params = GridParams(3, 26)
+    cap = params.sub_per_cell
+    cols = [
+        [cap] * 8,
+        [cap, cap, cap, cap // 2, cap // 4, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+        *[[0] * 8] * 4,
+        [0, 0, 0, cap - 1, cap - 1, 0, 0, 0],
+    ]
+    e = DyadicSet(params, tuple(zip(*cols)))
+    assert [sum(0 < w < cap for w in row) for row in e.fill] == [0, 0, 0, 3, 2, 0, 0, 0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a walk over the sub-columns")
+
+    monkeypatch.setattr(gridset, "counts_above", refused)
+    monkeypatch.setattr(StepFunction, "from_grid", refused)
+    D = Dyadic
+    want = StepFunction(
+        (D(0), D(1, 3), D(5, 5), D(6, 5), D(1, 2), D(2**27 + 1, 29), D(7, 3), D(2**29 - 1, 29), D(1)),
+        (D(1), D(5, 3), D(1, 1), D(3, 3), D(1, 3), D(0), D(1, 2), D(0)),
+    )
+    assert vertical_section(e) == want
+    assert want.integral() == e.measure()
 
 
 def test_sections_of_empty_and_full():

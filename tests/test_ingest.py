@@ -66,6 +66,25 @@ def test_load_partition(tmp_path):
         load_partition(str(bad))
 
 
+def test_files_with_a_utf8_byte_order_mark(tmp_path):
+    # editors on some systems start UTF-8 files with U+FEFF; it is not part
+    # of the header, the JSON text or the first integer
+    bom = "\ufeff"
+    c = tmp_path / "m.csv"
+    c.write_text(bom + "breakpoint,value\n0,1/3\n1/2,1/4\n", encoding="utf-8")
+    assert load_marginal(str(c)).values == (Fraction(1, 3), Fraction(1, 4))
+    j = tmp_path / "m.json"
+    j.write_text(bom + '[{"b": "0", "v": "2"}, {"b": "3/4", "v": "1"}]', encoding="utf-8")
+    assert load_marginal(str(j)).breakpoints == (Fraction(0), Fraction(3, 4))
+    for name, text in (("j.dat", bom + '[{"b": 0, "v": 1}]'), ("c.dat", bom + "breakpoint,value\n0,1\n")):
+        d = tmp_path / name
+        d.write_text(text, encoding="utf-8")
+        assert load_marginal(str(d)).values == (Fraction(1),), name
+    p = tmp_path / "p.txt"
+    p.write_text(bom + "3 1\n2\n", encoding="utf-8")
+    assert load_partition(str(p)).parts == (3, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # quantization
 
@@ -132,6 +151,8 @@ def test_quantize_builds_a_constant_number_of_fractions(monkeypatch):
     # the walk runs on integers and builds the two reported distances at
     # the end; one Fraction per cell or per piece makes the counts differ.
     # A walk that builds its cell edges as Fractions builds 131 and 1,027.
+    # Parsing a file keeps the tokens as int pairs, so a 320-row CSV read
+    # and quantized builds the same 2; one Fraction per token builds 642.
     built = []
 
     class Counted(Fraction):
@@ -147,4 +168,11 @@ def test_quantize_builds_a_constant_number_of_fractions(monkeypatch):
         built.clear()
         quantize(raw, GridParams(depth, 4))
         counts.append(len(built))
-    assert counts == [2, 2]
+    raw = _split_cells(6, 5)
+    text = "breakpoint,value\n" + "".join(f"{b},{v}\n" for b, v in zip(raw.breakpoints, raw.values))
+    built.clear()
+    parsed = parse_marginal_text(text, "csv")
+    quantize(parsed, GridParams(6, 4))
+    counts.append(len(built))
+    assert counts == [2, 2, 2]
+    assert parsed == raw and len(raw.breakpoints) == 320

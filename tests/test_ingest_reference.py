@@ -1,13 +1,15 @@
-"""ingest.quantize and ingest._to_fraction against tests/reference_ingest.py.
+"""ingest.quantize, ingest._to_ratio and ingest.parse_marginal_text against
+tests/reference_ingest.py.
 
 quantize must give the (StepFunction, QuantizationReport) of the
 Fraction walk on seeded marginals that put breakpoints on cell edges,
 crowd many plateaus into one cell, stretch one plateau over many cells,
 use zero values, values above 1, values that land cell averages exactly
 on a rounding tie, prime denominators and grids with N + K up to 12.
-_to_fraction must accept what Fraction(str(token).strip()) of the
-running interpreter accepts, with the same value, and refuse the rest
-with the reference's ParseError text.  parse_marginal_text must give the
+_to_ratio must accept what Fraction(str(token).strip()) of the running
+interpreter accepts, as that Fraction's numerator and denominator (two
+ints, reduced, the denominator positive), and refuse the rest with the
+reference's ParseError text.  parse_marginal_text must give the
 breakpoints and values of the Fraction parser on seeded CSV and JSON
 texts, or raise the same exception type with the same message.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from crosscut.gridset import GridParams
-from crosscut.ingest import ParseError, RawMarginal, _to_fraction, parse_marginal_text, quantize
+from crosscut.ingest import ParseError, RawMarginal, _to_ratio, parse_marginal_text, quantize
 from reference_ingest import reference_parse_marginal_text, reference_quantize, reference_to_fraction
 
 
@@ -157,13 +159,15 @@ def test_to_fraction_matches_the_interpreter_on_a_token_corpus():
         except (ValueError, ZeroDivisionError):
             want = None
         if want is None:
-            for parse in (_to_fraction, reference_to_fraction):
+            for parse in (_to_ratio, reference_to_fraction):
                 with pytest.raises(ParseError) as info:
                     parse(token)
                 assert str(info.value) == f"not a rational number: {token!r}"
         else:
-            got = _to_fraction(token)
-            assert type(got) is Fraction and got == want == reference_to_fraction(token), token
+            got = _to_ratio(token)
+            assert type(got) is tuple and all(type(x) is int for x in got), token
+            assert got == (want.numerator, want.denominator), token
+            assert want == reference_to_fraction(token), token
             accepted += 1
     assert accepted >= 300
 
