@@ -13,7 +13,8 @@ least at the last sub-column, F, and greatest at the first, the nonempty
 count F + p, and any sum over the sub-columns is a sum over its p + 1
 steps.  The swap engine (gridset._Work) holds each column as (F, widths)
 and reads everything off these helpers, so its cost does not follow the
-2**K sub-columns of a cell.
+2**K sub-columns of a cell; gridset.vertical_section reads any set's
+columns as the same staircases.
 """
 
 from __future__ import annotations

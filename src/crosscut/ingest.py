@@ -67,6 +67,7 @@ def _check(points: tuple[_Ratio, ...], levels: tuple[_Ratio, ...]) -> None:
             raise NegativeValue(f"negative value {Fraction(n, d)}")
 
 
+@dataclass(frozen=True, init=False)
 class RawMarginal:
     """Exact rational step function on [0,1): breakpoints[i] starts the
     plateau with values[i].
@@ -75,7 +76,8 @@ class RawMarginal:
     them; `breakpoints` and `values` are the tuples of Fractions, built on
     access.  RawMarginal(breakpoints, values) takes Fractions or ints."""
 
-    __slots__ = ("points", "levels")
+    points: tuple[_Ratio, ...]
+    levels: tuple[_Ratio, ...]
 
     def __init__(self, breakpoints, values):
         self._hold(
@@ -94,9 +96,6 @@ class RawMarginal:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "levels", levels)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, d) for n, d in self.points)
@@ -104,17 +103,6 @@ class RawMarginal:
     @property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, d) for n, d in self.levels)
-
-    def __eq__(self, other):
-        if not isinstance(other, RawMarginal):
-            return NotImplemented
-        return self.points == other.points and self.levels == other.levels
-
-    def __hash__(self):
-        return hash((self.points, self.levels))
-
-    def __repr__(self):
-        return f"RawMarginal(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
