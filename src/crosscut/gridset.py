@@ -1,8 +1,12 @@
 """Plane sets on a dyadic grid and the swappable-squares construction.
 
-A set is stored as a 2**N x 2**N grid of cells of side 2**-N; the content
-of cell (band i, column j) is a full-height, left-aligned rectangle whose
-width is an integer number of sub-units 2**-(N+K).  The starting set is
+A set lives on a 2**N x 2**N grid of cells of side 2**-N; the content of
+cell (band i, column j) is a full-height, left-aligned rectangle whose
+width is an integer number of sub-units 2**-(N+K).  DyadicSet holds it
+as its rows: per band row the masks of its full and of its nonempty
+cells and its partial cells as (column, width) pairs, so a set costs
+its rows and its partial cells, not its 4**N cells; the grid is a view
+built on request.  The starting set is
 the hypograph {(x, y) : x < g(y)} of the horizontal target g, whose
 vertical cross section is exactly the distribution function of g.  A swap
 exchanges the contents of two same-band squares of generation n <= N,
@@ -35,8 +39,11 @@ a bitmask of its full cells, one of its nonempty cells and the width of
 its partial cell, which no exchange changes.  An exchange swaps mask
 bits; the sub-units it moves, its section change, a generation's
 symmetric difference and the set are read off the masks and the width.
-The set is written out row by row from the masks, and is valid by
-construction, so it skips DyadicSet's per-cell check.
+The set it returns takes the masks as they are, its one partial cell
+per row as (column, width), valid by construction, so it skips
+DyadicSet's per-cell check and no grid is built.  The sections read the
+same rows: the horizontal one each row's full cells times 2**K plus its
+partial widths, the vertical one the column staircases below.
 The engine (is_swappable, optimize_generation, swap, the replay) thus
 takes only such sets and raises ValueError on a row of two partial
 cells; DyadicSet, the sections, the images and verify take any set.
@@ -134,10 +141,8 @@ the swap or between two swaps.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, eq, lshift, sub
@@ -146,7 +151,7 @@ from typing import Callable, Optional, Sequence
 from .columns import _ColumnChange, _at_or_below, _count_steps, _gap, _moved
 from .dyadic import ONE, ZERO, Dyadic
 from .feasibility import FeasibilityReport, check_hlp, counts_above
-from .matrices import _ThresholdSlack, _bits, _digits, _mask, realize_exact_margins
+from .matrices import _ThresholdSlack, _bits, _digits, _flags, _mask, realize_exact_margins
 from .stepfn import StepFunction
 
 
@@ -271,36 +276,82 @@ class SwapMove:
             raise ValueError("donor and receiver must differ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DyadicSet:
-    """Subset of the unit square: fill[i][j] sub-units of content in the
-    cell at band i (bottom-up), column j (left to right)."""
+    """Subset of the unit square, held as its rows: row i, the band i
+    from the bottom, is its full mask, bit j set when cell j (columns
+    left to right) holds all 2**K sub-units of its width; its nonempty
+    mask, bit j set when cell j holds any; and its partial cells as
+    (column, width) pairs, columns ascending, 0 < width < 2**K.  The
+    form is canonical, so equality and hashing follow it.
+
+    DyadicSet(params, fill) takes a grid from outside, fill[i][j]
+    sub-units of content in the cell at band i, column j, and checks
+    every cell.  The engine's rows and the image reader build the row
+    form directly (_of_rows), valid by construction.  fill is the grid,
+    built from the rows on first access and then kept, for the callers
+    that want one; nothing in the package reads it."""
 
     params: GridParams
-    fill: tuple[tuple[int, ...], ...]
+    full: tuple[int, ...]
+    nonempty: tuple[int, ...]
+    partials: tuple[tuple[tuple[int, int], ...], ...]
+    _grid: Optional[tuple[tuple[int, ...], ...]] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        side, cap = self.params.side, self.params.sub_per_cell
-        if len(self.fill) != side:
+    def __init__(self, params: GridParams, fill):
+        side, cap = params.side, params.sub_per_cell
+        if len(fill) != side:
             raise ValueError("fill grid has wrong number of bands")
-        for row in self.fill:
+        full, nonempty, partials = [], [], []
+        for row in fill:
             if len(row) != side:
                 raise ValueError("fill grid has wrong number of columns")
             for w in row:
                 if not isinstance(w, int) or not 0 <= w <= cap:
                     raise ValueError(f"cell fill {w} outside 0..{cap}")
+            f, ne = _mask(map(eq, row, repeat(cap))), _mask(map(bool, row))
+            full.append(f)
+            nonempty.append(ne)
+            partials.append(tuple((j, row[j]) for j in _bits(ne & ~f)))
+        self._hold(params, tuple(full), tuple(nonempty), tuple(partials))
+        object.__setattr__(self, "_grid", tuple(map(tuple, fill)))
+
+    def _hold(self, params: GridParams, full: tuple[int, ...], nonempty: tuple[int, ...], partials) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "nonempty", nonempty)
+        object.__setattr__(self, "partials", partials)
 
     @classmethod
-    def _trusted(cls, params: GridParams, fill: tuple[tuple[int, ...], ...]) -> "DyadicSet":
-        """The set of a fill that is valid by construction, made without the
-        per-cell check: the engine's rows written out (_Rows.to_set)."""
+    def _of_rows(cls, params: GridParams, full: tuple[int, ...], nonempty: tuple[int, ...], partials) -> "DyadicSet":
+        """The set of rows that are valid by construction, made without
+        the per-cell check."""
         e = object.__new__(cls)
-        object.__setattr__(e, "params", params)
-        object.__setattr__(e, "fill", fill)
+        e._hold(params, full, nonempty, partials)
         return e
 
+    @property
+    def fill(self) -> tuple[tuple[int, ...], ...]:
+        """fill[i][j] sub-units of content in the cell at band i, column j."""
+        if self._grid is None:
+            object.__setattr__(self, "_grid", self._cells())
+        return self._grid
+
+    def _cells(self) -> tuple[tuple[int, ...], ...]:
+        """The grid written out from the rows: each full mask's bits as
+        cells of 0 and 2**K, the partial widths patched in."""
+        side, cap = self.params.side, self.params.sub_per_cell
+        rows = []
+        for f, parts in zip(self.full, self.partials):
+            row = [*map(cap.__mul__, _flags(f, side))]
+            for j, w in parts:
+                row[j] = w
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def measure(self) -> Dyadic:
-        total = sum(w for row in self.fill for w in row)
+        cap = self.params.sub_per_cell
+        total = sum(f.bit_count() * cap + sum(w for _, w in parts) for f, parts in zip(self.full, self.partials))
         return Dyadic(total, 2 * self.params.depth + self.params.subres)
 
 
@@ -337,9 +388,12 @@ def initial_set(g: StepFunction, params: GridParams) -> DyadicSet:
     return _Rows.of_bands(params, units).to_set()
 
 
-def _full_counts(fill, subs: int) -> list[int]:
-    """Per cell column, the cells of the fill that are full."""
-    return [col.count(subs) for col in zip(*fill)]
+def _full_counts(full: Sequence[int], side: int) -> list[int]:
+    """Per cell column, the number of the full masks with its bit set:
+    vertical popcounts, taken on the masks' digit strings joined into one,
+    where column j is every side-th digit from j."""
+    text = "".join(_digits(f, side) for f in full)
+    return [text[j::side].count("1") for j in range(side)]
 
 
 def vertical_section(e: DyadicSet) -> StepFunction:
@@ -347,33 +401,43 @@ def vertical_section(e: DyadicSet) -> StepFunction:
 
     Each cell column is read as the staircase of crosscut.columns, its
     full count plus the number of its partial widths above the
-    sub-column, whatever the number of partial cells in a row: a column
-    of p partial cells is p + 1 steps, so the cost follows the cells, not
-    the 2**K sub-columns of each.  The steps stay integers; Dyadics are
-    built only where the height changes."""
+    sub-column, whatever the number of partial cells in a row: the full
+    counts are vertical popcounts of the rows' full masks, the widths
+    come from their partial cells, and a column of p partial cells is
+    p + 1 steps, so the cost follows the rows and the partial cells, not
+    the 2**K sub-columns of each cell.  The steps stay integers; Dyadics
+    are built only where the height changes, in increasing order, so the
+    function needs no further check."""
     p = e.params
-    subs = p.sub_per_cell
+    side, subs = p.side, p.sub_per_cell
+    widths: list[list[int]] = [[] for _ in range(side)]
+    for parts in e.partials:
+        for j, w in parts:
+            widths[j].append(w)
     starts, heights = [], []  # sub-column where each height begins
     base = 0
-    for col in zip(*e.fill):
-        widths = sorted(w for w in col if 0 < w < subs)
-        h, at = col.count(subs) + len(widths), 0
-        for w in (*widths, subs):
+    for count, ws in zip(_full_counts(e.full, side), widths):
+        ws.sort()
+        h, at = count + len(ws), 0
+        for w in (*ws, subs):
             if w > at and (not heights or heights[-1] != h):
                 starts.append(base + at)
                 heights.append(h)
             h, at = h - 1, w
         base += subs
     exp = p.depth + p.subres
-    return StepFunction(
+    return StepFunction._trusted(
         (*(Dyadic(m, exp) for m in starts), ONE), tuple(Dyadic(h, p.depth) for h in heights)
     )
 
 
 def horizontal_section(e: DyadicSet) -> StepFunction:
-    """h_E(y): width of the set at height y; constant on each band."""
+    """h_E(y): width of the set at height y; constant on each band, where
+    it is the row's full cells times 2**K plus its partial widths."""
     p = e.params
-    return StepFunction.from_grid(map(sum, e.fill), p.depth, p.depth + p.subres)
+    cap = p.sub_per_cell
+    units = [f.bit_count() * cap + sum(w for _, w in parts) for f, parts in zip(e.full, e.partials)]
+    return StepFunction.from_grid(units, p.depth, p.depth + p.subres)
 
 
 def _squares(side: int, move: SwapMove) -> tuple[slice, slice, slice]:
@@ -392,20 +456,29 @@ def _units(cap: int, width: int, full: int, nonempty: int) -> int:
 
 
 class _Rows:
-    """A grid of cells held as its rows: bitmasks of each row's full and
-    nonempty cells and the width of its partial cell, 0 when it has none.
-    A fill with a row of two partial cells raises ValueError naming it."""
+    """A grid of cells held as its rows, as the engine changes them: lists
+    of each row's full and nonempty masks and the width of its partial
+    cell, 0 when it has none.  A set with a row of two partial cells
+    raises ValueError naming it."""
 
     def __init__(self, params: GridParams, fill):
-        self._hold(params, [], [], [])
-        for r, row in enumerate(fill):
-            full, nonempty = _mask(map(eq, row, repeat(self.subs))), _mask(map(bool, row))
-            partial = nonempty & ~full
-            if partial & (partial - 1):
+        self._take(DyadicSet(params, fill))
+
+    @classmethod
+    def of_set(cls, e: DyadicSet):
+        """The rows of the set e, made without __init__, as of_bands."""
+        rows = cls.__new__(cls)
+        rows._take(e)
+        return rows
+
+    def _take(self, e: DyadicSet) -> None:
+        """Hold copies of the set's masks and each row's partial width."""
+        part = []
+        for r, parts in enumerate(e.partials):
+            if len(parts) > 1:
                 raise ValueError(f"fill row {r} holds two partial cells; the engine takes one at most")
-            self.full.append(full)
-            self.nonempty.append(nonempty)
-            self.part.append(row[partial.bit_length() - 1] if partial else 0)
+            part.append(parts[0][1] if parts else 0)
+        self._hold(e.params, [*e.full], [*e.nonempty], part)
 
     def _hold(self, params: GridParams, full: list[int], nonempty: list[int], part: list[int]) -> None:
         self.params = params
@@ -450,40 +523,14 @@ class _Rows:
         return moved
 
     def to_set(self) -> DyadicSet:
-        """The rows written out as a set.  Each row is its full mask's
-        digit string mapped to cells of 0 and 2**K through a translation
-        table, into a buffer of machine ints, with its one partial width
-        patched in.  Such rows are valid by construction, so the set skips
-        DyadicSet's per-cell check (DyadicSet._trusted)."""
-        side = self.side
-        code, size, at, table = _cell_codec(self.params.subres)
-        buf = bytearray(size * side)
-        # a bytearray reads as its ints already, and faster than a view
-        cells = memoryview(buf).cast(code) if size > 1 else buf
-        rows = []
-        for f, ne, width in zip(self.full, self.nonempty, self.part):
-            buf[at::size] = _digits(f, side).encode().translate(table)
-            if width:
-                j = (ne ^ f).bit_length() - 1
-                cells[j] = width
-                rows.append(tuple(cells))
-                cells[j] = 0
-            else:
-                rows.append(tuple(cells))
-        return DyadicSet._trusted(self.params, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _cell_codec(subres: int) -> tuple[str, int, int, bytes]:
-    """How _Rows.to_set writes cells of 0 and cap = 2**subres: the
-    typecode of the smallest machine int that holds cap, its size in
-    bytes, the one byte of such an int that is nonzero in cap (native
-    order), and the table that maps the digits '0' and '1' to that byte's
-    value in 0 and in cap."""
-    code = next(c for c in "BHIL" if 8 * array(c).itemsize > subres)
-    size = array(code).itemsize
-    at = subres // 8 if sys.byteorder == "little" else size - 1 - subres // 8
-    return code, size, at, bytes.maketrans(b"01", bytes((0, 1 << subres % 8)))
+        """The rows as a set, each with its one partial cell, if any, as
+        (column, width); valid by construction, so the set is made
+        without DyadicSet's per-cell check."""
+        partials = tuple(
+            (((ne ^ f).bit_length() - 1, width),) if width else ()
+            for f, ne, width in zip(self.full, self.nonempty, self.part)
+        )
+        return DyadicSet._of_rows(self.params, tuple(self.full), tuple(self.nonempty), partials)
 
 
 def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
@@ -493,7 +540,7 @@ def swap(e: DyadicSet, move: SwapMove) -> DyadicSet:
         raise MoveOutOfRange(
             f"generation {move.gen} exceeds grid depth {p.depth}"
         )
-    rows = _Rows(p, e.fill)
+    rows = _Rows.of_set(e)
     rows._exchange(*_squares(p.side, move))
     return rows.to_set()
 
@@ -535,7 +582,8 @@ class _Work(_Rows):
     """Mutable integer-scaled state for the swap search.
 
     The grid is held as rows (_Rows) and the section as column states.
-    __init__ builds both from a fill grid; hypograph builds both from g's
+    __init__ builds both from a fill grid, of_target from a set's rows
+    (is_swappable, optimize_generation); hypograph builds both from g's
     band values, the start reconstruct and audit_trace take.  touched
     holds the masks of each band row the generation has touched, as they
     were before it.
@@ -555,7 +603,14 @@ class _Work(_Rows):
 
     def __init__(self, params: GridParams, fill, f: StepFunction):
         super().__init__(params, fill)
-        self._start(f, _full_counts(fill, self.subs))
+        self._start(f, _full_counts(self.full, self.side))
+
+    @classmethod
+    def of_target(cls, e: DyadicSet, f: StepFunction):
+        """The engine on the rows of the set e, toward f."""
+        work = cls.of_set(e)
+        work._start(f, _full_counts(work.full, work.side))
+        return work
 
     @classmethod
     def hypograph(cls, params: GridParams, g: StepFunction, f: StepFunction):
@@ -975,7 +1030,7 @@ def is_swappable(e: DyadicSet, f: StepFunction, move: SwapMove) -> bool:
     primitive is dominated by the section's; InvariantViolation is raised
     when it fails.
     """
-    work = _Work(e.params, e.fill, f)
+    work = _Work.of_target(e, f)
     if not work.dominated:
         raise InvariantViolation("prefix dominance hypothesis violated for this set")
     return work.swappable(move)
@@ -991,7 +1046,7 @@ def optimize_generation(e: DyadicSet, f: StepFunction, gen: int) -> DyadicSet:
     """
     if not 1 <= gen <= e.params.depth:
         raise ValueError(f"generation must lie in 1..{e.params.depth}")
-    work = _Work(e.params, e.fill, f)
+    work = _Work.of_target(e, f)
     work.run_generation(gen)
     return work.to_set()
 
@@ -1177,4 +1232,5 @@ def discrete_exact_set(
     if a is None:
         return None
     # whole cells only: each row's full and nonempty masks are its matrix row
-    return _Rows.of_masks(params, [*a.masks], [*a.masks], [0] * params.side).to_set()
+    masks = tuple(a.masks)
+    return DyadicSet._of_rows(params, masks, masks, ((),) * params.side)

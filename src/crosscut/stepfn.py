@@ -68,17 +68,35 @@ class StepFunction:
         return cls((ZERO, ONE), (v,))
 
     @classmethod
+    def _trusted(cls, breakpoints: tuple[Dyadic, ...], values: tuple[Dyadic, ...]) -> "StepFunction":
+        """The function of breakpoints and values that are canonical by
+        construction, made without __post_init__'s checks: breakpoints
+        strictly increasing from 0 to 1, values nonnegative, no two
+        neighbours equal.  from_grid and the sections of a set build
+        them so, one plateau at a time."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "breakpoints", breakpoints)
+        object.__setattr__(fn, "values", values)
+        return fn
+
+    @classmethod
     def from_grid(cls, values, exp: int, value_exp: int = 0) -> "StepFunction":
         """Uniform grid of 2**exp plateaus of width 2**-exp, with breakpoints
-        only where the value changes.  Values are Dyadics or ints, an int
-        counting units of 2**-value_exp; only the kept ones are converted."""
+        only where the value changes.  Values are all Dyadics or all ints,
+        an int counting units of 2**-value_exp; only the kept ones are
+        converted.  The kept breakpoints increase and the kept values
+        differ from their neighbours by construction, so only the signs
+        are checked."""
         vals = list(values)
         if len(vals) != (1 << exp):
             raise ValueError(f"expected {1 << exp} values")
         keep = _starts(vals)
-        return cls(
+        kept = [vals[i] for i in keep]
+        if any(v < 0 for v in kept):
+            raise ValueError("values must be nonnegative")
+        return cls._trusted(
             (*(Dyadic(i, exp) for i in keep), ONE),
-            tuple(v if isinstance(v, Dyadic) else Dyadic(v, value_exp) for v in (vals[i] for i in keep)),
+            tuple(v if isinstance(v, Dyadic) else Dyadic(v, value_exp) for v in kept),
         )
 
     # -- queries ------------------------------------------------------------

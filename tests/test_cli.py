@@ -121,7 +121,7 @@ def test_realize_set_writes_pbm_when_k_zero(files, capsys):
     assert main(["verify", out, f, f]) == 0
 
 
-def test_realize_set_images_are_lossless_up_to_k16(files, capsys, monkeypatch):
+def test_realize_set_images_are_lossless_up_to_k15(files, capsys, monkeypatch):
     tmp, write = files
     f = write("f.csv", "breakpoint,value\n0,1/2\n")
     out = tmp / "set.pgm"
@@ -135,8 +135,23 @@ def test_realize_set_images_are_lossless_up_to_k16(files, capsys, monkeypatch):
     monkeypatch.setattr("crosscut.cli.reconstruct", must_not_run)
     out17 = tmp / "k17.pgm"
     assert main(["realize-set", f, f, "-N", "1", "-K", "17", "-o", str(out17)]) == 2
-    assert "K <= 16" in capsys.readouterr().err
+    assert "K <= 15" in capsys.readouterr().err
     assert not out17.exists()
+
+
+def test_realize_set_refuses_k16_before_building(files, capsys, monkeypatch):
+    # a K=16 cell has 65,537 levels, and a PGM's maxval stays below 65536
+    tmp, write = files
+    f = write("f.csv", "breakpoint,value\n0,1/2\n")
+
+    def must_not_run(*args):
+        raise AssertionError("construction ran for an unwritable K")
+
+    monkeypatch.setattr("crosscut.cli.reconstruct", must_not_run)
+    out = tmp / "k16.pgm"
+    assert main(["realize-set", f, f, "-N", "1", "-K", "16", "-o", str(out)]) == 2
+    assert "set images hold K <= 15; got K=16" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_realize_set_infeasible_exit(files, capsys):

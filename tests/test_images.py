@@ -13,7 +13,7 @@ from crosscut.netpbm import fill_from_pixel, pixel_from_fill, set_from_image, se
 
 def test_round_trip_is_identity_for_small_subres():
     rng = random.Random(1234)
-    for k in range(17):
+    for k in range(16):
         for _ in range(6):
             params = GridParams(rng.randint(1, 4), k)
             e = rand_dyadic_set(rng, params)
@@ -31,6 +31,20 @@ def test_pgm_maxval_must_match_k():
         set_from_image("P2\n# K=3\n2 2\n8\n0 8 4 1\n")
     with pytest.raises(ValueError):
         set_to_image(DyadicSet(GridParams(1, 17), ((0, 0), (0, 0))))
+
+
+def test_k16_images_are_refused():
+    # a K=16 cell has 65,537 levels; PGM allows maxval 65535 at most
+    with pytest.raises(ValueError, match="K <= 15"):
+        set_to_image(DyadicSet(GridParams(1, 16), ((0, 1 << 16), (3, 0))))
+    text = "P2\n# K=16\n2 2\n65536\n0 65536 3 0\n"
+    with pytest.raises(ValueError, match="PGM maxval 65536 is above 65535"):
+        set_from_image(text)
+    with pytest.raises(ValueError, match="PGM maxval 70000 is above 65535"):
+        set_from_image(text.replace("65536\n", "70000\n"), override_subres=4)
+    # the same cells at K=15 are a valid image
+    e = DyadicSet(GridParams(1, 15), ((0, 1 << 15), (3, 0)))
+    assert "\n32768\n" in set_to_image(e) and set_from_image(set_to_image(e)) == e
 
 
 def test_bottom_band_lands_on_the_last_image_row():
@@ -108,7 +122,7 @@ def test_image_samples_are_the_per_cell_mappings():
     # a 16 x 16 grid holds every fill and every gray level up to K = 7,
     # so the lookup tables are read at each entry; beyond, a sample
     rng = random.Random(77)
-    for k in range(17):
+    for k in range(16):
         cap = 1 << k
         top = max(255, cap)
         fills = [min(w, cap) for w in range(256)] if k < 8 else [rng.randint(0, cap) for _ in range(256)]
