@@ -206,11 +206,7 @@ def set_to_image(e: DyadicSet) -> str:
     lines = []
     # image rows run top-down; band 0 sits at the bottom of the square
     for f, parts in zip(reversed(e.full), reversed(e.partials)):
-        digits = _digits(f, side)
-        if not parts:
-            lines.append(" ".join(digits).replace("1", full))
-            continue
-        pieces, at = [], 0
+        digits, pieces, at = _digits(f, side), [], 0
         for j, w in parts:
             if j > at:
                 pieces.append(" ".join(digits[at:j]).replace("1", full))
