@@ -45,8 +45,8 @@ def _parse(text: str):
     """(magic, width, height, maxval, comments, rows) of P1 or P2 text.
 
     The header and the comments are read at once, and rows is a generator
-    of the image rows, top-down, each a list of int samples, converted
-    line by line.  Errors are raised in this order: an empty file, an
+    of the image rows, top-down, each its samples as bytes or as a list
+    of ints, converted line by line (_rows).  Errors are raised in this order: an empty file, an
     unknown magic number, a malformed header, each when met; a token that
     is not an int, when its line is read; then, once the lines are read,
     a wrong sample count and last a sample outside 0..maxval.  Rows stop
