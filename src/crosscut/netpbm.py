@@ -21,6 +21,9 @@ from itertools import chain
 from .gridset import DyadicSet, GridParams
 from .matrices import _bits, _digits, _mask
 
+MAX_IMAGE_SUBRES = 15  # a cell of 2**K sub-units has 2**K + 1 levels; PGM maxval < 65536
+MAX_PGM_MAXVAL = 65535
+
 
 def _write(magic: str, samples, header: tuple[str, ...], comments) -> str:
     """The text image: magic number, comments, size, the header lines
@@ -46,11 +49,12 @@ def _parse(text: str):
 
     The header and the comments are read at once, and rows is a generator
     of the image rows, top-down, each its samples as bytes or as a list
-    of ints, converted line by line (_rows).  Errors are raised in this order: an empty file, an
-    unknown magic number, a malformed header, each when met; a token that
-    is not an int, when its line is read; then, once the lines are read,
-    a wrong sample count and last a sample outside 0..maxval.  Rows stop
-    at the first line holding such a sample."""
+    of ints, converted line by line (_rows).  Errors are raised in this
+    order: an empty file, an unknown magic number, a malformed header,
+    each when met; a token that is not an int, when its line is read;
+    then, once the lines are read, a wrong sample count and last a sample
+    outside 0..maxval.  Rows stop at the first line holding such a
+    sample."""
     lines = text.splitlines()
     comments: list[str] = []
     for i, line in enumerate(lines):
@@ -82,7 +86,7 @@ def _parse(text: str):
     return magic, width, height, maxval, comments, _rows(words, magic, width, height, maxval)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _spellings(maxval: int) -> dict[str, int]:
     """The samples 0..maxval by their decimal digits, as the writers spell
     them."""
@@ -90,18 +94,19 @@ def _spellings(maxval: int) -> dict[str, int]:
 
 
 def _rows(words, magic: str, width: int, height: int, maxval: int):
-    """The image rows of the sample words, line by line (_parse).  Below
-    maxval 256 a line spelled as the writers spell samples is read through
-    a table into bytes, each sample in range by construction; any other
-    line is read by int() and range-checked with one min and max.  A line
-    of width samples is a row when no samples are pending from lines
-    before; other layouts are cut into rows of width samples."""
-    spelled = (_spellings(maxval) if 0 <= maxval < 256 else {}).__getitem__
+    """The image rows of the sample words, line by line (_parse).  A line
+    spelled as the writers spell samples is read through a table, each
+    sample in range by construction, into bytes below maxval 256; any
+    other line is read by int() and range-checked with one min and max.
+    A line of width samples is a row when no samples are pending from
+    lines before; other layouts are cut into rows of width samples."""
+    spelled = (_spellings(maxval) if 0 <= maxval <= MAX_PGM_MAXVAL else {}).__getitem__
+    pack = bytes if maxval < 256 else list
     count, clean = 0, True
     pending: list[int] = []
     for line in words:
         try:
-            values = bytes(map(spelled, line))
+            values = pack(map(spelled, line))
         except KeyError:
             try:
                 values = [*map(int, line)]
@@ -134,10 +139,6 @@ def read_netpbm(text: str):
     """
     magic, width, height, maxval, comments, rows = _parse(text)
     return magic, width, height, maxval, [*map(list, rows)], comments
-
-
-MAX_IMAGE_SUBRES = 15  # a cell of 2**K sub-units has 2**K + 1 levels; PGM maxval < 65536
-MAX_PGM_MAXVAL = 65535
 
 
 def image_maxval(cap: int) -> int:

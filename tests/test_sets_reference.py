@@ -263,6 +263,10 @@ MALFORMED = [
     "P2 # K=1\n2 2\n255\n\n\n0 255\n\n128 127\n\n",
     "P2\r\n# K=1\r\n2 2\r\n255\r\n0 255\r\n128 127\r\n",
     "P1\n# K=0\n4 4\n0101\n1 0 1 0\n0 1 0 1\n1 0 1 0\n",  # digits run together
+    "P2\n# K=1\n2 2\n255\n0 0255 +3 0\n",  # samples int() reads, spelled otherwise
+    "P2\n# K=9\n2 2\n512\n0 0512 +3 0\n",
+    "P2\n# K=9\n2 2\n512\n0 512\n-0 256\n",
+    "P1\n2 2\n00 1\n1 0\n",
 ]
 
 
