@@ -28,10 +28,12 @@ MAX_PGM_MAXVAL = 65535
 def _write(magic: str, samples, header: tuple[str, ...], comments) -> str:
     """The text image: magic number, comments, size, the header lines
     after it, then one line of samples per row.  A row is a sequence of
-    ints or its line of text, the samples separated by single spaces."""
+    ints or its line of text, the samples separated by single spaces.
+    The last, empty line gives the final newline without a second copy
+    of the text."""
     lines = [r if isinstance(r, str) else " ".join(map(str, map(int, r))) for r in samples]
     size = f"{lines[0].count(' ') + 1 if lines and lines[0] else 0} {len(lines)}"
-    return "\n".join([magic, *(f"# {c}" for c in comments), size, *header, *lines]) + "\n"
+    return "\n".join([magic, *(f"# {c}" for c in comments), size, *header, *lines, ""])
 
 
 def write_pbm(bits, comments=()) -> str:
